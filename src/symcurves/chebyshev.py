@@ -12,9 +12,9 @@ from functools import lru_cache
 
 from .exact import IntPoly
 
-# Coefficient evaluation is used below this degree; past it cheb_eval switches
-# to nesting on the factorization of d (or a matrix power for large primes).
-_COEFF_DEGREE_CAP = 64
+# Up to this degree cheb_eval checks its ladder result against the linear
+# recurrence (the dual-path agreement check).
+_DUAL_PATH_DEGREE_CAP = 64
 
 
 class ChebPoly:
@@ -69,54 +69,29 @@ def _eval_recurrence(d: int, x):
     return b
 
 
-def _smallest_factor(d: int) -> int:
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            return f
-        f += 1
-    return d
-
-
 def cheb_eval(d: int, x):
-    """T_d(x), exactly, for rational or integer x.
+    """T_d(x), exactly, as a Fraction, for rational or integer x.
 
-    Dual path: Horner on the coefficients for d <= 64 (checked against the
-    recurrence), nesting T_{ab} = T_a(T_b) on the factorization beyond, with
-    a logarithmic matrix-power fallback for large prime d.
+    One Lucas V-ladder over the bits of d: from (T_0, T_1) = (2, x), each bit
+    maps the pair (T_k, T_{k+1}) to (T_{2k}, T_{2k+1}) or (T_{2k+1}, T_{2k+2})
+    by T_{2k} = T_k^2 - 2 and T_{2k+1} = T_k*T_{k+1} - x, so O(log d) products.
+    The ladder runs on plain int when x is integral and on Fraction otherwise.
+    For d <= 64 the result is checked against the linear recurrence.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if isinstance(x, int):
-        x = Fraction(x)
-    if d <= _COEFF_DEGREE_CAP:
-        horner = _cheb_coeffs(d)(x)
-        assert horner == _eval_recurrence(d, x), "Chebyshev dual-path mismatch"
-        return horner
-    f = _smallest_factor(d)
-    if f < d:
-        return cheb_eval(f, cheb_eval(d // f, x))
-    return _eval_matrix_power(d, x)
-
-
-def _eval_matrix_power(d: int, x):
-    # (T_d, T_{d-1}) from [[x, -1], [1, 0]]^(d-1) applied to (T_1, T_0=2).
-    m = ((x, Fraction(-1)), (Fraction(1), Fraction(0)))
-    r = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    e = d - 1
-
-    def matmul(a, b):
-        return (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-
-    while e:
-        if e & 1:
-            r = matmul(r, m)
-        m = matmul(m, m)
-        e >>= 1
-    return r[0][0] * x + r[0][1] * 2
+    x = Fraction(x)
+    if x.denominator == 1:
+        x = x.numerator
+    a, b = 2, x  # (T_k, T_{k+1}) with k = 0
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            a, b = a * b - x, b * b - 2
+        else:
+            a, b = a * a - 2, a * b - x
+    if d <= _DUAL_PATH_DEGREE_CAP:
+        assert a == _eval_recurrence(d, x), "Chebyshev dual-path mismatch"
+    return Fraction(a)
 
 
 def special_values(d: int) -> dict[Fraction, Fraction]:

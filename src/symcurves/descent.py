@@ -21,10 +21,9 @@ from .exact import (
 )
 from .localglobal import everywhere_locally_solvable
 
-# Above this twist size the enumerated empty set is unconditional (the
-# height gate in the two-cover argument); below it the same computation is
-# reported as method-empty only.  Carried as an opaque gate.
-EXPLICIT_TWIST_THRESHOLD = 7 * 10**74
+# Above this prime a parity-conditional verdict that passes every gate
+# concludes "no rational points"; at or below it the same verdict is
+# reported as a candidate only.  Carried as an opaque gate.
 EXPLICIT_PARITY_THRESHOLD = 3 * 10**74
 
 QUARTIC_RESIDUE_POLY = IntPoly([2, 0, -4, 0, 1])  # x^4 - 4x^2 + 2

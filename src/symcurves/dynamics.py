@@ -214,51 +214,50 @@ class ScanEvidence:
     exceptional: set = field(default_factory=set)
 
 
-def _solve_cheb_value(d: int, t: Fraction) -> set[Fraction]:
-    """All rational y with T_d(y) = t for integer targets; solutions are
-    integers by monicity, found among |y| <= 2 and by monotone bisection on
-    |y| >= 3."""
-    if t.denominator != 1:
-        return set()
-    out = {y for y in SMALL_SET if cheb_eval(d, y) == t}
-    tt = int(t)
+def _integer_root(t: int, d: int) -> int:
+    """floor(t^(1/d)) for t >= 0, fixed one binary digit at a time from the
+    top: the root is below 2^ceil(bits(t)/d)."""
+    r = 0
+    for k in reversed(range(-(-t.bit_length() // d))):
+        c = r | (1 << k)
+        if c ** d <= t:
+            r = c
+    return r
 
-    def search_positive(target):
-        lo, hi = 3, 3
-        if cheb_eval(d, Fraction(hi)) > target:
-            return None
-        while cheb_eval(d, Fraction(hi)) < target:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cheb_eval(d, Fraction(mid)) < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if cheb_eval(d, Fraction(lo)) == target else None
 
-    r = search_positive(tt)
-    if r is not None:
-        out.add(Fraction(r))
-    mirrored = search_positive(-tt if d % 2 else tt)
-    if mirrored is not None:
-        out.add(Fraction(-mirrored))
+def _solve_cheb_value(d: int, t: int, small_values) -> set[Fraction]:
+    """All rational y with T_d(y) = t for an integer target t.
+
+    Such y are integers by monicity.  `small_values` pairs each y in
+    SMALL_SET with T_d(y).  For y >= 3, (y-1)^d < T_d(y) < y^d + 1, so with
+    r = floor(t^(1/d)) the only candidates are r and r + 1, each checked
+    exactly; y <= -3 reduces to -y by the parity of T_d.
+    """
+    out = {y for y, v in small_values if v == t}
+    for sign, target in ((1, t), (-1, -t if d % 2 else t)):
+        if target <= 0:
+            continue
+        r = _integer_root(target, d)
+        for y in (r, r + 1):
+            if y >= 3 and cheb_eval(d, y) == target:
+                out.add(Fraction(sign * y))
     return out
 
 
 def conjecture_scan(d: int, num_den_cap: int) -> ScanEvidence:
-    """Exhaustive scan for rational points of X_d with x an integer of
-    absolute value at most the cap (monicity makes every rational point
-    integral), solving for y exactly; points outside {0,+-1,+-2}^2 are
-    recorded as exceptional."""
+    """Exhaustive scan for the rational points of X_d whose x is an integer
+    of absolute value at most the cap, solving for y exactly; points outside
+    {0,+-1,+-2}^2 are recorded as exceptional.  Rational points with a
+    non-integral x are not scanned."""
     if d < 3:
         raise ValueError("d must be >= 3")
     ev = ScanEvidence(d, num_den_cap)
     small = set(SMALL_SET)
+    small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
     for x0 in range(-num_den_cap, num_den_cap + 1):
         x = Fraction(x0)
         t = 1 - cheb_eval(d, x)
-        for y in _solve_cheb_value(d, t):
+        for y in _solve_cheb_value(d, int(t), small_values):
             if x in small and y in small:
                 ev.inside_points.add((x, y))
             else:

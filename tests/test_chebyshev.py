@@ -107,17 +107,20 @@ def test_growth_floor():
 
 
 def test_large_degree_paths_agree():
-    # nesting/matrix path vs coefficient recurrence at a composite and a prime.
-    x = Fraction(7, 3)
-
-    def bruteforce(d):
-        a, b = x, x * x - 2
-        for _ in range(d - 2):
-            a, b = b, x * b - a
-        return b
-
-    assert cheb_eval(96, x) == bruteforce(96)
-    assert cheb_eval(97, x) == bruteforce(97)  # prime > 64
+    # The ladder against an independent three-term recurrence from T_0 = 2,
+    # for every d up to 250 (primes > 64 included) at negative, integral and
+    # non-integral points.
+    xs = [Fraction(v) for v in (-40, -3, -1, 0, 2, 5, 37)] + \
+        [Fraction(7, 3), Fraction(-7, 3), Fraction(-5, 2), Fraction(1, 7),
+         Fraction(-11, 5), Fraction(3, 64)]
+    for x in xs:
+        prev, cur = Fraction(2), x  # T_0, T_1
+        for d in range(1, 251):
+            value = cheb_eval(d, x)
+            assert type(value) is Fraction and value == cur, (d, x)
+            if x.denominator == 1:
+                assert cheb_eval(d, int(x)) == cur
+            prev, cur = cur, x * cur - prev
 
 
 def test_chebpoly_invariants():

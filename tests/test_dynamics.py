@@ -4,9 +4,12 @@ import pytest
 
 from symcurves.chebyshev import cheb, cheb_eval
 from symcurves.dynamics import (
+    SMALL_SET,
     ChebCurve,
     PolyMap,
     X5_POINTS,
+    _integer_root,
+    _solve_cheb_value,
     chebyshev_curve_points,
     conjecture_scan,
     integral_pullback,
@@ -181,3 +184,66 @@ def test_conjecture_scan():
     ev11 = conjecture_scan(11, 60)
     assert ev11.exceptional == set()
     assert ev11.inside_points == FOUR
+
+
+def _cheb_table(d, bound):
+    # T_d(y) for |y| <= bound by the three-term recurrence from T_0 = 2,
+    # independent of the library's evaluator.
+    table = {}
+    for y in range(0, bound + 1):
+        prev, cur = 2, y
+        for _ in range(d - 1):
+            prev, cur = cur, y * cur - prev
+        table[y] = cur
+        table[-y] = cur if d % 2 == 0 else -cur
+    return table
+
+
+def test_integer_root():
+    for d in range(1, 12):
+        for t in range(0, 3000):
+            r = _integer_root(t, d)
+            assert r ** d <= t < (r + 1) ** d, (t, d)
+    for d in (2, 3, 7, 64, 67, 200):
+        for r in (2, 3, 41, 10**6 + 3, 10**30 + 7):
+            assert _integer_root(r ** d, d) == r
+            assert _integer_root(r ** d - 1, d) == r - 1
+            assert _integer_root(r ** d + 1, d) == r
+
+
+def test_solve_cheb_value_boundaries():
+    for d in (3, 4, 5, 6, 7, 8, 12, 67, 128, 199, 200):
+        small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
+        t3 = _cheb_table(d, 3)[3]
+        targets = {t3, t3 - 1, t3 + 1, -t3, -t3 + 1, 0, 1, -1, 2, -2, 3}
+        for r in (2, 3, 4, 11, 41):
+            targets |= {r ** d, r ** d - 1, r ** d + 1, -r ** d, -r ** d - 1}
+            targets |= {_cheb_table(d, r)[r], -_cheb_table(d, r)[r]}
+        for t in targets:
+            # |y| >= 3 forces (|y| - 1)^d < |t|, so this window is complete.
+            bound = 2 ** -(-abs(t).bit_length() // d) + 3
+            table = _cheb_table(d, bound)
+            expected = {Fraction(y) for y, v in table.items() if v == t}
+            assert _solve_cheb_value(d, t, small_values) == expected, (d, t)
+        # T_d >= -2 on the reals for even d.
+        if d % 2 == 0:
+            for t in (-3, -t3, -41 ** d):
+                assert _solve_cheb_value(d, t, small_values) == set()
+    # Large roots are found exactly.
+    d, y = 3, 10**9 + 7
+    small_values = [(v, cheb_eval(d, v)) for v in SMALL_SET]
+    assert _solve_cheb_value(d, y ** 3 - 3 * y, small_values) == {Fraction(y)}
+
+
+def test_conjecture_scan_matches_bruteforce():
+    # (|y| - 1)^d < |T_d(y)| <= |T_d(x)| + 1 < cap^d + 2 bounds |y| <= cap + 1.
+    small = set(SMALL_SET)
+    for d in range(3, 13):
+        for cap in (5, 40):
+            table = _cheb_table(d, cap + 1)
+            found = {(Fraction(x), Fraction(y))
+                     for x in range(-cap, cap + 1) for y in table
+                     if table[x] + table[y] == 1}
+            ev = conjecture_scan(d, cap)
+            assert ev.inside_points == {p for p in found if set(p) <= small}
+            assert ev.exceptional == {p for p in found if not set(p) <= small}
