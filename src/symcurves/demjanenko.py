@@ -3,6 +3,16 @@ index window |n| <= N, walk n*G + T on the companion curve, pull every
 candidate back through the covering maps, and emit a completeness
 certificate for the rational points of the symmetric quartic.
 
+The whole window is covered, but most R = n*G + T are ruled out modulo
+good primes before any exact arithmetic (a Mordell-Weil sieve in the sense
+of Bruin-Stoll, applied to the pull-back).  At an odd prime l = 3 (mod 4)
+of good reduction, a pair (T, n) is skipped when R mod l is affine with
+x(R) != 0 and either -x(R)/4 is a non-residue, or both (+-y(R)/t - 4a')/8
+are non-zero non-residues, where t = (-x(R)/4)^((l+1)/4).  Proof: x(R) is
+then an l-adic unit, so a phi_1-preimage (x, y) of R or of -R would have
+x^2 = -x(R)/4, hence x = +-t mod l, and y^2 = (+-y(R)/x - 4a')/8 would be
+one of those two residues mod l.
+
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve and non-torsion but does not prove the rank bound.
 """
@@ -21,7 +31,7 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import rational_sqrt
+from .exact import is_prime, rational_sqrt
 from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
 
 # Externally certified per-side |hhat - h| budget for this family; our own
@@ -31,6 +41,9 @@ CERTIFIED_GAP_FLOOR = 9.62
 
 # Rank-1 enumerations never search a window smaller than the verified one.
 VERIFIED_WINDOW_FLOOR = 40
+
+# The residue sieve works modulo this many primes l = 3 (mod 4).
+SIEVE_PRIME_COUNT = 12
 
 
 @dataclass
@@ -158,10 +171,106 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
     return {P for P in out if F.contains(P)}
 
 
+def _sieve_primes(E: EllipticCurve) -> list[int]:
+    """The first SIEVE_PRIME_COUNT primes l = 3 (mod 4) dividing neither a
+    coefficient denominator of E (a6 = 0) nor the numerator of its
+    discriminant."""
+    den = math.lcm(E.a2.denominator, E.a4.denominator)
+    disc = E.discriminant().numerator
+    primes, ell = [], 3
+    while len(primes) < SIEVE_PRIME_COUNT:
+        if den % ell and disc % ell and is_prime(ell):
+            primes.append(ell)
+        ell += 4
+    return primes
+
+
+def _mod(q: Fraction, ell: int) -> int:
+    # The residue of an ell-integral rational.
+    return q.numerator * pow(q.denominator, -1, ell) % ell
+
+
+def _reduce(P, ell: int):
+    """P mod ell as a residue pair, or None for the identity (P = O or ell
+    in the denominator of x(P)); E must have good reduction at ell."""
+    if P is INF or P.x.denominator % ell == 0:
+        return None
+    return _mod(P.x, ell), _mod(P.y, ell)
+
+
+def _add_mod(P, Q, a2: int, a4: int, ell: int):
+    # The chord-and-tangent law on E mod ell; None is the identity.
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - a2 - x1 - x2) % ell
+    return (x3, (lam * (x1 - x3) - y1) % ell)
+
+
+def _no_preimage_mod(R, a: int, ell: int) -> bool:
+    """True when R mod ell (a = a' mod ell) proves that neither R nor -R
+    has a rational phi_1-preimage; see the module docstring."""
+    if R is None or R[0] == 0:
+        return False
+    X, Y = R
+    u = -X * pow(4, -1, ell) % ell
+    t = pow(u, (ell + 1) // 4, ell)
+    if t * t % ell != u:
+        return True                     # x^2 = -X/4 has no solution mod ell
+    yt, inv8 = Y * pow(t, -1, ell), pow(8, -1, ell)
+    for v in ((yt - 4 * a) * inv8 % ell, (-yt - 4 * a) * inv8 % ell):
+        if v == 0 or pow(v, (ell - 1) // 2, ell) == 1:
+            return False                # y^2 = v is solvable mod ell
+    return True
+
+
+def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
+    """alive[n][i] is False when some l in `primes` proves that neither
+    n*G + T_i nor its negative has a phi_1-preimage, for 0 <= n <= N.
+
+    Raises ValueError unless E is the companion curve of F (so a6 = 0) and
+    every l is a prime = 3 (mod 4) of good reduction for E."""
+    E, F = inp.E, inp.F
+    if E != companion_curve(F):
+        raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
+    den = math.lcm(E.a2.denominator, E.a4.denominator)
+    disc = E.discriminant().numerator
+    alive = [[True] * len(inp.torsion) for _ in range(N + 1)]
+    for ell in primes:
+        if ell % 4 != 3 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
+            raise ValueError(f"{ell} is not a prime = 3 (mod 4) of good reduction")
+        a2, a4, a = _mod(E.a2, ell), _mod(E.a4, ell), _mod(F.a_eff, ell)
+        G = _reduce(inp.generator, ell)
+        torsion = [_reduce(T, ell) for T in inp.torsion]
+        nG = None
+        for row in alive:
+            for i, T in enumerate(torsion):
+                if row[i] and _no_preimage_mod(_add_mod(nG, T, a2, a4, ell), a, ell):
+                    row[i] = False
+            nG = _add_mod(nG, G, a2, a4, ell)
+    return alive
+
+
 def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
     """Pull back every n*G + T with |n| <= N through phi_1 (phi_2 follows by
     the swap symmetry), union the degenerate equal-index solutions, and
-    certify the resulting point set."""
+    certify the resulting point set.
+
+    A pair (T, n) with 0 <= n <= N stands for R = n*G + T and -R, which
+    covers the window since the torsion is a group.  Pairs that the
+    residue sieve rejects are skipped: modulo a good prime l = 3 (mod 4),
+    x(R) is an l-adic unit and either x^2 = -x(R)/4 or both candidate
+    values of y^2 = (+-y(R)/x - 4a')/8 are unsolvable, so neither R nor -R
+    has a preimage.  Only surviving points are built exactly, each n*G once
+    for all torsion points T."""
     E, F = inp.E, inp.F
     points: set[QuarticPoint] = set()
 
@@ -172,13 +281,17 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
             points.add(P)
             points.add(P.swap())
 
-    for T in inp.torsion:
-        R = T  # R will walk n*G + T incrementally.
-        absorb(R)
-        for _ in range(N):
-            R = E.add(R, inp.generator)
-            absorb(R)
-            absorb(E.neg(R))
+    alive = _sieve_survivors(inp, N, _sieve_primes(E))
+    for n, row in enumerate(alive):
+        if not any(row):
+            continue
+        nG = E.scalar_mul(n, inp.generator)
+        for T, survives in zip(inp.torsion, row):
+            if survives:
+                R = E.add(nG, T)
+                absorb(R)
+                if n:
+                    absorb(E.neg(R))
 
     points |= equal_index_points(F)
     for P in points:

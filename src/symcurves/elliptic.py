@@ -123,8 +123,9 @@ class EllipticCurve:
         while n:
             if n & 1:
                 R = self.add(R, Q)
-            Q = self.add(Q, Q)
             n >>= 1
+            if n:
+                Q = self.add(Q, Q)
         return R
 
     def integral_model(self):
@@ -197,24 +198,42 @@ def _torsion_multiple_bound(E: EllipticCurve, num_primes: int = 10) -> int:
 
 
 def _integer_roots_monic_cubic(a2: int, a4: int, a6: int) -> list[int]:
-    # Roots of x^3 + a2 x^2 + a4 x + a6 in Z via divisors of the constant term.
-    if a6 == 0:
-        roots = [0]
-        # remaining quadratic x^2 + a2 x + a4
-        d = a2 * a2 - 4 * a4
-        if d >= 0:
-            s = math.isqrt(d)
-            if s * s == d:
-                for r in {(-a2 + s), (-a2 - s)}:
-                    if r % 2 == 0:
-                        roots.append(r // 2)
-        return sorted(set(roots))
+    """The integer roots of f(x) = x^3 + a2 x^2 + a4 x + a6, sorted.
+
+    Every real root lies in [-M, M] with M = 1 + max|a_i| (Cauchy).  The
+    critical points c- <= c+ of f are (-a2 -+ sqrt(s))/3 with
+    s = a2^2 - 3 a4.  For s > 0, f is strictly increasing on the integers
+    up to floor(c-), strictly decreasing from floor(c-) + 1 to floor(c+)
+    and strictly increasing above; for s <= 0 it is strictly increasing
+    everywhere.  Each piece holds at most one root, found by integer
+    bisection."""
+    def f(x):
+        return ((x + a2) * x + a4) * x + a6
+
+    M = 1 + max(abs(a2), abs(a4), abs(a6))
+    s = a2 * a2 - 3 * a4
+    if s > 0:
+        k = math.isqrt(s)
+        # floor((-a2 - sqrt(s)) / 3), exact for square and non-square s.
+        lo_crit = (-a2 - k) // 3 if k * k == s else (-a2 - k - 1) // 3
+        hi_crit = (-a2 + k) // 3
+        pieces = [(-M, lo_crit, 1), (lo_crit + 1, hi_crit, -1), (hi_crit + 1, M, 1)]
+    else:
+        pieces = [(-M, M, 1)]
     roots = []
-    for d in _divisors(abs(a6)):
-        for r in (d, -d):
-            if ((r + a2) * r + a4) * r + a6 == 0:
-                roots.append(r)
-    return sorted(set(roots))
+    for lo, hi, sign in pieces:
+        # sign * f is strictly increasing on [lo, hi]: find its first x >= 0.
+        if lo > hi or sign * f(lo) > 0 or sign * f(hi) < 0:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
 def _divisors(n: int) -> list[int]:

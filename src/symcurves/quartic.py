@@ -42,6 +42,7 @@ class SymQuartic:
         self.alpha = alpha
         if self.disc() == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
+        self._companion = None      # built on first use by companion_curve
 
     @property
     def a_eff(self) -> Fraction:
@@ -72,9 +73,11 @@ class SymQuartic:
 
 def companion_curve(F: SymQuartic) -> EllipticCurve:
     """The elliptic curve y^2 = x(x^2 - 4a'x - (16b' + 4a'^2)) receiving the
-    two covering maps."""
-    a, b = F.a_eff, F.b_eff
-    return EllipticCurve(-4 * a, -(16 * b + 4 * a * a), 0)
+    two covering maps; built once per quartic and cached on it."""
+    if F._companion is None:
+        a, b = F.a_eff, F.b_eff
+        F._companion = EllipticCurve(-4 * a, -(16 * b + 4 * a * a), 0)
+    return F._companion
 
 
 def phi(i: int, P: QuarticPoint, F: SymQuartic) -> ECPoint:

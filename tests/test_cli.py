@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import symcurves
 from symcurves.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -149,6 +154,22 @@ def test_cache_corruption_detected(tmp_path, capsys):
                         "--cache-dir", cache, "--json"], capsys)
     env = json.loads(out)
     assert env["payload"]["verdicts"][0]["selmer_bound"] != 99
+
+
+def test_quartic_payload_same_under_python_O(capsys):
+    # The sieve's preconditions are checks that raise, not asserts, so the
+    # certificate must not change when asserts are compiled away.
+    argv = ["quartic", "-4", "-3", "1", "--generator", "4,-16", "--json"]
+    _, out, _ = run(argv, capsys)
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-O", "-m", "symcurves.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == EXIT_OK, child.stderr
+    normal, optimized = json.loads(out), json.loads(child.stdout)
+    normal.pop("timestamp"), optimized.pop("timestamp")
+    assert optimized == normal
+    assert optimized["payload"]["count"] == 12
 
 
 def test_determinism_modulo_timestamp(capsys):

@@ -1,10 +1,20 @@
+import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import symcurves
 from symcurves.demjanenko import (
+    SIEVE_PRIME_COUNT,
+    VERIFIED_WINDOW_FLOOR,
     DemjanenkoInput,
+    _sieve_primes,
+    _sieve_survivors,
     build_input,
     determine_points,
     enumerate_and_pull_back,
@@ -12,9 +22,9 @@ from symcurves.demjanenko import (
     index_bound,
     n_window,
 )
-from symcurves.elliptic import INF, point
+from symcurves.elliptic import INF, EllipticCurve, point
 from symcurves.exact import rational_sqrt
-from symcurves.quartic import SymQuartic, qpoint
+from symcurves.quartic import SymQuartic, phi_preimages, qpoint
 
 X4 = SymQuartic(-4, -3, 1)
 G = point(4, -16)
@@ -159,3 +169,115 @@ def test_phi_gap_matches_appendix_constant():
     assert abs(inp.phi_gap - math.log(24 * 12 * 16)) < 1e-12
     inp6 = build_input(SymQuartic(-4, -6, 1), None, 0)
     assert abs(inp6.phi_gap - (8 * math.log(2) + 3 * math.log(3))) < 1e-12
+
+
+# ------------------------------------------------------------ residue sieve
+
+# (a, b, G): X_4 with G = (4, -16), then curves whose companion torsion has
+# order 4, each with G = phi_1(P) for a seeded point P on F_(a, b).
+SIEVE_CURVES = [
+    (-4, -3, (4, -16)),
+    (Fraction(-1, 2), Fraction(287, 16), (-9, 45)),
+    (-8, -23, (-16, 48)),
+    (Fraction(-9, 2), Fraction(-49, 8), (-9, 24)),
+    (-12, Fraction(-527, 16), (-9, 60)),
+    (-8, Fraction(-287, 16), (-25, 60)),
+]
+
+
+def _sieve_input(case):
+    a, b, (gx, gy) = SIEVE_CURVES[case]
+    return build_input(SymQuartic(a, b, 1), point(gx, gy), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def unsieved_walk(case):
+    """The walk without the sieve: every n*G + T with |n| <= N = 40 built
+    by repeated addition and pulled back through phi_1.  Returns the point
+    set with the swap images and the equal-index classes, and for each
+    pair (T index, n) the preimages of n*G + T and of its negative."""
+    inp, N = _sieve_input(case), VERIFIED_WINDOW_FLOOR
+    E, F = inp.E, inp.F
+    preimages = {}
+    for i, T in enumerate(inp.torsion):
+        R = T
+        for n in range(N + 1):
+            if n:
+                R = E.add(R, inp.generator)
+            found = set()
+            for Q in {R, E.neg(R)} - {INF}:
+                found |= phi_preimages(1, Q, F)
+            preimages[i, n] = found
+    points = set(equal_index_points(F))
+    for found in preimages.values():
+        points |= found | {P.swap() for P in found}
+    return points, preimages
+
+
+@pytest.mark.parametrize("case", range(len(SIEVE_CURVES)))
+def test_sieved_walk_matches_unsieved_walk(case):
+    inp = _sieve_input(case)
+    points, _ = unsieved_walk(case)
+    assert enumerate_and_pull_back(inp, VERIFIED_WINDOW_FLOOR).points == points
+    assert determine_points(inp.F, inp.generator, 1).points == points
+
+
+@pytest.mark.parametrize("case", range(len(SIEVE_CURVES)))
+def test_sieve_rejections_have_no_preimage(case):
+    inp = _sieve_input(case)
+    _, preimages = unsieved_walk(case)
+    alive = _sieve_survivors(inp, VERIFIED_WINDOW_FLOOR, _sieve_primes(inp.E))
+    rejected = [(i, n) for n, row in enumerate(alive)
+                for i, survives in enumerate(row) if not survives]
+    assert rejected  # the sieve does work on every curve of the corpus
+    for key in rejected:
+        assert preimages[key] == set(), key
+    assert all(alive[n][i] for (i, n), found in preimages.items() if found)
+
+
+def test_sieve_primes_are_the_first_good_primes():
+    for case in range(len(SIEVE_CURVES)):
+        E = _sieve_input(case).E
+        disc = E.discriminant()
+        dens = (E.a2.denominator, E.a4.denominator)
+        expected = [ell for ell in range(3, 400, 4)
+                    if all(ell % q for q in range(2, ell))
+                    and all(d % ell for d in dens) and disc.numerator % ell]
+        assert _sieve_primes(E) == expected[:SIEVE_PRIME_COUNT]
+
+
+def test_sieve_preconditions_raise():
+    # F_(-8, -23) has companion discriminant 2^18 * 3^2 * 7^2: 3 and 7 are
+    # primes of bad reduction.
+    inp = _sieve_input(2)
+    assert inp.E.discriminant().numerator % 21 == 0
+    for primes in ([3], [7], [11, 7], [5], [15]):
+        with pytest.raises(ValueError):
+            _sieve_survivors(inp, 4, primes)
+    assert _sieve_survivors(inp, 4, [11, 19])[0][0]
+    # The sieve is sound only on the companion curve of F, where a6 = 0.
+    x4 = _sieve_input(0)
+    for E in (EllipticCurve(16, -16, 1), EllipticCurve(16, -15, 0)):
+        other = DemjanenkoInput(x4.F, E, x4.generator, [INF], 1,
+                                1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            _sieve_survivors(other, 4, [7])
+
+
+def test_sieve_preconditions_survive_python_O():
+    script = (
+        "from symcurves.demjanenko import build_input, _sieve_survivors\n"
+        "from symcurves.elliptic import point\n"
+        "from symcurves.quartic import SymQuartic\n"
+        "assert False, 'asserts must be off'\n"
+        "inp = build_input(SymQuartic(-8, -23, 1), point(-16, 48), 1)\n"
+        "try:\n"
+        "    _sieve_survivors(inp, 4, [7])\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n")
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("refused: 7 is not a prime")

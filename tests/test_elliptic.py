@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from symcurves.elliptic import (
     INF,
     EllipticCurve,
+    _integer_roots_monic_cubic,
     canonical_height,
     canonical_height_doubling,
     count_points_mod_p,
@@ -17,6 +19,7 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
+from symcurves.quartic import SymQuartic, companion_curve
 
 # companion curve of the degree-4 Chebyshev quartic
 Y_CURVE = EllipticCurve(16, -16, 0)
@@ -131,6 +134,72 @@ def test_torsion_richer_curve():
     assert len(tor) == 4
     P = point(2, 4)
     assert E.scalar_mul(4, P) is INF and E.scalar_mul(2, P) is not INF
+
+
+def brute_integer_roots(a2, a4, a6):
+    """Oracle: every integer root divides a6 (or is 0), so test them all."""
+    n = abs(a6)
+    if n == 0:
+        m = abs(a2) + abs(a4) + 1           # Cauchy bound for x^2 + a2 x + a4
+        cands = set(range(-m, m + 1))
+    else:
+        cands = {s * d for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                 for s in (1, -1)}
+        cands |= {n // c for c in cands}
+    return sorted(x for x in cands if ((x + a2) * x + a4) * x + a6 == 0)
+
+
+def test_integer_roots_small_box():
+    for a2 in range(-7, 8):
+        for a4 in range(-7, 8):
+            for a6 in range(-7, 8):
+                assert (_integer_roots_monic_cubic(a2, a4, a6)
+                        == brute_integer_roots(a2, a4, a6)), (a2, a4, a6)
+
+
+def test_integer_roots_known_factorizations():
+    big = -(2**10) * 3**6
+    cases = [
+        (1, 1, 1), (2, 2, 2), (-3, -3, -3), (0, 0, 0), (5, 5, -7),
+        (0, 0, 4), (1, -1, 0), (6, -6, 1), (-2**5 * 3**3, 2**5, 3**3),
+        (-48, 1, 16), (12, 12, -5), (10**6, -10**6, 7), (-999, 1000, 1001),
+    ]
+    cases += list(itertools.combinations_with_replacement(range(-12, 13), 3))
+    for roots in cases:
+        r1, r2, r3 = roots
+        a2, a4, a6 = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        assert _integer_roots_monic_cubic(a2, a4, a6) == sorted(set(roots)), roots
+    # Irreducible or rootless cubics with many-divisor constant terms.
+    for a2, a4 in ((0, 0), (1, 0), (0, 1), (-7, 11), (3, -2)):
+        assert _integer_roots_monic_cubic(a2, a4, big) == brute_integer_roots(a2, a4, big)
+    assert _integer_roots_monic_cubic(0, 0, big) == []
+    assert _integer_roots_monic_cubic(0, 0, -(144**3)) == [144]
+
+
+def test_integer_roots_random_against_brute_force():
+    rng = random.Random(7)
+    for _ in range(400):
+        a2, a4 = rng.randint(-300, 300), rng.randint(-3000, 3000)
+        r = rng.randint(-60, 60)
+        a6 = rng.choice([rng.randint(-10**5, 10**5), -((r + a2) * r + a4) * r])
+        assert (_integer_roots_monic_cubic(a2, a4, a6)
+                == brute_integer_roots(a2, a4, a6)), (a2, a4, a6)
+
+
+@pytest.mark.parametrize("ab,expected", [
+    # torsion Z/2 x Z/2: y^2 = x^3 + 48x^2 - 208x
+    ((-12, -23), [(-52, 0), (0, 0), (4, 0)]),
+    # torsion Z/6: y^2 = x^3 + 24x^2 - 48x
+    ((-6, -6), [(-12, -48), (-12, 48), (0, 0), (4, -16), (4, 16)]),
+    # torsion Z/2 x Z/4: y^2 = x^3 + 8x^2 - 48x
+    ((-2, 2), [(-12, 0), (-4, -16), (-4, 16), (0, 0), (4, 0), (12, -48), (12, 48)]),
+])
+def test_torsion_of_family_examples(ab, expected):
+    # Point lists of the companion curves of F_(a, b), pinned from the
+    # divisor-enumeration root finder.
+    tor = torsion_subgroup(companion_curve(SymQuartic(*ab, 1)))
+    assert tor[0] is INF
+    assert [(P.x, P.y) for P in tor[1:]] == [(Fraction(x), Fraction(y)) for x, y in expected]
 
 
 def test_naive_height():
