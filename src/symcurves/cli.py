@@ -2,7 +2,8 @@
 a persistent cache for prime scans.
 
 Exit codes: 0 = certificate produced, 2 = precondition violation,
-3 = an undetermined place or conjectural verdict is present.
+3 = an undetermined place or conjectural verdict is present, 4 = a check
+that gates a certificate failed (`CheckFailed`), so no result is reported.
 
 Rationals serialize as {"num": "...", "den": "..."} decimal strings so the
 payloads round-trip losslessly.
@@ -37,7 +38,7 @@ from .elliptic import (
     point,
     torsion_subgroup,
 )
-from .exact import IntPoly, is_prime
+from .exact import CheckFailed, IntPoly, is_prime
 from .localglobal import everywhere_locally_solvable
 from .quartic import SymQuartic, companion_curve
 
@@ -46,6 +47,7 @@ CACHE_ENV = "DEMJANENKO_CACHE"
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_UNDETERMINED = 3
+EXIT_CHECK_FAILED = 4
 
 
 def rat(value) -> dict:
@@ -386,6 +388,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except CheckFailed as exc:
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     print(_render(env, args.json))
     return code
 

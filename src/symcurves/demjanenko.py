@@ -26,7 +26,7 @@ from fractions import Fraction
 from .elliptic import (
     INF,
     EllipticCurve,
-    canonical_height,
+    _nontorsion_height,
     height_gap_bounds,
     is_torsion,
     torsion_subgroup,
@@ -92,7 +92,8 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
         raise ValueError("generator is not on the companion curve")
     if is_torsion(E, generator):
         raise ValueError("generator is torsion; rank-1 claim inconsistent")
-    hhat = canonical_height(E, generator, tol)
+    # Both checks of canonical_height were just made; do not repeat them.
+    hhat = _nontorsion_height(E, generator, tol)
     return DemjanenkoInput(F, E, generator, torsion, 1, hhat, gap_up, gap_low, phi_gap)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
+    CheckFailed,
     IntPoly,
-    int_poly_disc,
     is_prime,
     legendre_symbol,
     roots_mod_p,
@@ -41,6 +41,10 @@ class HomSpace:
     def multiplied_quartic(self) -> IntPoly:
         # y^2 = d * (d^2 + c2 z^2 + c4 z^4) with y = d*w.
         return IntPoly([self.d**3, 0, self.d * self.c2, 0, self.d * self.c4])
+
+    def discriminant(self) -> int:
+        # Of the biquadratic A z^4 + B z^2 + C: 16 A C (B^2 - 4 A C)^2.
+        return 16 * self.d**8 * self.c4 * (self.c2**2 - 4 * self.d**2 * self.c4)**2
 
 
 def family_space(d: int, p: int) -> HomSpace:
@@ -89,37 +93,42 @@ def _is_square_ql(n: int, ell: int) -> bool:
 
 
 def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
-    """Whether y^2 = c * f(z) has a solution with z in Z_ell.
+    """Whether y^2 = c * f(z) has a solution with z in Z_ell (c squarefree,
+    f primitive).
 
-    Level scan: an integer value that is an ell-adic square certifies a
-    point; otherwise only residues where f vanishes mod ell can carry deeper
-    solutions, and the search recurses on f(z0 + ell*t) with its content
-    moved into the square class c.
+    Level scan: a value c*f(z0) that is 0 or an ell-adic square certifies a
+    point; otherwise only roots z0 of f mod ell can carry deeper solutions,
+    and the search recurses on f(z0 + ell*t) with its content moved into
+    the square class c.  For odd ell the non-roots are decided without a
+    walk over all ell residues:
+
+    - ell | c: at a non-root v(c*f(z0)) = v(c) = 1 is odd, so c*f(z0) is
+      neither 0 nor a square; only the roots can succeed.
+    - f = u*g^2 mod ell: every non-root has c*f(z0) = c*u*g(z0)^2, and one
+      exists (ell >= 3 > deg g), so they succeed iff c*u is a residue.
+    - otherwise: scan for the first non-root with c*f(z0) a residue; by
+      Weil's bound one exists for ell >= 17, but correctness needs no bound.
+
+    Each root is then checked exactly and recursed on in ascending order.
     """
     if depth > cap:
-        raise RuntimeError("local solvability recursion exceeded the "
-                           "discriminant depth bound")
+        raise CheckFailed("local solvability recursion exceeded the "
+                          "discriminant depth bound")
     if ell == 2:
         for z0 in range(8):
             val = c * f(z0)
             if val == 0 or _is_square_ql(val, ell):
                 return True
+        roots = [z0 for z0 in range(ell) if f.eval_mod(z0, ell) == 0]
     else:
-        # Unit values are decided by their residue; only residues where
-        # c*f vanishes mod ell need the exact integer.
-        half = (ell - 1) // 2
-        for z0 in range(ell):
-            r = c * f.eval_mod(z0, ell) % ell
-            if r:
-                if pow(r, half, ell) == 1:
-                    return True
-            else:
-                val = c * f(z0)
-                if val == 0 or _is_square_ql(val, ell):
-                    return True
-    for z0 in range(ell):
-        if f.eval_mod(z0, ell) != 0:
-            continue
+        if c % ell and _unit_value_is_residue(c, f, ell):
+            return True
+        roots = sorted(roots_mod_p(f, ell))
+        for z0 in roots:
+            val = c * f(z0)
+            if val == 0 or _is_square_ql(val, ell):
+                return True
+    for z0 in roots:
         f1 = f.shift_scale(z0, ell)
         cont = f1.content()
         f1 = IntPoly([x // cont for x in f1.coeffs])
@@ -128,13 +137,50 @@ def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
     return False
 
 
-def _ql_solvable(G: IntPoly, ell: int) -> bool:
-    """Whether y^2 = G(z) has a Q_ell-point (z integral or not)."""
-    disc = int_poly_disc(G)
+def _unit_value_is_residue(c: int, f: IntPoly, ell: int) -> bool:
+    """Whether c*f(z0) is a nonzero square mod ell for some z0 (ell odd and
+    prime to c)."""
+    half = (ell - 1) // 2
+    u = _square_class_mod(f, ell)
+    if u is not None:
+        return pow(c * u, half, ell) == 1
+    for z0 in range(ell):
+        r = c * f.eval_mod(z0, ell) % ell
+        if r and pow(r, half, ell) == 1:
+            return True
+    return False
+
+
+def _square_class_mod(f: IntPoly, ell: int):
+    """The unit u with f = u*g^2 in F_ell[z] (ell odd), or None when f mod
+    ell is not of that form or has degree above 4."""
+    fbar = [x % ell for x in f.coeffs]
+    while len(fbar) > 1 and fbar[-1] == 0:
+        fbar.pop()
+    n, u = len(fbar) - 1, fbar[-1]
+    if n == 0:
+        return u
+    inv = pow(u, -1, ell)
+    h = [x * inv % ell for x in fbar]
+    if n == 2:
+        return u if (h[1] * h[1] - 4 * h[0]) % ell == 0 else None
+    if n == 4:
+        # g = z^2 + s*z + t with g^2 = h: s = h3/2, t = (h2 - s^2)/2.
+        half = (ell + 1) // 2
+        s = h[3] * half % ell
+        t = (h[2] - s * s) * half % ell
+        if (2 * s * t - h[1]) % ell == 0 and (t * t - h[0]) % ell == 0:
+            return u
+    return None
+
+
+def _ql_solvable(G: IntPoly, ell: int, disc: int) -> bool:
+    """Whether y^2 = G(z) has a Q_ell-point (z integral or not); disc is the
+    discriminant of the quartic G, whose valuation caps the recursion."""
     if disc == 0:
         raise ValueError("homogeneous space quartic must be squarefree")
     v = 0
-    d = abs(disc.numerator)
+    d = abs(disc)
     while d % ell == 0:
         d //= ell
         v += 1
@@ -174,7 +220,7 @@ def homspace_locally_solvable(C: HomSpace, place) -> bool:
         return _real_solvable_space(C)
     if not is_prime(place):
         raise ValueError(f"place {place} is neither 'real' nor a prime")
-    return _ql_solvable(C.multiplied_quartic(), place)
+    return _ql_solvable(C.multiplied_quartic(), place, C.discriminant())
 
 
 def _relevant_places(spaces: list[HomSpace]) -> list:
@@ -216,8 +262,9 @@ def selmer_rank_bound(p: int) -> int:
     s_dual = selmer_candidate_set(dual_isogeny_spaces(a, b))
     s = int(math.log2(len(s_set)))
     sp = int(math.log2(len(s_dual)))
-    assert 2**s == len(s_set) and 2**sp == len(s_dual), \
-        "Selmer candidate sets must be groups of 2-power order"
+    if 2**s != len(s_set) or 2**sp != len(s_dual):
+        raise CheckFailed("Selmer candidate sets must be groups of 2-power "
+                          "order")
     return s + sp - 2
 
 

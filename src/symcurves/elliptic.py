@@ -521,10 +521,18 @@ def canonical_height(E: EllipticCurve, P, tol: float = 1e-10) -> float:
     E._require(P)
     if is_torsion(E, P):
         return 0.0
+    return _nontorsion_height(E, P, tol)
+
+
+def _nontorsion_height(E: EllipticCurve, P, tol: float) -> float:
+    """hhat(P) to within tol for a point the caller has already checked to
+    lie on E and to have infinite order (`canonical_height` without those
+    two checks)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     Ei, u = E.integral_model()
     x = P.x * u * u
-    machine = _machine_for(E)
-    return machine.height(x.numerator, x.denominator, tol)
+    return _machine_for(E).height(x.numerator, x.denominator, tol)
 
 
 def canonical_height_doubling(E: EllipticCurve, P, tol: float = 1e-2) -> float:

@@ -18,6 +18,18 @@ _MR_ROUNDS_LARGE = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# `roots_mod_p` evaluates f at every residue below this prime and splits
+# gcd(f, x^p - x) from it on.  Measured on the non-constant calls made by
+# `selmer_rank_bound` for primes 101..1499 (Python 3.11, one core): scan
+# 232 us against gcd 245 us per call for p in [300, 400), 292 against 265
+# in [400, 500), 714 against 266 in [900, 1000).
+_ROOT_SCAN_LIMIT = 400
+
+
+class CheckFailed(Exception):
+    """A check that gates a certificate failed: the result cannot be
+    trusted.  Raised explicitly, so it also fires under `python -O`."""
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below 2^64."""
@@ -83,13 +95,27 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    # Sieve of Eratosthenes.
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i in range(n) if sieve[i])
+
+
+# Trial divisors of `factorize`; cofactors past them go to Pollard rho.
+_TRIAL_PRIMES = _primes_below(10_000)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in range(2, 10_000):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -337,14 +363,16 @@ class IntPoly:
 
 def roots_mod_p(f: IntPoly, p: int) -> set[int]:
     """All residues r in [0, p) with f(r) = 0 mod p.  Exhaustive scan for
-    p < 10^4, gcd splitting against x^p - x beyond that."""
+    p < _ROOT_SCAN_LIMIT, gcd splitting against x^p - x from there on."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if all(c % p == 0 for c in f.coeffs):
+    fp = _ptrim([c % p for c in f.coeffs])
+    if fp == [0]:
         raise ValueError("polynomial is zero mod p")
-    if p < 10_000:
+    if len(fp) == 1:
+        return set()
+    if p < _ROOT_SCAN_LIMIT:
         return {r for r in range(p) if f.eval_mod(r, p) == 0}
-    fp = [c % p for c in f.coeffs]
     xp = _polymod_pow_x(fp, p)
     g = _polymod_gcd(_polymod_sub(xp, [0, 1], p), fp, p)
     return _split_linear(g, p)

@@ -63,6 +63,13 @@ def test_quartic_off_curve_generator(capsys):
     assert code == EXIT_PRECONDITION
 
 
+def test_quartic_torsion_generator(capsys):
+    code, _, err = run(["quartic", "-4", "-3", "1", "--generator", "0,0"],
+                       capsys)
+    assert code == EXIT_PRECONDITION
+    assert err == "error: generator is torsion; rank-1 claim inconsistent\n"
+
+
 def test_cheb_command(capsys):
     code, out, _ = run(["cheb", "20", "--json"], capsys)
     assert code == EXIT_OK

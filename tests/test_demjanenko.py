@@ -100,6 +100,28 @@ def test_build_input_validates_generator():
         build_input(X4, G, 2)
 
 
+def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
+    from symcurves import demjanenko, elliptic
+
+    seen = []
+    real = elliptic.is_torsion
+
+    def counting(E, P):
+        seen.append(P)
+        return real(E, P)
+
+    monkeypatch.setattr(elliptic, "is_torsion", counting)
+    monkeypatch.setattr(demjanenko, "is_torsion", counting)
+    inp = build_input(X4, G, 1, tol=1e-8)
+    assert seen == [G]
+    assert inp.hhat_G == elliptic.canonical_height(inp.E, G, 1e-8)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        build_input(X4, G, 1, tol=0.0)
+    with pytest.raises(ValueError,
+                       match="generator is torsion; rank-1 claim inconsistent"):
+        build_input(X4, point(0, 0), 1)
+
+
 def test_x4_certificate():
     cert = determine_points(X4, G, rank_claim=1)
     assert cert.points == frozenset(X4_POINTS)

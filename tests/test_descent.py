@@ -1,7 +1,20 @@
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
+import symcurves
+from symcurves import descent
+from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.descent import (
     HomSpace,
+    _is_square_ql,
+    _ql_solvable,
+    _square_class_mod,
+    _zl_solvable,
     dual_isogeny_spaces,
     hasse_candidate_verdict,
     homspace_locally_solvable,
@@ -11,7 +24,14 @@ from symcurves.descent import (
     root_number,
     selmer_rank_bound,
 )
-from symcurves.exact import is_prime
+from symcurves.exact import (
+    _ROOT_SCAN_LIMIT,
+    CheckFailed,
+    IntPoly,
+    int_poly_disc,
+    is_prime,
+    squarefree_part,
+)
 
 
 def primes(lo, hi):
@@ -165,3 +185,287 @@ def test_hasse_verdict_gates():
     assert v.congruence_gate is False
     v = hasse_candidate_verdict(73, assume_parity=False)
     assert "unconditional conclusion unavailable" in v.conclusion
+
+
+# ---------------------------------------------------------------------------
+# The root-driven level scan of _zl_solvable against the two full residue
+# scans it replaced, kept here as the reference.
+
+
+def reference_zl_solvable(c, f, ell, depth, cap):
+    if depth > cap:
+        raise RuntimeError("depth cap")
+    if ell == 2:
+        for z0 in range(8):
+            val = c * f(z0)
+            if val == 0 or _is_square_ql(val, ell):
+                return True
+    else:
+        half = (ell - 1) // 2
+        for z0 in range(ell):
+            r = c * f.eval_mod(z0, ell) % ell
+            if r:
+                if pow(r, half, ell) == 1:
+                    return True
+            else:
+                val = c * f(z0)
+                if val == 0 or _is_square_ql(val, ell):
+                    return True
+    for z0 in range(ell):
+        if f.eval_mod(z0, ell) != 0:
+            continue
+        f1 = f.shift_scale(z0, ell)
+        cont = f1.content()
+        f1 = IntPoly([x // cont for x in f1.coeffs])
+        if reference_zl_solvable(squarefree_part(c * cont), f1, ell,
+                                 depth + 1, cap):
+            return True
+    return False
+
+
+def reference_ql_solvable(G, ell):
+    disc = int_poly_disc(G)
+    if disc == 0:
+        raise ValueError("homogeneous space quartic must be squarefree")
+    v, d = 0, abs(disc.numerator)
+    while d % ell == 0:
+        d //= ell
+        v += 1
+    cap = v + 12
+    cont = G.content()
+    G0 = IntPoly([x // cont for x in G.coeffs])
+    c = squarefree_part(cont)
+    if reference_zl_solvable(c, G0, ell, 0, cap):
+        return True
+    Gr = G0.reverse(4)
+    contr = Gr.content()
+    Gr = IntPoly([x // contr for x in Gr.coeffs])
+    return reference_zl_solvable(squarefree_part(c * contr), Gr, ell, 0, cap)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RuntimeError, CheckFailed):
+        return "depth cap"
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _primes_around_scan_limit():
+    below = max(p for p in range(3, _ROOT_SCAN_LIMIT) if is_prime(p))
+    above = min(p for p in range(_ROOT_SCAN_LIMIT, 2 * _ROOT_SCAN_LIMIT)
+                if is_prime(p))
+    return [below, above]
+
+
+ELLS = [3, 5, 7, 11, 13, 17, 19, 29, 97] + _primes_around_scan_limit() + [1009]
+
+
+def _nonresidue(ell):
+    return next(u for u in range(2, ell) if pow(u, (ell - 1) // 2, ell) != 1)
+
+
+def _assert_zl_matches(c, f, ell, cap=6):
+    got = _outcome(_zl_solvable, c, f, ell, 0, cap)
+    ref = _outcome(reference_zl_solvable, c, f, ell, 0, cap)
+    assert got == ref, (c, f, ell)
+    return got
+
+
+def test_ql_solvable_matches_residue_scans_on_random_quartics():
+    rng = random.Random(2024)
+    for ell in ELLS:
+        for _ in range(60 if ell < 100 else 15):
+            co = [rng.randint(-40, 40) * ell ** rng.choice((0, 0, 1, 2))
+                  for _ in range(5)]
+            co[4] = co[4] or rng.choice((1, -3, ell))
+            G = IntPoly(co)
+            disc = int_poly_disc(G).numerator
+            assert (_outcome(_ql_solvable, G, ell, disc)
+                    == _outcome(reference_ql_solvable, G, ell)), (G, ell)
+
+
+def test_square_class_mod_against_enumeration():
+    # f = u*g^2 in F_ell[z] exactly when the closed form says so.
+    rng = random.Random(3)
+    for ell in (3, 5, 7, 11):
+        squares = {}
+        for s in range(ell):
+            for t in range(ell):
+                for g in (IntPoly([t, 1]), IntPoly([t, s, 1])):
+                    sq = g * g
+                    squares[tuple(x % ell for x in sq.coeffs)] = True
+        for _ in range(400):
+            deg = rng.choice((0, 1, 2, 3, 4))
+            co = [rng.randrange(ell) for _ in range(deg)] + [rng.randrange(1, ell)]
+            if rng.random() < 0.4 and deg in (2, 4):
+                g = IntPoly([rng.randrange(ell) for _ in range(deg // 2)] + [1])
+                co = list((g * g * co[-1]).coeffs)
+            f = IntPoly(co)
+            u = co[-1] % ell
+            monic = tuple(x * pow(u, -1, ell) % ell for x in co)
+            expected = u if deg == 0 or monic in squares else None
+            assert _square_class_mod(f, ell) == expected, (f, ell)
+            # f + ell*h reduces to the same polynomial mod ell
+            lifted = f + IntPoly([ell * rng.randint(-3, 3) for _ in range(6)])
+            assert _square_class_mod(lifted, ell) == expected
+
+
+def test_zl_branch_ell_divides_c():
+    rng = random.Random(7)
+    for ell in ELLS:
+        for k in (1, -1, 2, -2, 3):
+            c = squarefree_part(k * ell)
+            if c % ell:
+                continue
+            for _ in range(6):
+                f = IntPoly([rng.randint(-30, 30) for _ in range(4)] + [1])
+                _assert_zl_matches(c, f, ell)
+            # roots at which c*f is an exact square or zero
+            _assert_zl_matches(c, IntPoly([0, ell, 0, 0, 1]), ell)
+            _assert_zl_matches(c, IntPoly([-ell, 0, 1]), ell)
+
+
+def test_zl_branch_constant_times_square():
+    rng = random.Random(8)
+    for ell in ELLS:
+        for u in (1, _nonresidue(ell)):
+            for _ in range(5):
+                s, t = rng.randrange(ell), rng.randrange(ell)
+                g = IntPoly([t, s, 1])
+                noise = IntPoly([ell * rng.randint(-5, 5) for _ in range(5)])
+                f = g * g * u + noise
+                if f.content() % ell == 0:
+                    continue
+                assert _square_class_mod(f, ell) == u
+                for c in (1, -1, _nonresidue(ell)):
+                    _assert_zl_matches(c, f, ell)
+            lin = IntPoly([rng.randrange(ell), 1])
+            f = lin * lin * u + IntPoly([ell, 0, ell])
+            assert _square_class_mod(f, ell) == u
+            _assert_zl_matches(1, f, ell)
+
+
+def test_zl_branch_degree_drop_and_constant():
+    rng = random.Random(9)
+    for ell in ELLS:
+        for _ in range(8):
+            co = [rng.randint(-50, 50) for _ in range(4)] + [ell * rng.randint(1, 4)]
+            co[1] = co[1] * ell + 1  # primitive, as _zl_solvable requires
+            _assert_zl_matches(rng.choice((1, -1, 2, -3)), IntPoly(co), ell)
+            const = IntPoly([rng.randint(1, 50) * rng.choice((1, -1))]
+                            + [ell * rng.randint(-5, 5) for _ in range(4)])
+            if const.coeffs[0] % ell:
+                for c in (1, _nonresidue(ell)):
+                    _assert_zl_matches(c, const, ell)
+        # 8z^4 - 8z^2 + 1 after the content ell^3 was removed: constant 1.
+        f = IntPoly([1, 0, -8 * ell, 0, 8 * ell * ell])
+        _assert_zl_matches(1, f, ell)
+        _assert_zl_matches(_nonresidue(ell), f, ell)
+
+
+def test_zl_recursion_through_double_roots():
+    # f = n*(z - r)^4 + n*ell^(4m) with n a non-residue: no unit value is a
+    # residue and f(r) is no square, and f(r + ell*t) / n has the same shape
+    # with m - 1, so the search goes m levels deep.
+    depths = []
+    original = descent._zl_solvable
+
+    def tracking(c, f, ell, depth, cap):
+        depths.append(depth)
+        return original(c, f, ell, depth, cap)
+
+    descent._zl_solvable = tracking
+    try:
+        for ell in (3, 5, 17) + tuple(_primes_around_scan_limit()):
+            n = _nonresidue(ell)
+            for r in (0, 1, ell - 1):
+                quartic = IntPoly([-r, 1]) * IntPoly([-r, 1])
+                quartic = quartic * quartic * n
+                for m in (1, 2, 3):
+                    f = quartic + IntPoly([n * ell**(4 * m)])
+                    depths.clear()
+                    _assert_zl_matches(1, f, ell, cap=8)
+                    assert max(depths) == m
+                    _assert_zl_matches(n, f, ell, cap=8)
+                    _assert_zl_matches(ell, f, ell, cap=8)
+                with pytest.raises(CheckFailed):
+                    _zl_solvable(1, quartic + IntPoly([n * ell**12]), ell, 0, 2)
+    finally:
+        descent._zl_solvable = original
+
+
+def test_homspace_solvability_matches_residue_scans():
+    for p in primes(3, 480) + _primes_around_scan_limit() + [1009]:
+        a, b = 4 * p, 2 * p * p
+        for C in isogeny_spaces(a, b) + dual_isogeny_spaces(a, b):
+            for place in (2, 3, 5, p):
+                got = homspace_locally_solvable(C, place)
+                assert got == reference_ql_solvable(C.multiplied_quartic(), place)
+
+
+def test_homspace_discriminant_closed_form():
+    rng = random.Random(10)
+    for _ in range(200):
+        d = rng.choice((1, -1)) * rng.randint(1, 60)
+        c2 = rng.randint(-500, 500)
+        c4 = rng.choice((1, -1)) * rng.randint(1, 500)
+        C = HomSpace(d, c2, c4)
+        assert C.discriminant() == int_poly_disc(C.multiplied_quartic())
+    for p in (5, 73, 10007):
+        for C in isogeny_spaces(4 * p, 2 * p * p):
+            assert C.discriminant() == int_poly_disc(C.multiplied_quartic())
+
+
+def test_singular_space_is_refused():
+    with pytest.raises(ValueError, match="squarefree"):
+        homspace_locally_solvable(HomSpace(1, 4, 4), 3)  # c2^2 = 4 d^2 c4
+
+
+# ---------------------------------------------------------------------------
+# Checks that gate the Selmer bound raise CheckFailed (exit code 4), also
+# under python -O.
+
+FORCE_SELMER = (
+    "from symcurves import descent\n"
+    "descent.selmer_candidate_set = lambda spaces: [1, 2, 3]\n")
+FORCE_DEPTH = (
+    "from symcurves import descent\n"
+    "_zl = descent._zl_solvable\n"
+    "descent._zl_solvable = (lambda c, f, ell, depth, cap:\n"
+    "                        _zl(c, f, ell, depth + 100, cap))\n")
+
+
+@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH],
+                         ids=["selmer-2-power", "depth-cap"])
+def test_forced_check_failure_exits_4(force, capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        # Record the originals, so that what `force` patches is restored.
+        m.setattr(descent, "selmer_candidate_set", descent.selmer_candidate_set)
+        m.setattr(descent, "_zl_solvable", descent._zl_solvable)
+        exec(force, {})
+        with pytest.raises(CheckFailed):
+            selmer_rank_bound(7)
+        code = main(["descent", "7", "--json"])
+    out = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED == 4
+    assert out.out == ""
+    assert out.err.startswith("error: check failed: ")
+
+
+@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH],
+                         ids=["selmer-2-power", "depth-cap"])
+def test_forced_check_failure_exits_4_under_python_O(force):
+    script = ("import sys\n"
+              "assert False, 'asserts must be off'\n"
+              + force +
+              "from symcurves.cli import main\n"
+              "sys.exit(main(['descent', '7']))\n")
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 4, child.stderr
+    assert child.stderr.startswith("error: check failed: ")
+    assert "Traceback" not in child.stderr

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from symcurves.exact import (
+    _ROOT_SCAN_LIMIT,
     IntPoly,
+    _pollard_rho,
     factorize,
     int_poly_disc,
     is_prime,
@@ -155,6 +157,86 @@ def test_roots_mod_p_large_prime_gcd_path():
 def test_roots_mod_p_rejects_zero_poly():
     with pytest.raises(ValueError):
         roots_mod_p(IntPoly([5, 10]), 5)
+
+
+def _brute_roots(f, p):
+    return {r for r in range(p) if f.eval_mod(r, p) == 0}
+
+
+def test_roots_mod_p_leading_coefficient_vanishing_mod_p():
+    # The gcd path once inverted a leading coefficient that is 0 mod p.
+    assert roots_mod_p(IntPoly([-1, 0, 10007]), 10007) == set()
+    assert roots_mod_p(IntPoly([5, 1, 0, 10007]), 10007) == {10002}
+    # The content-free quartic 8z^4 - 8z^2 + 1 after dividing out p^3
+    # reaches the root search with its degree dropped.
+    for p in (10007, 10009):
+        f = IntPoly([1, 0, -8 * p, 0, 8 * p * p])
+        assert roots_mod_p(f, p) == set()
+
+
+def test_roots_mod_p_both_sides_of_scan_limit():
+    below = max(p for p in range(3, _ROOT_SCAN_LIMIT) if is_prime(p))
+    above = min(p for p in range(_ROOT_SCAN_LIMIT, 2 * _ROOT_SCAN_LIMIT)
+                if is_prime(p))
+    rng = random.Random(5)
+    for p in (below, above, 1009):
+        cases = [
+            IntPoly([3, 0, p]),                      # degree 2 -> constant
+            IntPoly([-4, 1, 0, 2 * p]),              # degree 3 -> linear
+            IntPoly([1, 7, p, p * p, -p]),           # degree 4 -> linear
+            IntPoly([p + 6, 5 * p, 0, 0, 3 * p]),    # nonzero constant mod p
+            IntPoly([6, -5, 1]),                     # (z - 2)(z - 3)
+            IntPoly([-9, 0, 1]) * IntPoly([-9, 0, 1]),  # double roots
+            IntPoly([24, -50, 35, -10, 1]),          # four roots 1..4
+        ]
+        for _ in range(40):
+            co = [rng.randrange(-p, p) for _ in range(5)]
+            co[rng.randrange(5)] = p * rng.randrange(-3, 4)
+            cases.append(IntPoly(co))
+        for f in cases:
+            if all(c % p == 0 for c in f.coeffs):
+                continue
+            assert roots_mod_p(f, p) == _brute_roots(f, p), (p, f)
+        assert roots_mod_p(IntPoly([24, -50, 35, -10, 1]), p) == {1, 2, 3, 4}
+        with pytest.raises(ValueError):
+            roots_mod_p(IntPoly([p, -2 * p, 0, p]), p)
+
+
+def _reference_factorize(n):
+    """The trial division by every integer below 10^4 that `factorize` used
+    before it divided by primes only."""
+    n = abs(n)
+    out = {}
+    for p in range(2, 10_000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.extend([d, m // d])
+    return out
+
+
+def test_factorize_matches_integer_trial_division():
+    rng = random.Random(17)
+    ns = [1, -1, 2, 9973, 9973**2, 10007, 9973 * 10007, 10007**2,
+          2**40, -(3**5 * 7**3), 99_990_001, 8 * 5881**2 * 2, 32 * 10111**2]
+    ns += [rng.randrange(1, 10**9) for _ in range(300)]
+    ns += [rng.randrange(1, 10**6) * rng.choice([9967, 10007, 1_000_003])
+           for _ in range(100)]
+    ns += [8 * p * p * d for p in (73, 97, 5881) for d in (1, -2, 73, 2 * 97)]
+    for n in ns:
+        got, ref = factorize(n), _reference_factorize(n)
+        assert list(got.items()) == list(ref.items()), n
 
 
 def test_sqrt_mod_pk():
