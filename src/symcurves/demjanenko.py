@@ -31,7 +31,7 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import is_prime, rational_sqrt
+from .exact import is_prime, rat_mod, rational_sqrt
 from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
 
 # Externally certified per-side |hhat - h| budget for this family; our own
@@ -186,17 +186,12 @@ def _sieve_primes(E: EllipticCurve) -> list[int]:
     return primes
 
 
-def _mod(q: Fraction, ell: int) -> int:
-    # The residue of an ell-integral rational.
-    return q.numerator * pow(q.denominator, -1, ell) % ell
-
-
 def _reduce(P, ell: int):
     """P mod ell as a residue pair, or None for the identity (P = O or ell
     in the denominator of x(P)); E must have good reduction at ell."""
     if P is INF or P.x.denominator % ell == 0:
         return None
-    return _mod(P.x, ell), _mod(P.y, ell)
+    return rat_mod(P.x, ell), rat_mod(P.y, ell)
 
 
 def _add_mod(P, Q, a2: int, a4: int, ell: int):
@@ -248,7 +243,7 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     for ell in primes:
         if ell % 4 != 3 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
             raise ValueError(f"{ell} is not a prime = 3 (mod 4) of good reduction")
-        a2, a4, a = _mod(E.a2, ell), _mod(E.a4, ell), _mod(F.a_eff, ell)
+        a2, a4, a = rat_mod(E.a2, ell), rat_mod(E.a4, ell), rat_mod(F.a_eff, ell)
         G = _reduce(inp.generator, ell)
         torsion = [_reduce(T, ell) for T in inp.torsion]
         nG = None

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .exact import (
     CheckFailed,
     IntPoly,
+    factorize,
     is_prime,
     legendre_symbol,
     roots_mod_p,
@@ -70,8 +71,6 @@ def dual_isogeny_spaces(a: int, b: int) -> list[HomSpace]:
 
 
 def _squarefree_divisors(n: int) -> list[int]:
-    from .exact import factorize
-
     primes = sorted(factorize(abs(n)))
     divs = [1]
     for p in primes:
@@ -228,8 +227,6 @@ def _relevant_places(spaces: list[HomSpace]) -> list:
     odd primes of bad reduction.  The quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4
     has discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime
     away from it the space is a smooth genus-1 curve, hence solvable."""
-    from .exact import factorize
-
     primes = {2}
     for C in spaces:
         primes |= set(factorize(C.c4))

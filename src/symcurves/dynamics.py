@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .chebyshev import _cheb_coeffs, cheb_eval
 from .demjanenko import PointCertificate, determine_points
-from .exact import IntPoly, qpoly_gcd
+from .exact import IntPoly, bezout
 from .quartic import SymQuartic
 from .elliptic import EllipticCurve, point
 
@@ -267,16 +267,9 @@ def conjecture_scan(d: int, num_den_cap: int) -> ScanEvidence:
 
 def _critical_values(d: int) -> set[int]:
     """Values of T_d at its critical points (always within {2, -2})."""
-    td = [Fraction(c) for c in _cheb_coeffs(d).coeffs]
-    deriv = [i * td[i] for i in range(1, len(td))]
-    out = set()
-    for s in (2, -2):
-        shifted = list(td)
-        shifted[0] -= s
-        g = qpoly_gcd(shifted, deriv)
-        if len(g) > 1:
-            out.add(s)
-    return out
+    td = _cheb_coeffs(d)
+    deriv = td.derivative()
+    return {s for s in (2, -2) if bezout(td - IntPoly([s]), deriv) is None}
 
 
 def nonsingular(dk: ChebCurve) -> bool:

@@ -19,15 +19,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
+    CheckFailed,
     IntPoly,
+    bezout,
     factorize,
     is_prime,
     legendre_symbol,
     log_abs,
-    qpoly_ext_gcd,
 )
 
 MAZUR_ORDER_CAP = 12
+# Curves whose height data `_height_machine` keeps, least recently used
+# out first; determining the points of one quartic uses a single curve.
+HEIGHT_MACHINE_MEMO = 64
 
 
 class Infinity:
@@ -339,38 +343,14 @@ def _bezout_data(E: EllipticCurve):
     divides c_p * c_q.
     """
     N, D = _duplication_forms(E)
-    nq = [Fraction(c) for c in N.coeffs]
-    dq = [Fraction(c) for c in D.coeffs]
-    g, u, v = qpoly_ext_gcd(nq, dq)
-    assert g == [Fraction(1)], "duplication pair not coprime (singular curve?)"
-    cq, U, V = _integerize(u, v)
-    nr = [Fraction(c) for c in N.reverse(4).coeffs]
-    dr = [Fraction(c) for c in D.reverse(4).coeffs]
-    g2, ur, vr = qpoly_ext_gcd(nr, dr)
-    assert g2 == [Fraction(1)]
-    cp, Ur, Vr = _integerize(ur, vr)
-    return cq, U, V, cp, Ur, Vr
+    at_q = bezout(N, D)
+    at_p = bezout(N.reverse(4), D.reverse(4))
+    if at_q is None or at_p is None:
+        raise CheckFailed("duplication pair not coprime (singular curve?)")
+    return at_q + at_p
 
 
-def _integerize(u, v):
-    # Scale u*N + v*D = 1 to integer cofactors U*N + V*D = c, c > 0 minimal
-    # for this denominator choice.
-    den = 1
-    for c in list(u) + list(v):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    U = [int(c * den) for c in u]
-    V = [int(c * den) for c in v]
-    content = 0
-    for c in U + V + [den]:
-        content = math.gcd(content, abs(c))
-    if content > 1:
-        den //= content
-        U = [c // content for c in U]
-        V = [c // content for c in V]
-    return den, U, V
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HEIGHT_MACHINE_MEMO)
 def _height_machine(key):
     return _HeightMachine(EllipticCurve(*key))
 
@@ -390,8 +370,8 @@ class _HeightMachine:
         cq, U, V, cp, Ur, Vr = _bezout_data(E)
         self.cq, self.cp = cq, cp
         self.content_bound = cp * cq
-        sum_uv = sum(abs(c) for c in U) + sum(abs(c) for c in V)
-        sum_uvr = sum(abs(c) for c in Ur) + sum(abs(c) for c in Vr)
+        sum_uv = sum(abs(c) for c in U.coeffs + V.coeffs)
+        sum_uvr = sum(abs(c) for c in Ur.coeffs + Vr.coeffs)
         # Lower bound for max(|N|, |D|) on the max-norm unit sphere.
         self.m_min = min(cq / sum_uv, cp / sum_uvr)
         self.g_sum = max(sum(abs(c) for c in self.N.coeffs),
@@ -453,7 +433,7 @@ class _HeightMachine:
             for _ in range(n_steps):
                 weight /= 4.0
                 a0 = _eval_homog(self.N.coeffs, w[0], w[1], mod)
-                a1 = _eval_homog_d(self.D.coeffs, w[0], w[1], mod)
+                a1 = _eval_homog(self.D.coeffs, w[0], w[1], mod)
                 delta = min(_val_capped(a0, ell, e), _val_capped(a1, ell, e))
                 assert delta <= e
                 if delta:
@@ -469,22 +449,13 @@ class _HeightMachine:
 
 
 def _eval_homog(coeffs, p, q, mod):
-    # sum coeffs[i] * p^i * q^(4-i) mod `mod` (quartic coefficient list).
+    # sum coeffs[i] * p^i * q^(4-i) mod `mod`: a quartic coefficient list, or
+    # a cubic one homogenized to degree 4 by one extra factor of q.
     powers_p = [1, p % mod]
     powers_q = [1, q % mod]
     for _ in range(3):
         powers_p.append(powers_p[-1] * p % mod)
         powers_q.append(powers_q[-1] * q % mod)
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc = (acc + c * powers_p[i] * powers_q[4 - i]) % mod
-    return acc
-
-
-def _eval_homog_d(coeffs, p, q, mod):
-    # Degree-3 list homogenized to quartic by one extra factor of q.
-    powers_p = [1, p % mod, p * p % mod, p * p * p % mod]
-    powers_q = [1, q % mod, q * q % mod, q * q * q % mod, pow(q, 4, mod)]
     acc = 0
     for i, c in enumerate(coeffs):
         acc = (acc + c * powers_p[i] * powers_q[4 - i]) % mod

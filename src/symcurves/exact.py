@@ -1,8 +1,11 @@
-"""Number-theoretic substrate: primality, factorization, modular and
-polynomial arithmetic over Q and over prime fields.
+"""Number-theoretic substrate: primality, factorization, modular
+arithmetic, and polynomials.
 
 Rationals are plain ``fractions.Fraction`` values, which are always kept
 in canonical form (reduced, positive denominator) by the standard library.
+Polynomials are `IntPoly`; work over Q stays over Z through pseudo-division
+(`IntPoly.pseudo_divmod`) and the integer Bezout identity (`bezout`).
+`roots_mod_p` keeps its own private coefficient lists over F_p.
 """
 
 from __future__ import annotations
@@ -194,6 +197,11 @@ def rational_sqrt(q):
     return Fraction(rn, rd)
 
 
+def rat_mod(q: Fraction, m: int) -> int:
+    """The residue mod m of a rational whose denominator is prime to m."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
 def sqrt_mod_pk(a: int, p: int, k: int):
     """A square root of a modulo p^k, or None.  Assumes a is a p-adic unit
     square candidate (a not divisible by p)."""
@@ -316,6 +324,26 @@ class IntPoly:
 
     __rmul__ = __mul__
 
+    def pseudo_divmod(self, b: "IntPoly"):
+        """(m, q, r) with m*self = q*b + r, deg r < deg b and
+        m = lc(b)^(deg self - deg b + 1) (m = 1 when deg self < deg b)."""
+        if b.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        db, lb = b.degree, b.coeffs[-1]
+        k = self.degree - db + 1
+        if k <= 0:
+            return 1, IntPoly([0]), self
+        r, q = list(self.coeffs), [0] * k
+        for i in range(k - 1, -1, -1):
+            # Clear the coefficient of x^(db + i): r <- lb*r - c*x^i*b.
+            c = r[db + i]
+            q = [lb * x for x in q]
+            q[i] = c
+            r = [lb * x for x in r]
+            for j, bc in enumerate(b.coeffs):
+                r[i + j] -= c * bc
+        return lb**k, IntPoly(q), IntPoly(r[:db] or [0])
+
     def compose(self, other: "IntPoly") -> "IntPoly":
         acc = IntPoly([0])
         for c in reversed(self.coeffs):
@@ -361,6 +389,33 @@ class IntPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def bezout(a: IntPoly, b: IntPoly):
+    """(c, u, v) with u*a + v*b = c, c a nonzero integer, deg u < deg b and
+    deg v < deg a, scaled so that (u, v, c) is primitive with c > 0; None
+    when a and b have a common root.  Extended Euclid on pseudo-remainders,
+    each step divided by its content, so nothing leaves Z."""
+    if a.degree == 0 and b.degree == 0:
+        raise ValueError("bezout needs a non-constant polynomial")
+
+    def divided(f, g):
+        return IntPoly([c // g for c in f.coeffs])
+
+    zero, one = IntPoly([0]), IntPoly([1])
+    r0, u0, v0 = a, one, zero
+    r1, u1, v1 = b, zero, one
+    while r1.degree > 0:
+        m, q, r = r0.pseudo_divmod(r1)
+        u, v = u0 * m - q * u1, v0 * m - q * v1
+        g = math.gcd(r.content(), u.content(), v.content())
+        r0, u0, v0 = r1, u1, v1
+        r1, u1, v1 = divided(r, g), divided(u, g), divided(v, g)
+    if r1.is_zero():
+        return None
+    c = r1.coeffs[0]
+    g = math.gcd(c, u1.content(), v1.content()) * (1 if c > 0 else -1)
+    return c // g, divided(u1, g), divided(v1, g)
+
+
 def roots_mod_p(f: IntPoly, p: int) -> set[int]:
     """All residues r in [0, p) with f(r) = 0 mod p.  Exhaustive scan for
     p < _ROOT_SCAN_LIMIT, gcd splitting against x^p - x from there on."""
@@ -373,7 +428,7 @@ def roots_mod_p(f: IntPoly, p: int) -> set[int]:
         return set()
     if p < _ROOT_SCAN_LIMIT:
         return {r for r in range(p) if f.eval_mod(r, p) == 0}
-    xp = _polymod_pow_x(fp, p)
+    xp = _polymod_pow([0, 1], p, fp, p)
     g = _polymod_gcd(_polymod_sub(xp, [0, 1], p), fp, p)
     return _split_linear(g, p)
 
@@ -432,9 +487,10 @@ def _polymod_mulmod(a, b, f, p):
     return r
 
 
-def _polymod_pow_x(f, p):
-    # x^p mod f over F_p by square and multiply.
-    result, base, e = [1], [0, 1], p
+def _polymod_pow(base, e, f, p):
+    # base^e mod f over F_p by square and multiply; always a new list, which
+    # the caller may change.
+    result = [1]
     while e:
         if e & 1:
             result = _polymod_mulmod(result, base, f, p)
@@ -454,128 +510,9 @@ def _split_linear(g, p) -> set[int]:
     while True:
         a = rng.randrange(p)
         # gcd(g, (x+a)^((p-1)/2) - 1) splits the roots into two classes.
-        h = _pow_shifted(a, (p - 1) // 2, g, p)
+        h = _polymod_pow([a, 1], (p - 1) // 2, g, p)
         h[0] = (h[0] - 1) % p
         d = _polymod_gcd(_ptrim(h), g, p)
         if 0 < len(d) - 1 < len(g) - 1:
             q, _ = _polymod_divmod(g, d, p)
             return _split_linear(d, p) | _split_linear(q, p)
-
-
-def _pow_shifted(a, e, f, p):
-    result, base = [1], [a % p, 1]
-    while e:
-        if e & 1:
-            result = _polymod_mulmod(result, base, f, p)
-        base = _polymod_mulmod(base, base, f, p)
-        e >>= 1
-    return list(result)
-
-
-# -- polynomial arithmetic over Q (Fraction coefficient lists) --
-
-
-def qpoly_trim(a: list[Fraction]) -> list[Fraction]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def qpoly_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = qpoly_trim([Fraction(x) for x in b])
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(qpoly_trim(a)) - 1 >= db and qpoly_trim(a) != [Fraction(0)]:
-        a = qpoly_trim(a)
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        c = a[-1] / lb
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        a = a[:-1] if a else [Fraction(0)]
-    return qpoly_trim(q), qpoly_trim(a if a else [Fraction(0)])
-
-
-def qpoly_gcd(a, b):
-    """Monic gcd over Q."""
-    a = qpoly_trim([Fraction(x) for x in a])
-    b = qpoly_trim([Fraction(x) for x in b])
-    while b != [Fraction(0)]:
-        _, r = qpoly_divmod(a, b)
-        a, b = b, r
-    if a != [Fraction(0)] and a[-1] != 1:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def qpoly_resultant(a, b) -> Fraction:
-    """Resultant of two polynomials over Q, by the Euclidean recursion."""
-    a = qpoly_trim([Fraction(x) for x in a])
-    b = qpoly_trim([Fraction(x) for x in b])
-    if a == [Fraction(0)] or b == [Fraction(0)]:
-        return Fraction(0)
-    da, db = len(a) - 1, len(b) - 1
-    if db == 0:
-        return b[0] ** da
-    if da < db:
-        sign = -1 if (da * db) % 2 else 1
-        return sign * qpoly_resultant(b, a)
-    _, r = qpoly_divmod(a, b)
-    if r == [Fraction(0)]:
-        return Fraction(0)
-    dr = len(r) - 1
-    sign = -1 if (da * db) % 2 else 1
-    return sign * b[-1] ** (da - dr) * qpoly_resultant(b, r)
-
-
-def int_poly_disc(f: IntPoly) -> Fraction:
-    """Discriminant of f: (-1)^(n(n-1)/2) * res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
-        raise ValueError("degree >= 1 required")
-    res = qpoly_resultant(
-        [Fraction(c) for c in f.coeffs],
-        [Fraction(c) for c in f.derivative().coeffs],
-    )
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / f.coeffs[-1]
-
-
-def qpoly_ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    a = qpoly_trim([Fraction(x) for x in a])
-    b = qpoly_trim([Fraction(x) for x in b])
-    zero, one = [Fraction(0)], [Fraction(1)]
-
-    def add(x, y):
-        n = max(len(x), len(y))
-        return qpoly_trim([(x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
-                           for i in range(n)])
-
-    def mul(x, y):
-        out = [Fraction(0)] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
-        return qpoly_trim(out)
-
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while r1 != [Fraction(0)]:
-        q, r = qpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, add(s0, mul([-c for c in q], s1))
-        t0, t1 = t1, add(t0, mul([-c for c in q], t1))
-    if r0 != [Fraction(0)] and r0[-1] != 1:
-        lc = r0[-1]
-        r0 = [c / lc for c in r0]
-        s0 = [c / lc for c in s0]
-        t0 = [c / lc for c in t0]
-    return r0, s0, t0

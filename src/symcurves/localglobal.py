@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import is_prime, sqrt_mod_pk
+from .exact import factorize, is_prime, rat_mod, sqrt_mod_pk
 from .quartic import SymQuartic
 
 WEIL_CUTOFF = 37  # genus 3: q + 1 - 6*sqrt(q) > 0 for all q >= 37
@@ -41,8 +41,6 @@ def real_solvable(F: SymQuartic) -> bool:
 def bad_primes(F: SymQuartic) -> set[int]:
     """Primes where the projective closure may be singular: 2 and the primes
     of the family discriminant and coefficient denominators."""
-    from .exact import factorize
-
     out = {2}
     d = F.disc() * F.alpha  # twist support
     for q in (d.numerator, d.denominator,
@@ -64,8 +62,8 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
     if q in bad_primes(F):
         raise ValueError(f"q = {q} is a prime of bad reduction; use the "
                          "special place handling")
-    a = _rat_mod(F.a_eff, q)
-    b = _rat_mod(F.b_eff, q)
+    a = rat_mod(F.a_eff, q)
+    b = rat_mod(F.b_eff, q)
 
     def form(x, y, z):
         z2 = z * z % q
@@ -93,10 +91,6 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
             if witness is None and any(partials(x, 1, 0)):
                 witness = (x, 1, 0)
     return count, witness
-
-
-def _rat_mod(r: Fraction, q: int) -> int:
-    return r.numerator * pow(r.denominator, -1, q) % q
 
 
 def special_place_checks(p: int) -> list[LocalReport]:

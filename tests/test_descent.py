@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,6 @@ from symcurves.exact import (
     _ROOT_SCAN_LIMIT,
     CheckFailed,
     IntPoly,
-    int_poly_disc,
     is_prime,
     squarefree_part,
 )
@@ -36,6 +36,71 @@ from symcurves.exact import (
 
 def primes(lo, hi):
     return [p for p in range(lo, hi) if is_prime(p)]
+
+
+# -- reference: the discriminant by a Fraction resultant, as the toolkit
+# computed it before `HomSpace.discriminant()` had a closed form --
+
+
+def qpoly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def qpoly_rem(a, b):
+    """Remainder of a by b over Q (Fraction coefficient lists, b nonzero)."""
+    a, b = qpoly_trim(list(a)), qpoly_trim(list(b))
+    while len(a) >= len(b) and a != [0]:
+        c, k = a[-1] / b[-1], len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        a = qpoly_trim(a[:-1] or [Fraction(0)])
+    return a
+
+
+def qpoly_resultant(a, b) -> Fraction:
+    """Resultant of two polynomials over Q, by the Euclidean recursion."""
+    a = qpoly_trim([Fraction(x) for x in a])
+    b = qpoly_trim([Fraction(x) for x in b])
+    if a == [0] or b == [0]:
+        return Fraction(0)
+    da, db = len(a) - 1, len(b) - 1
+    sign = -1 if (da * db) % 2 else 1
+    if db == 0:
+        return b[0] ** da
+    if da < db:
+        return sign * qpoly_resultant(b, a)
+    r = qpoly_rem(a, b)
+    if r == [0]:
+        return Fraction(0)
+    return sign * b[-1] ** (da - (len(r) - 1)) * qpoly_resultant(b, r)
+
+
+def int_poly_disc(f: IntPoly) -> Fraction:
+    """Discriminant of f: (-1)^(n(n-1)/2) * res(f, f') / lc(f)."""
+    n = f.degree
+    if n < 1:
+        raise ValueError("degree >= 1 required")
+    res = qpoly_resultant(f.coeffs, f.derivative().coeffs)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res / f.coeffs[-1]
+
+
+def test_qpoly_resultant_vs_root_product():
+    # res(f, g) = lc(f)^deg g * prod g(roots of f) for f = (x-1)(x-2)(x-3)
+    f = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
+    g = [Fraction(5), Fraction(0), Fraction(1)]  # x^2 + 5
+    expected = Fraction(1) * (1 + 5) * (4 + 5) * (9 + 5)
+    assert qpoly_resultant(g, f) in (expected, -expected)
+    assert qpoly_resultant(f, g) == (1 + 5) * (4 + 5) * (9 + 5)
+
+
+def test_int_poly_disc():
+    # disc(x^2 + bx + c) = b^2 - 4c
+    assert int_poly_disc(IntPoly([3, 5, 1])) == 25 - 12
+    # disc(x^3 + px + q) = -4p^3 - 27q^2
+    assert int_poly_disc(IntPoly([2, -1, 0, 1])) == -4 * (-1) ** 3 - 27 * 4
 
 
 def test_root_number_examples():

@@ -1,13 +1,25 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import symcurves
+from symcurves import elliptic
+from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.elliptic import (
+    HEIGHT_MACHINE_MEMO,
     INF,
     EllipticCurve,
+    _bezout_data,
+    _duplication_forms,
+    _eval_homog,
+    _height_machine,
     _integer_roots_monic_cubic,
     canonical_height,
     canonical_height_doubling,
@@ -19,6 +31,7 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
+from symcurves.exact import CheckFailed, IntPoly
 from symcurves.quartic import SymQuartic, companion_curve
 
 # companion curve of the degree-4 Chebyshev quartic
@@ -289,3 +302,178 @@ def test_generator_height_supports_verified_index_bound():
     # come out at most 78, the independently verified window arithmetic.
     h = canonical_height(Y_CURVE, G, 1e-10)
     assert (math.log(24) + math.log(192) + 2 * 9.62) / h <= 78
+
+
+# -- reference: the Bezout data as the toolkit computed it over Fraction
+# coefficient lists, before the integer `exact.bezout` --
+
+
+def qpoly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def qpoly_divmod(a, b):
+    a, b = [Fraction(x) for x in a], qpoly_trim([Fraction(x) for x in b])
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(qpoly_trim(a)) >= len(b) and a != [0]:
+        k = len(a) - len(b)
+        q[k] = c = a[-1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        a = a[:-1] or [Fraction(0)]
+    return qpoly_trim(q), qpoly_trim(a)
+
+
+def qpoly_ext_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
+    def add(x, y):
+        n = max(len(x), len(y))
+        return qpoly_trim([(x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
+                           for i in range(n)])
+
+    def mul(x, y):
+        out = [Fraction(0)] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+        return qpoly_trim(out)
+
+    r0, r1 = qpoly_trim([Fraction(x) for x in a]), qpoly_trim([Fraction(x) for x in b])
+    s0, s1, t0, t1 = [Fraction(1)], [Fraction(0)], [Fraction(0)], [Fraction(1)]
+    while r1 != [0]:
+        q, r = qpoly_divmod(r0, r1)
+        minus_q = [-c for c in q]
+        r0, r1 = r1, r
+        s0, s1 = s1, add(s0, mul(minus_q, s1))
+        t0, t1 = t1, add(t0, mul(minus_q, t1))
+    lc = r0[-1]
+    return [c / lc for c in r0], [c / lc for c in s0], [c / lc for c in t0]
+
+
+def integerize(u, v):
+    # Scale u*N + v*D = 1 to integer cofactors U*N + V*D = c, c > 0 minimal.
+    den = 1
+    for c in u + v:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    U, V = [int(c * den) for c in u], [int(c * den) for c in v]
+    content = math.gcd(den, *U, *V)
+    return den // content, [c // content for c in U], [c // content for c in V]
+
+
+def reference_bezout_data(E):
+    N, D = _duplication_forms(E)
+    out = ()
+    for n, d in ((N, D), (N.reverse(4), D.reverse(4))):
+        g, u, v = qpoly_ext_gcd(n.coeffs, d.coeffs)
+        assert g == [1]
+        out += integerize(u, v)
+    return out
+
+
+def _random_integral_curves(rng, count):
+    # Small, large and a6 = 0 (companion-shaped) integer models, and the
+    # integral models of curves with rational coefficients.
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        if kind == 0:
+            co = [rng.randint(-50, 50) for _ in range(3)]
+        elif kind == 1:
+            co = [rng.randint(-50, 50), rng.randint(-50, 50), 0]
+        elif kind == 2:
+            co = [rng.randint(-10**6, 10**6) for _ in range(3)]
+        else:
+            co = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(3)]
+        try:
+            out.append(EllipticCurve(*co).integral_model()[0])
+        except ValueError:          # singular
+            continue
+    return out
+
+
+def test_bezout_data_matches_fraction_reference():
+    for E in _random_integral_curves(random.Random(2), 2000) + [Y_CURVE]:
+        cq, U, V, cp, Ur, Vr = _bezout_data(E)
+        got = (cq, list(U.coeffs), list(V.coeffs), cp, list(Ur.coeffs), list(Vr.coeffs))
+        assert got == reference_bezout_data(E), E
+
+
+def test_eval_homog_on_the_cubic_d():
+    # The duplication D is a cubic list, homogenized to degree 4 by one more
+    # factor of q; compared with the sum written out term by term.
+    rng = random.Random(3)
+    for _ in range(2000):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(4)]
+        p, q = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
+        mod = rng.choice((2, 3, 7)) ** rng.randint(1, 40)
+        expected = sum(c * p**i * q**(4 - i) for i, c in enumerate(coeffs)) % mod
+        assert _eval_homog(coeffs, p, q, mod) == expected
+
+
+# x^4 - 1 and 4x^3 - 4 share the root x = 1.
+COMMON_ROOT = (IntPoly([-1, 0, 0, 0, 1]), IntPoly([-4, 0, 0, 4]))
+
+
+@pytest.fixture
+def common_root_forms(monkeypatch):
+    _height_machine.cache_clear()
+    monkeypatch.setattr(elliptic, "_duplication_forms", lambda E: COMMON_ROOT)
+    yield
+    _height_machine.cache_clear()
+
+
+def test_non_coprime_duplication_pair_raises_check_failed(common_root_forms,
+                                                         monkeypatch):
+    with pytest.raises(CheckFailed, match="not coprime"):
+        height_gap_bounds(Y_CURVE)
+    with pytest.raises(CheckFailed, match="not coprime"):
+        canonical_height(Y_CURVE, G)
+    # Coprime at q, but both reversed forms vanish at p = 0: x^2 + 1 and
+    # 4x^3 + 1 reverse to t^4 + t^2 and t^4 + 4t.
+    monkeypatch.setattr(elliptic, "_duplication_forms",
+                        lambda E: (IntPoly([1, 0, 1]), IntPoly([1, 0, 0, 4])))
+    with pytest.raises(CheckFailed, match="not coprime"):
+        _bezout_data(Y_CURVE)
+
+
+def test_non_coprime_duplication_pair_exits_4(common_root_forms, capsys):
+    code = main(["heights", "--json", "--point=4,-16", "--", "-4", "-3", "1"])
+    out = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED == 4
+    assert out.out == ""
+    assert out.err.startswith("error: check failed: duplication pair not coprime")
+
+
+def test_non_coprime_duplication_pair_exits_4_under_python_O():
+    script = ("import sys\n"
+              "assert False, 'asserts must be off'\n"
+              "from symcurves import elliptic\n"
+              "from symcurves.exact import IntPoly\n"
+              "elliptic._duplication_forms = lambda E: (IntPoly([-1, 0, 0, 0, 1]),\n"
+              "                                         IntPoly([-4, 0, 0, 4]))\n"
+              "from symcurves.cli import main\n"
+              "sys.exit(main(['heights', '--', '-4', '-3', '1']))\n")
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 4, child.stderr
+    assert child.stderr.startswith("error: check failed: duplication pair not coprime")
+    assert "Traceback" not in child.stderr
+
+
+def test_height_machine_memo_is_bounded():
+    info = _height_machine.cache_info()
+    assert isinstance(info.maxsize, int) and info.maxsize == HEIGHT_MACHINE_MEMO > 0
+    _height_machine.cache_clear()
+    before = (height_gap_bounds(Y_CURVE), canonical_height(Y_CURVE, G))
+    for a4 in range(1, HEIGHT_MACHINE_MEMO + 2):
+        height_gap_bounds(EllipticCurve(0, a4, 1))
+    info = _height_machine.cache_info()
+    assert info.currsize == HEIGHT_MACHINE_MEMO
+    # Y_CURVE was evicted: it is built once more, with the same results.
+    after = (height_gap_bounds(Y_CURVE), canonical_height(Y_CURVE, G))
+    assert _height_machine.cache_info().misses == info.misses + 1
+    assert after == before

@@ -8,17 +8,15 @@ from symcurves.exact import (
     _ROOT_SCAN_LIMIT,
     IntPoly,
     _pollard_rho,
+    _polymod_pow,
+    bezout,
     factorize,
-    int_poly_disc,
     is_prime,
     is_squarefree,
     legendre_symbol,
     log_abs,
     p_valuation,
-    qpoly_divmod,
-    qpoly_ext_gcd,
-    qpoly_gcd,
-    qpoly_resultant,
+    rat_mod,
     rational_sqrt,
     roots_mod_p,
     sqrt_mod_pk,
@@ -262,54 +260,86 @@ def test_intpoly_basics():
     assert f.reverse(4)(2) == 2**4 * f(Fraction(1, 2))
 
 
-def test_qpoly_divmod_gcd():
-    # (x^2 - 1) = (x - 1)(x + 1)
-    q, r = qpoly_divmod([Fraction(-1), Fraction(0), Fraction(1)],
-                        [Fraction(-1), Fraction(1)])
-    assert q == [Fraction(1), Fraction(1)] and r == [Fraction(0)]
-    g = qpoly_gcd([Fraction(-1), Fraction(0), Fraction(1)],
-                  [Fraction(1), Fraction(1)])
-    assert g == [Fraction(1), Fraction(1)]
+def _random_poly(rng, deg, lo=-9, hi=9):
+    co = [rng.randint(lo, hi) for _ in range(deg)]
+    return IntPoly(co + [rng.choice((1, -1)) * rng.randint(1, hi)])
 
 
-def test_qpoly_ext_gcd_identity():
+def test_pseudo_divmod_identity():
+    # (x^2 - 1) = (x + 1)(x - 1), and 2^3 (x^3 + 1) = (4x^2 - 2x + 1)(2x + 1) + 7.
+    assert IntPoly([-1, 0, 1]).pseudo_divmod(IntPoly([-1, 1])) == (
+        1, IntPoly([1, 1]), IntPoly([0]))
+    assert IntPoly([1, 0, 0, 1]).pseudo_divmod(IntPoly([1, 2])) == (
+        8, IntPoly([1, -2, 4]), IntPoly([7]))
+    rng = random.Random(11)
+    for _ in range(400):
+        a = _random_poly(rng, rng.randint(0, 7))
+        b = _random_poly(rng, rng.randint(0, 5))
+        m, q, r = a.pseudo_divmod(b)
+        assert m == b.coeffs[-1] ** max(0, a.degree - b.degree + 1)
+        assert a * m == q * b + r
+        assert r.is_zero() or r.degree < b.degree
+        if a.degree < b.degree:
+            assert (m, q, r) == (1, IntPoly([0]), a)
+        if b.degree == 0:
+            assert r.is_zero()
+    with pytest.raises(ZeroDivisionError):
+        IntPoly([1, 1]).pseudo_divmod(IntPoly([0]))
+
+
+def test_bezout_identity_degrees_and_normalisation():
     rng = random.Random(5)
-    for _ in range(20):
-        a = [Fraction(rng.randrange(-5, 6)) for _ in range(4)] + [Fraction(1)]
-        b = [Fraction(rng.randrange(-5, 6)) for _ in range(3)] + [Fraction(1)]
-        g, u, v = qpoly_ext_gcd(a, b)
-
-        def mul(x, y):
-            out = [Fraction(0)] * (len(x) + len(y) - 1)
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
-            return out
-
-        lhs = mul(u, a)
-        rhs = mul(v, b)
-        n = max(len(lhs), len(rhs), len(g))
-        comb = [(lhs[i] if i < len(lhs) else 0) + (rhs[i] if i < len(rhs) else 0)
-                for i in range(n)]
-        while len(comb) > 1 and comb[-1] == 0:
-            comb.pop()
-        assert comb == g
-
-
-def test_qpoly_resultant_vs_root_product():
-    # res(f, g) = lc(f)^deg g * prod g(roots of f) for f = (x-1)(x-2)(x-3)
-    f = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
-    g = [Fraction(5), Fraction(0), Fraction(1)]  # x^2 + 5
-    expected = Fraction(1) * (1 + 5) * (4 + 5) * (9 + 5)
-    assert qpoly_resultant(g, f) in (expected, -expected)
-    assert qpoly_resultant(f, g) == (1 + 5) * (4 + 5) * (9 + 5)
+    checked = 0
+    for _ in range(600):
+        a = _random_poly(rng, rng.randint(0, 6), -40, 40)
+        b = _random_poly(rng, rng.randint(1, 6), -40, 40)
+        if rng.random() < 0.5:
+            a, b = b, a
+        got = bezout(a, b)
+        if got is None:
+            continue
+        c, u, v = got
+        assert c > 0
+        assert u * a + v * b == IntPoly([c])
+        assert u.is_zero() or u.degree < b.degree
+        assert v.is_zero() or v.degree < a.degree
+        assert math.gcd(c, u.content(), v.content()) == 1
+        checked += 1
+    assert checked > 500
+    # A constant partner: u = 0 and v = sign(b), so that c = |b|.
+    assert bezout(IntPoly([1, 0, 1]), IntPoly([-6])) == (6, IntPoly([0]), IntPoly([-1]))
+    with pytest.raises(ValueError):
+        bezout(IntPoly([2]), IntPoly([3]))
 
 
-def test_int_poly_disc():
-    # disc(x^2 + bx + c) = b^2 - 4c
-    assert int_poly_disc(IntPoly([3, 5, 1])) == 25 - 12
-    # disc(x^3 + px + q) = -4p^3 - 27q^2
-    assert int_poly_disc(IntPoly([2, -1, 0, 1])) == -4 * (-1) ** 3 - 27 * 4
+def test_bezout_none_on_a_common_root():
+    rng = random.Random(6)
+    for _ in range(300):
+        g = _random_poly(rng, rng.randint(1, 3))
+        a = g * _random_poly(rng, rng.randint(0, 4))
+        b = g * _random_poly(rng, rng.randint(0, 4))
+        assert bezout(a, b) is None
+        assert bezout(b, a) is None
+    assert bezout(IntPoly([1, 1]), IntPoly([0])) is None
+    assert bezout(IntPoly([0]), IntPoly([1, 1])) is None
+    # Coprime over Q although both contents are 2: (1 - x)(2 + 2x) + (2 + 2x^2) = 4.
+    assert bezout(IntPoly([2, 2]), IntPoly([2, 0, 2])) == (
+        4, IntPoly([1, -1]), IntPoly([1]))
+
+
+def test_polymod_pow_returns_a_new_list():
+    # `_split_linear` changes the list it gets back.
+    f = [3, 0, 1, 1]
+    for e in (0, 1, 5, 100):
+        first = _polymod_pow([2, 1], e, f, 101)
+        first[0] += 1
+        assert _polymod_pow([2, 1], e, f, 101) != first
+
+
+def test_rat_mod():
+    assert rat_mod(Fraction(3, 4), 7) == 6        # 4 * 6 = 24 = 3 (mod 7)
+    assert rat_mod(Fraction(-5, 3), 11) * 3 % 11 == -5 % 11
+    assert rat_mod(Fraction(12), 5) == 2
 
 
 def test_log_abs_large():
