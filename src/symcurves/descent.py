@@ -17,8 +17,8 @@ from .exact import (
     factorize,
     is_prime,
     legendre_symbol,
+    require,
     roots_mod_p,
-    squarefree_part,
 )
 from .localglobal import everywhere_locally_solvable
 
@@ -79,21 +79,29 @@ def _squarefree_divisors(n: int) -> list[int]:
 
 
 def _is_square_ql(n: int, ell: int) -> bool:
-    """Whether a nonzero integer is a square in Q_ell."""
+    """Whether a nonzero integer is a square in Q_ell (ell prime)."""
+    c = _square_class(n, ell)
+    if ell == 2:
+        return c == 1
+    return c % ell != 0 and pow(c, (ell - 1) // 2, ell) == 1  # Euler
+
+
+def _square_class(n: int, ell: int) -> int:
+    """The representative ell^e * u of the class of the nonzero integer n in
+    Q_ell*/Q_ell*^2: e = v_ell(n) mod 2, and u is the unit part of n mod ell
+    (mod 8 at ell = 2), which fixes its class by Hensel's lemma."""
     v = 0
     while n % ell == 0:
         n //= ell
         v += 1
-    if v % 2:
-        return False
-    if ell == 2:
-        return n % 8 == 1
-    return legendre_symbol(n % ell, ell) == 1
+    return ell ** (v % 2) * (n % (8 if ell == 2 else ell))
 
 
 def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
-    """Whether y^2 = c * f(z) has a solution with z in Z_ell (c squarefree,
-    f primitive).
+    """Whether y^2 = c * f(z) has a solution with z in Z_ell (f primitive,
+    and c a unit at ell or exactly divisible by it).  The answer depends on
+    c only through its class in Q_ell*/Q_ell*^2, so c is carried as the
+    class representative ell^e * u of `_square_class`.
 
     Level scan: a value c*f(z0) that is 0 or an ell-adic square certifies a
     point; otherwise only roots z0 of f mod ell can carry deeper solutions,
@@ -131,7 +139,7 @@ def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
         f1 = f.shift_scale(z0, ell)
         cont = f1.content()
         f1 = IntPoly([x // cont for x in f1.coeffs])
-        if _zl_solvable(squarefree_part(c * cont), f1, ell, depth + 1, cap):
+        if _zl_solvable(_square_class(c * cont, ell), f1, ell, depth + 1, cap):
             return True
     return False
 
@@ -186,13 +194,13 @@ def _ql_solvable(G: IntPoly, ell: int, disc: int) -> bool:
     cap = v + 12
     cont = G.content()
     G0 = IntPoly([x // cont for x in G.coeffs])
-    c = squarefree_part(cont)
+    c = _square_class(cont, ell)
     if _zl_solvable(c, G0, ell, 0, cap):
         return True
     Gr = G0.reverse(4)
     contr = Gr.content()
     Gr = IntPoly([x // contr for x in Gr.coeffs])
-    return _zl_solvable(squarefree_part(c * contr), Gr, ell, 0, cap)
+    return _zl_solvable(_square_class(c * contr, ell), Gr, ell, 0, cap)
 
 
 def _real_solvable_space(C: HomSpace) -> bool:
@@ -227,13 +235,13 @@ def _relevant_places(spaces: list[HomSpace]) -> list:
     odd primes of bad reduction.  The quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4
     has discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime
     away from it the space is a smooth genus-1 curve, hence solvable."""
-    primes = {2}
+    values = set()
     for C in spaces:
-        primes |= set(factorize(C.c4))
-        primes |= set(factorize(C.d))
         tail = C.c2 * C.c2 - 4 * C.d * C.d * C.c4
-        if tail:
-            primes |= set(factorize(tail))
+        values |= {abs(C.c4), abs(C.d)} | ({abs(tail)} if tail else set())
+    primes = {2}
+    for n in values:
+        primes |= set(factorize(n))
     return ["real"] + sorted(primes)
 
 
@@ -301,7 +309,8 @@ def root_number(p: int) -> RootNumberReport:
     b2, b4 = 16 * p, 4 * p * p
     c4 = b2 * b2 - 24 * b4
     c6 = -b2**3 + 36 * b2 * b4
-    assert c4 == 2**5 * 5 * p * p and abs(c6) == 2**8 * 7 * p**3
+    require(c4 == 2**5 * 5 * p * p and abs(c6) == 2**8 * 7 * p**3,
+            "companion invariants c4, c6 disagree with the closed form")
     return RootNumberReport(p=p, W2=w2, Wp=wp, W=w2 * wp,
                             kodaira_at_p="I0*", kodaira_at_2="III",
                             c4=c4, c6=c6)

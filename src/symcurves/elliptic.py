@@ -240,11 +240,11 @@ def _integer_roots_monic_cubic(a2: int, a4: int, a6: int) -> list[int]:
     return roots
 
 
-def _divisors(n: int) -> list[int]:
-    fac = factorize(n)
+def _square_divisors(n: int) -> list[int]:
+    """The y > 0 with y^2 | n: the divisors of the product of p^(e // 2)."""
     divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e // 2 + 1)]
     return divs
 
 
@@ -264,9 +264,7 @@ def torsion_subgroup(E: EllipticCurve) -> list:
     for r in _integer_roots_monic_cubic(a2, a4, a6):
         candidates.add((Fraction(r), Fraction(0)))
     disc = abs(int(Ei.discriminant()))
-    for y in _divisors(disc):
-        if y * y > disc or (disc % (y * y)):
-            continue
+    for y in _square_divisors(disc):
         for x in _integer_roots_monic_cubic(a2, a4, a6 - y * y):
             candidates.add((Fraction(x), Fraction(y)))
             candidates.add((Fraction(x), Fraction(-y)))

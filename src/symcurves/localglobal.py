@@ -1,8 +1,9 @@
 """Everywhere-local solvability for the twisted family
 x^4 - 4p x^2 - 4p y^2 + y^4 = -6p^2: projective point counting over small
-prime fields with smooth (Hensel-liftable) witnesses, constructive square /
-root-of-unity certificates at the bad places 2, 3, p, a Weil-bound shortcut
-for q >= 37, and an exact real-place criterion.
+prime fields with smooth (Hensel-liftable) witnesses, in O(q) steps per
+field, constructive square / root-of-unity certificates at the bad places
+2, 3, p, a Weil-bound shortcut for q >= 37, and an exact real-place
+criterion.  Failed certificate checks raise `CheckFailed`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import factorize, is_prime, rat_mod, sqrt_mod_pk
+from .exact import factorize, is_prime, rat_mod, require, sqrt_mod_pk
 from .quartic import SymQuartic
 
 WEIL_CUTOFF = 37  # genus 3: q + 1 - 6*sqrt(q) > 0 for all q >= 37
@@ -38,16 +39,19 @@ def real_solvable(F: SymQuartic) -> bool:
     return b >= minimum
 
 
-def bad_primes(F: SymQuartic) -> set[int]:
+def bad_primes(F: SymQuartic) -> frozenset[int]:
     """Primes where the projective closure may be singular: 2 and the primes
-    of the family discriminant and coefficient denominators."""
-    out = {2}
-    d = F.disc() * F.alpha  # twist support
-    for q in (d.numerator, d.denominator,
-              F.a_eff.denominator, F.b_eff.denominator):
-        if q not in (0, 1, -1):
-            out |= set(factorize(q))
-    return out
+    of the family discriminant and coefficient denominators.  Computed once
+    per quartic and kept on it."""
+    if F._bad_primes is None:
+        out = {2}
+        d = F.disc() * F.alpha  # twist support
+        for q in (d.numerator, d.denominator,
+                  F.a_eff.denominator, F.b_eff.denominator):
+            if q not in (0, 1, -1):
+                out |= set(factorize(q))
+        F._bad_primes = frozenset(out)
+    return F._bad_primes
 
 
 def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
@@ -56,6 +60,12 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
     Counts all projective points and returns one at which some partial
     derivative is nonzero, hence liftable to Q_q by Hensel's lemma.
     Rejects primes of (possibly) bad reduction.
+
+    The affine part is h(x) + h(y) = b with h(t) = t^4 + a*t^2, so the
+    count takes O(q) steps: the y in [0, q) are bucketed by h(y), and each
+    x adds the size of the bucket at b - h(x).  The witness is the first
+    affine point in (x, y) order with a nonzero partial derivative, or else
+    the first such point at infinity.
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -65,25 +75,24 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
     a = rat_mod(F.a_eff, q)
     b = rat_mod(F.b_eff, q)
 
-    def form(x, y, z):
-        z2 = z * z % q
-        return (pow(x, 4, q) + a * x * x % q * z2 + a * y * y % q * z2
-                + pow(y, 4, q) - b * z2 * z2) % q
-
     def partials(x, y, z):
         dx = (4 * pow(x, 3, q) + 2 * a * x * z * z) % q
         dy = (4 * pow(y, 3, q) + 2 * a * y * z * z) % q
         dz = (2 * a * x * x * z + 2 * a * y * y * z - 4 * b * z * z * z) % q
         return dx, dy, dz
 
+    h = [(t * t + a) * t * t % q for t in range(q)]
+    buckets: dict[int, list[int]] = {}
+    for y, hy in enumerate(h):
+        buckets.setdefault(hy, []).append(y)
     count = 0
     witness = None
-    for x in range(q):
-        for y in range(q):
-            if form(x, y, 1) == 0:
-                count += 1
-                if witness is None and any(partials(x, y, 1)):
-                    witness = (x, y, 1)
+    for x, hx in enumerate(h):
+        ys = buckets.get((b - hx) % q, ())
+        count += len(ys)
+        if witness is None:
+            witness = next(((x, y, 1) for y in ys if any(partials(x, y, 1))),
+                           None)
     # Line at infinity: [x : y : 0] with x^4 + y^4 = 0, y = 1.
     for x in range(q):
         if (pow(x, 4, q) + 1) % q == 0:
@@ -103,21 +112,26 @@ def special_place_checks(p: int) -> list[LocalReport]:
     reports = []
 
     theta2 = sqrt_mod_pk(p, 2, 8)
-    assert theta2 is not None and (theta2 * theta2 - p) % 2**8 == 0
-    assert _diag_value(p, theta2) % 2**8 == 0
+    require(theta2 is not None and (theta2 * theta2 - p) % 2**8 == 0,
+            "2-adic square root of p is wrong")
+    require(_diag_value(p, theta2) % 2**8 == 0,
+            "diagonal witness does not vanish mod 2^8")
     reports.append(LocalReport(2, True, "constructive-square",
                                witness=("diagonal", theta2),
                                detail={"precision": "2^8"}))
 
     theta3 = sqrt_mod_pk(p, 3, 5)
-    assert theta3 is not None and (theta3 * theta3 - p) % 3**5 == 0
-    assert _diag_value(p, theta3) % 3**5 == 0
+    require(theta3 is not None and (theta3 * theta3 - p) % 3**5 == 0,
+            "3-adic square root of p is wrong")
+    require(_diag_value(p, theta3) % 3**5 == 0,
+            "diagonal witness does not vanish mod 3^5")
     reports.append(LocalReport(3, True, "constructive-square",
                                witness=("diagonal", theta3),
                                detail={"precision": "3^5"}))
 
     zeta = _eighth_root_mod_p2(p)
-    assert (pow(zeta, 4, p * p) + 1) % (p * p) == 0
+    require((pow(zeta, 4, p * p) + 1) % (p * p) == 0,
+            "witness at infinity is not a primitive 8th root of unity mod p^2")
     reports.append(LocalReport(p, True, "constructive-root-of-unity",
                                witness=("infinity", zeta),
                                detail={"precision": "p^2"}))

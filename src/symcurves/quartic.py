@@ -43,6 +43,7 @@ class SymQuartic:
         if self.disc() == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
         self._companion = None      # built on first use by companion_curve
+        self._bad_primes = None     # and by localglobal.bad_primes
 
     @property
     def a_eff(self) -> Fraction:

@@ -14,6 +14,8 @@ from symcurves.descent import (
     HomSpace,
     _is_square_ql,
     _ql_solvable,
+    _relevant_places,
+    _square_class,
     _square_class_mod,
     _zl_solvable,
     dual_isogeny_spaces,
@@ -23,6 +25,7 @@ from symcurves.descent import (
     family_space,
     quartic_residue_criterion,
     root_number,
+    selmer_candidate_set,
     selmer_rank_bound,
 )
 from symcurves.exact import (
@@ -375,6 +378,56 @@ def test_square_class_mod_against_enumeration():
             # f + ell*h reduces to the same polynomial mod ell
             lifted = f + IntPoly([ell * rng.randint(-3, 3) for _ in range(6)])
             assert _square_class_mod(lifted, ell) == expected
+
+
+def test_square_class_has_the_class_of_the_squarefree_part():
+    # c*f(z) depends on c only through its class in Q_ell*/Q_ell*^2; the
+    # representative ell^e * u stands for squarefree_part(n) at ell.
+    rng = random.Random(12)
+    for ell in (2, 3, 5, 401):
+        unit_mod = 8 if ell == 2 else ell
+        ns = [rng.choice((1, -1)) * rng.randrange(1, 10**12) for _ in range(300)]
+        ns += [rng.choice((1, -1, 3, -5, 7)) * ell**k * rng.randrange(1, 10**4)
+               for k in range(9) for _ in range(8)]
+        for n in ns:
+            rep = _square_class(n, ell)
+            unit = rep // ell if rep % ell == 0 else rep
+            assert unit % ell and 0 < unit < unit_mod, (n, ell, rep)
+            assert _is_square_ql(rep * squarefree_part(n), ell), (n, ell, rep)
+
+
+def test_local_search_needs_no_legendre_symbol(monkeypatch):
+    # Quadratic characters inside the l-adic search use Euler's criterion;
+    # p is proved prime at the public entry points only.
+    expected = {p: [selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p)),
+                    selmer_candidate_set(dual_isogeny_spaces(4 * p, 2 * p * p))]
+                for p in (73, 401, 3001)}
+
+    def refuse(*args):
+        raise AssertionError("legendre_symbol called")
+
+    monkeypatch.setattr(descent, "legendre_symbol", refuse)
+    for p, sets in expected.items():
+        assert [selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p)),
+                selmer_candidate_set(dual_isogeny_spaces(4 * p, 2 * p * p))] \
+            == sets
+
+
+def test_relevant_places_factors_each_value_once(monkeypatch):
+    factored = []
+    factorize = descent.factorize
+
+    def recording(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(descent, "factorize", recording)
+    for p in (73, 5881):
+        a, b = 4 * p, 2 * p * p
+        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
+            factored.clear()
+            assert _relevant_places(spaces) == ["real", 2, p]
+            assert len(factored) == len(set(factored)) == 9
 
 
 def test_zl_branch_ell_divides_c():

@@ -21,6 +21,7 @@ from symcurves.elliptic import (
     _eval_homog,
     _height_machine,
     _integer_roots_monic_cubic,
+    _square_divisors,
     canonical_height,
     canonical_height_doubling,
     count_points_mod_p,
@@ -31,7 +32,7 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
-from symcurves.exact import CheckFailed, IntPoly
+from symcurves.exact import CheckFailed, IntPoly, factorize
 from symcurves.quartic import SymQuartic, companion_curve
 
 # companion curve of the degree-4 Chebyshev quartic
@@ -128,6 +129,26 @@ def test_torsion_subgroups():
     E = EllipticCurve(16, 32, 0)
     tor = torsion_subgroup(E)
     assert {(P.x, P.y) for P in tor[1:]} == {(Fraction(0), Fraction(0))}
+
+
+def _divisors(n):
+    """Every positive divisor of n, which `torsion_subgroup` walked before
+    it listed only the y with y^2 | n."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return divs
+
+
+def test_square_divisors_are_the_y_with_y_squared_dividing_n():
+    rng = random.Random(14)
+    ns = [1, 2, 4, 2**13, 3**7 * 5**4, 2**9 * 3**5 * 7**3 * 11**2]
+    ns += [rng.randrange(1, 10**9) for _ in range(150)]
+    ns += [math.prod(rng.choice((2, 3, 5, 7, 13, 97)) ** rng.randrange(9)
+                     for _ in range(4)) for _ in range(150)]
+    for n in ns:
+        expected = sorted(y for y in _divisors(n) if n % (y * y) == 0)
+        assert sorted(_square_divisors(n)) == expected, n
 
 
 def test_torsion_closed_under_group_law():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from symcurves import exact
 from symcurves.exact import (
     _ROOT_SCAN_LIMIT,
     IntPoly,
     _pollard_rho,
     _polymod_pow,
+    _sqrt_mod_p,
     bezout,
     factorize,
     is_prime,
@@ -235,6 +237,121 @@ def test_factorize_matches_integer_trial_division():
     for n in ns:
         got, ref = factorize(n), _reference_factorize(n)
         assert list(got.items()) == list(ref.items()), n
+
+
+def test_factorize_matches_reference_on_structured_inputs():
+    # Prime powers, the family's 2^k * 3 * p^j, and products q*r of two
+    # primes on either side of the trial-division bound 10^4: the cases
+    # decided at the first trial prime whose cube exceeds the cofactor.
+    ps = [3, 5, 97, 401, 5881, 9967, 9973, 10007, 10009, 65537, 999_983,
+          1_000_003, 2**31 - 1]
+    ns = [p**j for p in ps for j in (1, 2, 3, 4)]
+    ns += [2**k * 3 * p**j for p in (5, 73, 5881, 10111, 65537)
+           for k in (0, 1, 3, 5) for j in (1, 2, 3)]
+    qs, rs = [2, 3, 97, 1009, 9967, 9973], [10007, 10009, 65537, 1_000_003,
+                                            2**31 - 1]
+    ns += [q * r for q in qs for r in rs]
+    ns += [q * r * r for q in qs for r in rs]
+    ns += [10007 * 10009, 10007 * 65537, 65537 * 1_000_003,
+           97 * 101, 9967 * 9973, 1_000_003**2 * 10007]
+    for n in ns + [-n for n in ns[::7]]:
+        got, ref = factorize(n), _reference_factorize(n)
+        assert list(got.items()) == list(ref.items()), n
+
+
+def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(exact, "is_prime", counting_is_prime)
+    for n in (10007 * 10009, 2 * 3 * 10007 * 65537, 9973**2, 8 * 5881**2,
+              5881**3, 1_000_003):
+        calls.clear()
+        factorize(n)
+        assert len(calls) == len(set(calls)) <= 1, (n, calls)
+
+
+def _brute_roots_all(f, p):
+    return {r for r in range(p) if f(r) % p == 0}
+
+
+def test_roots_mod_p_closed_forms_against_brute_force():
+    # Every odd prime below 1000: even quartics (z^2 - s1)(z^2 - s2) with 0,
+    # 2 and 4 roots and with s = 0, irreducible g, quadratics whose
+    # discriminant is 0, a residue and a non-residue, linear polynomials, and
+    # degree drops onto each of these shapes.
+    rng = random.Random(41)
+    for p in primes_below(1000)[1:]:
+        squares = sorted({x * x % p for x in range(1, p)})
+        nonsq = sorted(set(range(1, p)) - set(squares))
+        r1, r2 = rng.choice(squares), rng.choice(squares)
+        n1, n2 = rng.choice(nonsq), rng.choice(nonsq)
+        u = rng.randrange(1, p)
+
+        def even(s1, s2):
+            return IntPoly([s1 * s2, 0, -(s1 + s2), 0, 1]) * u
+
+        a, b = rng.randrange(p), rng.randrange(p)
+        cases = [
+            even(n1, n2), even(r1, n1), even(r1, (r1 * 4) % p or 1),
+            even(r1, r1), even(0, r1), even(0, n1), even(0, 0),
+            IntPoly([n1, 0, 0, 0, 1]),                 # z^4 = n1
+            IntPoly([-n1 * u, 0, u]),                   # non-residue disc
+            IntPoly([-r1, 0, 1]),                       # residue disc
+            IntPoly([a * a, -2 * a, 1]) * u,            # (z - a)^2
+            IntPoly([a * b, -(a + b), 1]),              # (z - a)(z - b)
+            IntPoly([b, a, 1]),
+            IntPoly([b, u]), IntPoly([0, u]),           # linear
+            IntPoly([b, u, p]),                         # degree 2 -> 1
+            IntPoly([-r1, 0, 1, 0, 5 * p]),             # degree 4 -> even 2
+            IntPoly([r1 * n1, 0, -r1 - n1, 3 * p, 1]),  # even after reduction
+            IntPoly([1, 0, -8 * p, 0, 8 * p * p]),      # constant mod p
+            IntPoly([b, 0, a, 0, 0, 0, 1]),             # even sextic
+            IntPoly([b, 1, a, 0, 1]),                   # not even
+        ]
+        for f in cases:
+            if all(c % p == 0 for c in f.coeffs):
+                continue
+            assert roots_mod_p(f, p) == _brute_roots_all(f, p), (p, f)
+    # Root counts of the even quartics at one prime, to show each shape is
+    # reached: 0, 2 and 4 roots, and 0 as a double root.
+    # At p = 97, 5 and 10 are non-residues.
+    p = 97
+    assert roots_mod_p(IntPoly([36, 0, -13, 0, 1]), p) == {2, 3, 94, 95}
+    assert roots_mod_p(IntPoly([20, 0, -9, 0, 1]), p) == {2, 95}
+    assert roots_mod_p(IntPoly([50, 0, -15, 0, 1]), p) == set()
+    assert roots_mod_p(IntPoly([0, 0, -4, 0, 1]), p) == {0, 2, 95}
+
+
+def test_roots_mod_p_proves_p_prime_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(exact, "is_prime", counting_is_prime)
+    for p in (3001, 10009, 12289):    # p = 1 mod 8: Tonelli-Shanks runs
+        for f in (IntPoly([2, 0, -4, 0, 1]), IntPoly([-6, 0, 1]),
+                  IntPoly([3, 0, -p - 4, 0, 1])):
+            calls.clear()
+            assert roots_mod_p(f, p) == _brute_roots(f, p)
+            assert calls == [p]
+
+
+def test_sqrt_mod_p_needs_no_legendre_symbol(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("legendre_symbol called")
+
+    monkeypatch.setattr(exact, "legendre_symbol", refuse)
+    for p in (17, 97, 3001, 12289, 40961):    # 2-power parts 2^4 .. 2^13
+        for a in (2, 3, 9, p - 1):
+            if pow(a, (p - 1) // 2, p) == 1:
+                r = _sqrt_mod_p(a, p)
+                assert r * r % p == a
 
 
 def test_sqrt_mod_pk():

@@ -2,12 +2,16 @@
 
 The corpus is `hasse-scan 3 6000 --assume-parity` and `hasse-scan 3 1500`
 (each against a fresh cache directory), `descent p` for every odd prime
-p < 600 and for 10007 (= 7 mod 16) and 10111 (= 15 mod 16), and `local p`
-for a few p = 1 (mod 24).  The golden file was written by the toolkit
-before the level scan of the l-adic solvability test was driven by the
-roots of f mod l instead of a walk over every residue; every payload and
-assumption list must still match it byte for byte (the timestamp is
-dropped), and so must the exit code.
+p < 600, for 10007 (= 7 mod 16) and 10111 (= 15 mod 16) and for one prime
+above 1000 in each odd class mod 16, and `local p` for every p = 1 (mod 24)
+below 3000, for 5881 and for 5, 7, 11, 13, 29.  The first 118 envelopes
+were written by the toolkit before the level scan of the l-adic
+solvability test was driven by the roots of f mod l instead of a walk over
+every residue; the `local` and `descent` entries added since were written
+before the F_q point count became linear in q and before the closed-form
+roots of even polynomials mod p.  Every payload and assumption list must
+still match byte for byte (the timestamp is dropped), and so must the exit
+code.
 
 Regenerate with `PYTHONPATH=src python tests/test_hasse_golden.py`.
 """
@@ -29,9 +33,16 @@ HASSE_SCANS = [
     ("hasse-scan", "3", "6000", "--assume-parity"),
     ("hasse-scan", "3", "1500"),
 ]
+# The first prime above 1000 in each odd class mod 16.
+DESCENT_ABOVE_1000 = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1091)
 DESCENT = [("descent", str(p)) for p in range(3, 600, 2) if is_prime(p)] + \
-    [("descent", "10007"), ("descent", "10111")]
-LOCAL = [("local", str(p)) for p in (73, 97, 193, 241, 1009, 5881)]
+    [("descent", "10007"), ("descent", "10111")] + \
+    [("descent", str(p)) for p in DESCENT_ABOVE_1000]
+# Every p = 1 (mod 24) below 3000, 5881, and a few p outside that class:
+# together they pin the F_q point count and witness at every good q < 37.
+LOCAL_PRIMES = sorted({p for p in range(73, 3000, 24) if is_prime(p)}
+                      | {5, 7, 11, 13, 29, 5881})
+LOCAL = [("local", str(p)) for p in LOCAL_PRIMES]
 CORPUS = HASSE_SCANS + DESCENT + LOCAL
 
 

@@ -1,7 +1,20 @@
+import ast
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+
 import pytest
 
-from symcurves.exact import is_prime
+import symcurves
+from symcurves import localglobal
+from symcurves.cli import EXIT_CHECK_FAILED, main
+from symcurves.exact import CheckFailed, is_prime, rat_mod
 from symcurves.localglobal import (
+    WEIL_CUTOFF,
     bad_primes,
     count_smooth_points_quartic_Fq,
     everywhere_locally_solvable,
@@ -10,7 +23,6 @@ from symcurves.localglobal import (
     special_place_checks,
 )
 from symcurves.quartic import SymQuartic
-from fractions import Fraction
 
 
 def brute_projective_count(F, q):
@@ -127,3 +139,165 @@ def test_non_special_prime_reports_undetermined():
     ok, reports = everywhere_locally_solvable(5)
     assert ok is False
     assert any(r.solvable == "undetermined" for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the O(q^2) count over every affine (x, y), as the toolkit
+# computed it before the count was bucketed by h(y) = y^4 + a*y^2.
+
+
+def reference_count_smooth_points(F, q):
+    a = rat_mod(F.a_eff, q)
+    b = rat_mod(F.b_eff, q)
+
+    def form(x, y, z):
+        z2 = z * z % q
+        return (pow(x, 4, q) + a * x * x % q * z2 + a * y * y % q * z2
+                + pow(y, 4, q) - b * z2 * z2) % q
+
+    def partials(x, y, z):
+        dx = (4 * pow(x, 3, q) + 2 * a * x * z * z) % q
+        dy = (4 * pow(y, 3, q) + 2 * a * y * z * z) % q
+        dz = (2 * a * x * x * z + 2 * a * y * y * z - 4 * b * z * z * z) % q
+        return dx, dy, dz
+
+    count = 0
+    witness = None
+    for x in range(q):
+        for y in range(q):
+            if form(x, y, 1) == 0:
+                count += 1
+                if witness is None and any(partials(x, y, 1)):
+                    witness = (x, y, 1)
+    for x in range(q):
+        if (pow(x, 4, q) + 1) % q == 0:
+            count += 1
+            if witness is None and any(partials(x, 1, 0)):
+                witness = (x, 1, 0)
+    return count, witness
+
+
+def _good_primes(F, hi):
+    return [q for q in range(3, hi) if is_prime(q) and q not in bad_primes(F)]
+
+
+# The `local p` corpus of tests/test_hasse_golden.py: every (F, q) that the
+# family's local check counts.
+FAMILY_PRIMES = sorted({p for p in range(73, 3000, 24) if is_prime(p)}
+                       | {5, 7, 11, 13, 29, 5881})
+
+
+def test_count_matches_quadratic_reference_on_family():
+    for p in FAMILY_PRIMES:
+        F = family_curve(p)
+        for q in _good_primes(F, WEIL_CUTOFF):
+            assert count_smooth_points_quartic_Fq(F, q) == \
+                reference_count_smooth_points(F, q), (p, q)
+
+
+def test_count_matches_quadratic_reference_on_random_twists():
+    rng = random.Random(29)
+    curves = []
+    while len(curves) < 40:
+        a = Fraction(rng.randrange(-30, 31), rng.choice([1, 1, 2, 4]))
+        b = Fraction(rng.randrange(-60, 61), rng.choice([1, 1, 3, 16]))
+        alpha = rng.choice([1, -1, 2, -3, 5, 6, 7, -10])
+        try:
+            curves.append(SymQuartic(a, b, alpha))
+        except ValueError:
+            continue
+    # a' = 0 makes h(t) = t^4, so each bucket holds the fourth roots.
+    curves += [SymQuartic(0, 2), SymQuartic(0, -1, 3)]
+    for F in curves:
+        for q in _good_primes(F, 60):
+            assert count_smooth_points_quartic_Fq(F, q) == \
+                reference_count_smooth_points(F, q), (F, q)
+
+
+def test_bad_primes_computed_once_per_quartic():
+    F = family_curve(97)
+    first = bad_primes(F)
+    assert first == {2, 3, 97}
+    assert bad_primes(F) is first
+    for q in (2, 3, 97):
+        with pytest.raises(ValueError, match="bad reduction"):
+            count_smooth_points_quartic_Fq(F, q)
+    with pytest.raises(ValueError, match="not prime"):
+        count_smooth_points_quartic_Fq(F, 9)
+
+
+# ---------------------------------------------------------------------------
+# The checks that gate the constructive certificates at 2, 3 and p raise
+# CheckFailed (exit code 4), also under python -O.  Each patch breaks
+# exactly one of the five checks of `special_place_checks`.
+
+_SQRT = ("from symcurves import localglobal\n"
+         "_sqrt = localglobal.sqrt_mod_pk\n"
+         "localglobal.sqrt_mod_pk = (lambda a, p, k:\n"
+         "    {wrong} if p == {ell} else _sqrt(a, p, k))\n")
+_DIAG = ("from symcurves import localglobal\n"
+         "localglobal._diag_value = lambda p, t: {value}\n")
+
+# Keyed by a phrase of the failure message.
+FORCED = {
+    "2-adic square root": _SQRT.format(ell=2, wrong="None"),
+    "mod 2^8": _DIAG.format(value=1),
+    "3-adic square root": _SQRT.format(ell=3, wrong="_sqrt(a, p, k) + 1"),
+    "mod 3^5": _DIAG.format(value=2**8),   # 0 mod 2^8, not mod 3^5
+    "8th root of unity": ("from symcurves import localglobal\n"
+                          "localglobal._eighth_root_mod_p2 = lambda p: 1\n"),
+}
+
+
+@pytest.fixture
+def restore_localglobal(monkeypatch):
+    # Record the originals, so that what a forced failure patches is restored.
+    for name in ("sqrt_mod_pk", "_diag_value", "_eighth_root_mod_p2"):
+        monkeypatch.setattr(localglobal, name, getattr(localglobal, name))
+
+
+@pytest.mark.parametrize("check", FORCED)
+def test_forced_special_place_failure_exits_4(check, capsys,
+                                              restore_localglobal):
+    exec(FORCED[check], {})
+    with pytest.raises(CheckFailed, match=check.replace("^", r"\^")):
+        special_place_checks(73)
+    assert main(["local", "73", "--json"]) == EXIT_CHECK_FAILED == 4
+    with tempfile.TemporaryDirectory() as cache_dir:
+        code = main(["hasse-scan", "3", "100", "--cache-dir", cache_dir])
+    assert code == EXIT_CHECK_FAILED
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: check failed: ")
+    assert check in out.err
+
+
+@pytest.mark.parametrize("check", FORCED)
+def test_forced_special_place_failure_exits_4_under_python_O(check):
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    for argv in (["local", "73"], ["hasse-scan", "3", "100", "--cache-dir"]):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            if argv[0] == "hasse-scan":
+                argv = argv + [cache_dir]
+            script = ("import sys\n"
+                      "assert False, 'asserts must be off'\n"
+                      + FORCED[check] +
+                      "from symcurves.cli import main\n"
+                      f"sys.exit(main({argv!r}))\n")
+            child = subprocess.run([sys.executable, "-O", "-c", script],
+                                   capture_output=True, text=True, timeout=120,
+                                   env=dict(os.environ, PYTHONPATH=src))
+        assert child.returncode == 4, child.stderr
+        assert child.stderr.startswith("error: check failed: ")
+        assert check in child.stderr
+        assert "Traceback" not in child.stderr
+
+
+def test_hasse_path_has_no_asserts():
+    # Checks on the Hasse path go through exact.require, which python -O
+    # keeps; the companion c4/c6 check of descent.root_number is one.
+    for module in ("localglobal", "descent"):
+        path = pathlib.Path(symcurves.__file__).with_name(f"{module}.py")
+        tree = ast.parse(path.read_text())
+        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert asserts == [], (module, asserts)
