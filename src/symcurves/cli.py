@@ -152,7 +152,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
     cache = ScanCache(args.cache_dir, "hasse-scan")
     verdicts = []
     for p in range(args.lo | 1, args.hi + 1, 2):
-        if not is_prime(p) or p % 24 != 1:
+        if p % 24 != 1 or not is_prime(p):
             continue
         key = f"hasse:p={p}:parity={args.assume_parity}"
         cached = cache.get(key)

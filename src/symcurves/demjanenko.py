@@ -31,7 +31,7 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import is_prime, rat_mod, rational_sqrt
+from .exact import is_prime, rat_mod, rational_sqrt, require
 from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
 
 # Externally certified per-side |hhat - h| budget for this family; our own
@@ -291,7 +291,7 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
 
     points |= equal_index_points(F)
     for P in points:
-        assert F.contains(P)
+        require(F.contains(P), "certificate point is not on the quartic")
 
     conditions = [f"rank <= {inp.rank_claim} certified externally"]
     if inp.rank_claim == 1:

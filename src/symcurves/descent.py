@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import (
-    CheckFailed,
     IntPoly,
     factorize,
     is_prime,
@@ -118,9 +116,8 @@ def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
 
     Each root is then checked exactly and recursed on in ascending order.
     """
-    if depth > cap:
-        raise CheckFailed("local solvability recursion exceeded the "
-                          "discriminant depth bound")
+    require(depth <= cap, "local solvability recursion exceeded the "
+            "discriminant depth bound")
     if ell == 2:
         for z0 in range(8):
             val = c * f(z0)
@@ -205,19 +202,18 @@ def _ql_solvable(G: IntPoly, ell: int, disc: int) -> bool:
 
 def _real_solvable_space(C: HomSpace) -> bool:
     # d*w^2 = g(z^2) with g(s) = c4 s^2 + c2 s + d^2: solvable over R iff
-    # d > 0, or g takes a nonpositive value at some s >= 0 when d < 0.
+    # d > 0, or min over s >= 0 of g(s) is <= 0 when d < 0.  For c4 > 0 the
+    # minimum is at s = 0 when c2 > 0, else at the vertex -c2 / (2 c4).
     if C.d > 0:
         return True
-    A, B, Cc = Fraction(C.c4), Fraction(C.c2), Fraction(C.d) ** 2
-    # need min over s >= 0 of g(s) <= 0
+    A, B, Cc = C.c4, C.c2, C.d * C.d
     if A < 0:
         return True
     if A == 0:
         return B < 0 or Cc <= 0
-    vertex = -B / (2 * A)
-    if vertex < 0:
+    if B > 0:
         return Cc <= 0
-    return Cc - B * B / (4 * A) <= 0
+    return 4 * A * Cc - B * B <= 0
 
 
 def homspace_locally_solvable(C: HomSpace, place) -> bool:
@@ -267,9 +263,8 @@ def selmer_rank_bound(p: int) -> int:
     s_dual = selmer_candidate_set(dual_isogeny_spaces(a, b))
     s = int(math.log2(len(s_set)))
     sp = int(math.log2(len(s_dual)))
-    if 2**s != len(s_set) or 2**sp != len(s_dual):
-        raise CheckFailed("Selmer candidate sets must be groups of 2-power "
-                          "order")
+    require(2**s == len(s_set) and 2**sp == len(s_dual),
+            "Selmer candidate sets must be groups of 2-power order")
     return s + sp - 2
 
 

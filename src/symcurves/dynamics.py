@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .chebyshev import _cheb_coeffs, cheb_eval
+from .chebyshev import cheb_eval
 from .demjanenko import PointCertificate, determine_points
-from .exact import IntPoly, bezout
+from .exact import IntPoly, require
 from .quartic import SymQuartic
 from .elliptic import EllipticCurve, point
 
@@ -134,12 +134,6 @@ def _x4_certificate() -> PointCertificate:
     return determine_points(F, X4_GENERATOR, rank_claim=1)
 
 
-def _verify_on_curve(d: int, pts) -> frozenset:
-    for x, y in pts:
-        assert cheb_eval(d, x) + cheb_eval(d, y) == 1
-    return frozenset(pts)
-
-
 def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     """The rational points of X_d: T_d(x) + T_d(y) = 1 in the proven cases,
     with a bounded-scan consistency guard; a conjectural evidence record
@@ -148,45 +142,39 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     Cases: 3 | d is empty (covering to the trivial-Jacobian X_3); otherwise
     4 | d reduces through the two-cover enumeration on X_4, and 5 | d
     reduces to the certified X_5 list, both pulled back through the
-    integral-point argument and the special-value table.
+    integral-point argument and the special-value table.  Every proven
+    point set is checked on X_d and against the guard scan; a failure
+    raises CheckFailed.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
     if d % 3 == 0:
-        cert = PointCertificate(
-            points=frozenset(), index_bound=0, n_window=0,
-            conditional_on=("imported certificate: the degree-3 curve has "
-                            "trivial Jacobian Mordell-Weil group",),
-        )
-        _guard_scan(d, cert.points, scan_cap)
-        return cert
-    if d % 4 == 0:
+        pts, bound, window = set(), 0, 0
+        conditions = ("imported certificate: the degree-3 curve has "
+                      "trivial Jacobian Mordell-Weil group",)
+    elif d % 4 == 0:
         base = _x4_certificate()
-        pairs = {(P.x, P.y) for P in base.points}
-        pts = _pullback_pairs(d // 4, pairs)
-        cert = PointCertificate(
-            points=_verify_on_curve(d, pts),
-            index_bound=base.index_bound, n_window=base.n_window,
-            conditional_on=base.conditional_on,
+        pts = _pullback_pairs(d // 4, {(P.x, P.y) for P in base.points})
+        bound, window = base.index_bound, base.n_window
+        conditions = base.conditional_on
+    elif d % 5 == 0:
+        pts, bound, window = _pullback_pairs(d // 5, X5_POINTS), 0, 0
+        conditions = ("imported certificate: degree-5 point list from "
+                      "a certified genus-2 computation",)
+    else:
+        evidence = conjecture_scan(d, scan_cap)
+        return PointCertificate(
+            points=frozenset((x, y) for x, y in evidence.inside_points),
+            index_bound=0, n_window=0,
+            conditional_on=(f"bounded scan to cap {scan_cap} only",),
+            status="conjectural-evidence",
         )
-        _guard_scan(d, cert.points, scan_cap)
-        return cert
-    if d % 5 == 0:
-        pts = _pullback_pairs(d // 5, X5_POINTS)
-        cert = PointCertificate(
-            points=_verify_on_curve(d, pts), index_bound=0, n_window=0,
-            conditional_on=("imported certificate: degree-5 point list from "
-                            "a certified genus-2 computation",),
-        )
-        _guard_scan(d, cert.points, scan_cap)
-        return cert
-    evidence = conjecture_scan(d, scan_cap)
-    return PointCertificate(
-        points=frozenset((x, y) for x, y in evidence.inside_points),
-        index_bound=0, n_window=0,
-        conditional_on=(f"bounded scan to cap {scan_cap} only",),
-        status="conjectural-evidence",
-    )
+    for x, y in pts:
+        require(cheb_eval(d, x) + cheb_eval(d, y) == 1,
+                "pulled-back point is not on X_d")
+    _guard_scan(d, pts, scan_cap)
+    return PointCertificate(points=frozenset(pts), index_bound=bound,
+                            n_window=window, conditional_on=conditions)
 
 
 def _pullback_pairs(d_prime: int, base_pairs) -> set:
@@ -198,12 +186,11 @@ def _pullback_pairs(d_prime: int, base_pairs) -> set:
     return out
 
 
-def _guard_scan(d: int, certified: frozenset, cap: int):
+def _guard_scan(d: int, certified: set, cap: int):
     evidence = conjecture_scan(d, cap)
-    found = {(x, y) for x, y in evidence.inside_points} | \
-            {(x, y) for x, y in evidence.exceptional}
-    assert found <= set(certified), \
-        "bounded scan found a point outside the certificate"
+    require(evidence.inside_points <= certified
+            and evidence.exceptional <= certified,
+            "bounded scan found a point outside the certificate")
 
 
 @dataclass
@@ -265,26 +252,11 @@ def conjecture_scan(d: int, num_den_cap: int) -> ScanEvidence:
     return ev
 
 
-def _critical_values(d: int) -> set[int]:
-    """Values of T_d at its critical points (always within {2, -2})."""
-    td = _cheb_coeffs(d)
-    deriv = td.derivative()
-    return {s for s in (2, -2) if bezout(td - IntPoly([s]), deriv) is None}
-
-
 def nonsingular(dk: ChebCurve) -> bool:
     """Nonsingularity of X_{d,k} over Q-bar: certified whenever
     k is not in {0, 4, -4} (singular points force T_d' to vanish in both
     variables, pinning T_d to +-2 at each, so k must be a sum of two
-    critical values).  For d <= 8 the criterion is re-verified exactly via
-    polynomial gcds."""
+    critical values)."""
     if dk.d < 2:
         raise ValueError("d must be >= 2")
-    certified = dk.k not in (0, 4, -4)
-    if dk.d <= 8:
-        crits = _critical_values(dk.d)
-        sums = {Fraction(s + t) for s in crits for t in crits}
-        assert sums <= {Fraction(0), Fraction(4), Fraction(-4)}
-        if certified:
-            assert dk.k not in sums
-    return certified
+    return dk.k not in (0, 4, -4)

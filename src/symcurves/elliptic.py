@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    CheckFailed,
-    IntPoly,
-    bezout,
-    factorize,
-    is_prime,
-    legendre_symbol,
-    log_abs,
-)
+from .exact import IntPoly, bezout, factorize, is_prime, log_abs, require
 
 MAZUR_ORDER_CAP = 12
 # Curves whose height data `_height_machine` keeps, least recently used
@@ -178,8 +170,8 @@ def count_points_mod_p(E: EllipticCurve, p: int) -> int:
         fx = (((x + a2) * x + a4) * x + a6) % p
         if fx == 0:
             count += 1
-        else:
-            count += 1 + legendre_symbol(fx, p)
+        elif pow(fx, (p - 1) // 2, p) == 1:  # Euler: fx is a nonzero square
+            count += 2
     return count
 
 
@@ -295,7 +287,8 @@ def torsion_subgroup(E: EllipticCurve) -> list:
                     found.add((R.x, R.y))
                     pts.append(R)
                     closed = True
-    assert bound % (len(found)) == 0 or bound == 0
+    require(bound == 0 or bound % len(found) == 0,
+            "torsion order does not divide the point-count gcd")
     # Map back from the integral model to the original coordinates.
     out = [INF]
     uu = Fraction(u)
@@ -343,8 +336,8 @@ def _bezout_data(E: EllipticCurve):
     N, D = _duplication_forms(E)
     at_q = bezout(N, D)
     at_p = bezout(N.reverse(4), D.reverse(4))
-    if at_q is None or at_p is None:
-        raise CheckFailed("duplication pair not coprime (singular curve?)")
+    require(at_q is not None and at_p is not None,
+            "duplication pair not coprime (singular curve?)")
     return at_q + at_p
 
 
@@ -364,7 +357,6 @@ class _HeightMachine:
     def __init__(self, E: EllipticCurve):
         self.E = E
         self.N, self.D = _duplication_forms(E)
-        assert self.N.coeffs[3] == 0  # _arch_step exploits the missing x^3 term
         cq, U, V, cp, Ur, Vr = _bezout_data(E)
         self.cq, self.cp = cq, cp
         self.content_bound = cp * cq
@@ -386,6 +378,7 @@ class _HeightMachine:
         return self.c_upper / 3, self.c_lower / 3
 
     def _arch_step(self, u0, u1):
+        # N has no p^3 q term (see _duplication_forms), so n[3] is skipped.
         n = self.N.coeffs
         d = self.D.coeffs
         w0 = ((u0 * u0 * u0 * u0) * n[4] + (u0 * u0) * (u1 * u1) * n[2]
@@ -433,7 +426,7 @@ class _HeightMachine:
                 a0 = _eval_homog(self.N.coeffs, w[0], w[1], mod)
                 a1 = _eval_homog(self.D.coeffs, w[0], w[1], mod)
                 delta = min(_val_capped(a0, ell, e), _val_capped(a1, ell, e))
-                assert delta <= e
+                require(delta <= e, "duplication content exceeds its Bezout bound")
                 if delta:
                     fin += weight * delta * log_ell
                     mod //= ell**delta

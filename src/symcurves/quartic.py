@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import factorize, is_squarefree, p_valuation, rational_sqrt
+from .exact import factorize, is_squarefree, p_valuation, rational_sqrt, require
 from .elliptic import INF, ECPoint, EllipticCurve
 
 
@@ -91,7 +91,8 @@ def phi(i: int, P: QuarticPoint, F: SymQuartic) -> ECPoint:
         P = P.swap()
     a = F.a_eff
     img = ECPoint(-4 * P.x * P.x, P.x * (8 * P.y * P.y + 4 * a))
-    assert companion_curve(F).contains(img)
+    require(companion_curve(F).contains(img),
+            "phi image is not on the companion curve")
     return img
 
 

@@ -123,6 +123,28 @@ def test_large_degree_paths_agree():
             prev, cur = cur, x * cur - prev
 
 
+def _eval_recurrence(d, x):
+    # Reference: T_d by the two-term recurrence from (T_1, T_2), linear in d.
+    if d == 1:
+        return x
+    a, b = x, x * x - 2
+    for _ in range(d - 2):
+        a, b = b, x * b - a
+    return b
+
+
+def test_ladder_matches_recurrence_reference():
+    # The ladder against the linear recurrence for every d <= 64, at random
+    # integers and non-integral rationals.
+    rng = random.Random(31)
+    xs = [rng.randrange(-10**6, 10**6) for _ in range(8)]
+    xs += [Fraction(rng.randrange(-500, 500), rng.randrange(2, 60))
+           for _ in range(8)]
+    for x in xs:
+        for d in range(1, 65):
+            assert cheb_eval(d, x) == _eval_recurrence(d, x), (d, x)
+
+
 def test_chebpoly_invariants():
     with pytest.raises(ValueError):
         ChebPoly(3, IntPoly([1, 0, 0, 1]))  # parity violation (even term)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import symcurves
+from symcurves import cli
 from symcurves.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -17,6 +18,7 @@ from symcurves.cli import (
     rat,
     unrat,
 )
+from symcurves.exact import is_prime
 from fractions import Fraction
 
 
@@ -163,20 +165,43 @@ def test_cache_corruption_detected(tmp_path, capsys):
     assert env["payload"]["verdicts"][0]["selmer_bound"] != 99
 
 
-def test_quartic_payload_same_under_python_O(capsys):
-    # The sieve's preconditions are checks that raise, not asserts, so the
-    # certificate must not change when asserts are compiled away.
-    argv = ["quartic", "-4", "-3", "1", "--generator", "4,-16", "--json"]
-    _, out, _ = run(argv, capsys)
+@pytest.mark.parametrize("argv, expected_code, expected_count", [
+    (["quartic", "--json", "-4", "-3", "1", "--generator", "4,-16"], EXIT_OK, 12),
+    (["cheb", "--json", "20"], EXIT_OK, 12),
+    (["cheb", "--json", "25"], EXIT_OK, 4),
+    (["cheb", "--json", "7"], EXIT_UNDETERMINED, 4),
+    (["heights", "--json", "--point=4,-16", "--", "-4", "-3", "1"], EXIT_OK, None),
+    (["local", "--json", "73"], EXIT_OK, None),
+], ids=["quartic", "cheb-20", "cheb-25", "cheb-7", "heights", "local-73"])
+def test_quartic_payload_same_under_python_O(argv, expected_code,
+                                             expected_count, capsys):
+    # Every check that gates a result raises CheckFailed instead of using
+    # assert, so no result changes when asserts are compiled away.
+    code, out, _ = run(argv, capsys)
     src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run([sys.executable, "-O", "-m", "symcurves.cli", *argv],
                            capture_output=True, text=True, env=env, timeout=120)
-    assert child.returncode == EXIT_OK, child.stderr
+    assert code == child.returncode == expected_code, child.stderr
     normal, optimized = json.loads(out), json.loads(child.stdout)
     normal.pop("timestamp"), optimized.pop("timestamp")
     assert optimized == normal
-    assert optimized["payload"]["count"] == 12
+    assert optimized["payload"].get("count") == expected_count
+
+
+def test_hasse_scan_proves_primality_of_family_residues_only(monkeypatch, capsys):
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting_is_prime)
+    code, out, _ = run(["hasse-scan", "3", "600", "--json"], capsys)
+    assert code == EXIT_OK
+    assert tested == [p for p in range(3, 601) if p % 24 == 1]
+    scanned = [v["p"] for v in json.loads(out)["payload"]["verdicts"]]
+    assert scanned == [p for p in tested if is_prime(p)]
 
 
 def test_determinism_modulo_timestamp(capsys):

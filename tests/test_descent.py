@@ -14,6 +14,7 @@ from symcurves.descent import (
     HomSpace,
     _is_square_ql,
     _ql_solvable,
+    _real_solvable_space,
     _relevant_places,
     _square_class,
     _square_class_mod,
@@ -140,6 +141,45 @@ def test_homspace_real_place():
     assert not homspace_locally_solvable(family_space(-2, p), "real")
     assert homspace_locally_solvable(family_space(1, p), "real")
     assert homspace_locally_solvable(family_space(2, p), "real")
+
+
+def reference_real_solvable_space(C):
+    # The real-place test as the toolkit computed it through Fraction: the
+    # minimum of g(s) = c4 s^2 + c2 s + d^2 over s >= 0 against 0.
+    if C.d > 0:
+        return True
+    A, B, Cc = Fraction(C.c4), Fraction(C.c2), Fraction(C.d) ** 2
+    if A < 0:
+        return True
+    if A == 0:
+        return B < 0 or Cc <= 0
+    vertex = -B / (2 * A)
+    if vertex < 0:
+        return Cc <= 0
+    return Cc - B * B / (4 * A) <= 0
+
+
+def test_real_solvable_space_matches_fraction_reference():
+    rng = random.Random(19)
+    branches = set()
+    for _ in range(4000):
+        d = rng.choice((1, -1)) * rng.randint(0, 40)
+        c2, c4 = rng.randint(-60, 60), rng.choice((0, rng.randint(-60, 60)))
+        if rng.random() < 0.3:      # near the vertex: 4 c4 d^2 = c2^2
+            c4 = max(1, (c2 * c2) // (4 * d * d or 1) + rng.randint(-1, 1))
+        C = HomSpace(d, c2, c4)
+        got = _real_solvable_space(C)
+        assert got == reference_real_solvable_space(C), C
+        if d < 0:
+            branch = ("A<0" if c4 < 0 else "A=0" if c4 == 0
+                      else "B>0" if c2 > 0 else "vertex")
+            branches.add((branch, got))
+    assert branches == {("A<0", True), ("A=0", True), ("A=0", False),
+                        ("B>0", False), ("vertex", True), ("vertex", False)}
+    for p in primes(3, 600):
+        a, b = 4 * p, 2 * p * p
+        for C in isogeny_spaces(a, b) + dual_isogeny_spaces(a, b):
+            assert _real_solvable_space(C) == reference_real_solvable_space(C)
 
 
 def test_homspace_trivial_class_everywhere():

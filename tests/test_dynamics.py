@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcurves.chebyshev import cheb, cheb_eval
+from symcurves.chebyshev import _cheb_coeffs, cheb, cheb_eval
 from symcurves.dynamics import (
     SMALL_SET,
     ChebCurve,
@@ -18,7 +18,7 @@ from symcurves.dynamics import (
     preperiodic_points,
     shifted_intersection,
 )
-from symcurves.exact import IntPoly
+from symcurves.exact import IntPoly, bezout
 
 F_SQUARE_MINUS_2 = IntPoly([-2, 0, 1])
 PM = PolyMap(F_SQUARE_MINUS_2, Fraction(1), Fraction(-1))  # L(x) = 1 - x
@@ -150,6 +150,31 @@ def test_nonsingular_criterion():
     assert nonsingular(ChebCurve(7, Fraction(3)))
     with pytest.raises(ValueError):
         nonsingular(ChebCurve(1, Fraction(1)))
+
+
+def _critical_values(d):
+    # Reference: the s in {2, -2} with T_d - s and T_d' sharing a root, by
+    # the integer Bezout identity (None when they are not coprime).
+    td = _cheb_coeffs(d)
+    deriv = td.derivative()
+    return {s for s in (2, -2) if bezout(td - IntPoly([s]), deriv) is None}
+
+
+def test_nonsingular_statement_by_critical_values():
+    # The criterion's argument, checked exactly: T_d takes only the values
+    # +-2 at its critical points, so a singular X_{d,k} has k in {0, 4, -4};
+    # and every k the criterion calls nonsingular is no sum of two of them.
+    for d in range(2, 13):
+        crits = _critical_values(d)
+        assert crits == ({-2} if d == 2 else {2, -2}), d
+        td = _cheb_coeffs(d)
+        for s in (1, -1, 0, 3):
+            assert bezout(td - IntPoly([s]), td.derivative()) is not None
+        sums = {s + t for s in crits for t in crits}
+        assert sums <= {0, 4, -4}
+        for k in [Fraction(k) for k in range(-6, 7)] + [Fraction(1, 2)]:
+            if nonsingular(ChebCurve(d, k)):
+                assert k not in sums, (d, k)
 
 
 def test_nonsingular_vs_resultants():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import symcurves
-from symcurves import elliptic
+from symcurves import elliptic, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.elliptic import (
     HEIGHT_MACHINE_MEMO,
@@ -32,7 +32,7 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
-from symcurves.exact import CheckFailed, IntPoly, factorize
+from symcurves.exact import CheckFailed, IntPoly, factorize, is_prime
 from symcurves.quartic import SymQuartic, companion_curve
 
 # companion curve of the degree-4 Chebyshev quartic
@@ -120,6 +120,39 @@ def test_count_points_bad_prime_rejected():
     for p in bad:
         with pytest.raises(ValueError):
             count_points_mod_p(Y_CURVE, p)
+
+
+def test_count_points_validates_p_once(monkeypatch):
+    # The entry checks prove p prime once per call; the loop decides each
+    # residue by Euler's criterion, not by the Legendre symbol.  The counts
+    # equal the double loop's.
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    def refuse(*args):
+        raise AssertionError("legendre_symbol called")
+
+    monkeypatch.setattr(elliptic, "is_prime", counting_is_prime)
+    monkeypatch.setattr(exact, "legendre_symbol", refuse)
+    monkeypatch.setattr(elliptic, "legendre_symbol", refuse, raising=False)
+    rng = random.Random(7)
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 37, 101):
+        for _ in range(6):
+            co = [rng.randrange(p) for _ in range(3)]
+            try:
+                E = EllipticCurve(*co)
+                calls.clear()
+                n = count_points_mod_p(E, p)
+            except ValueError:      # singular over Q or bad at p
+                continue
+            assert calls == [p]
+            assert n == brute_count(*co, p), (co, p)
+            checked += 1
+    assert checked >= 30
 
 
 def test_torsion_subgroups():
@@ -431,6 +464,28 @@ def test_eval_homog_on_the_cubic_d():
         mod = rng.choice((2, 3, 7)) ** rng.randint(1, 40)
         expected = sum(c * p**i * q**(4 - i) for i, c in enumerate(coeffs)) % mod
         assert _eval_homog(coeffs, p, q, mod) == expected
+
+
+def test_duplication_numerator_has_no_cubic_term():
+    # _arch_step skips the p^3 q coefficient of N.  It is 0 on random
+    # curves, and N(x)/D(x) is x(2P) at a point P = (x, y) built on each.
+    rng = random.Random(5)
+    for E in _random_integral_curves(rng, 400) + [Y_CURVE]:
+        N, D = _duplication_forms(E)
+        assert (N.degree, D.degree, N.coeffs[3]) == (4, 3, 0), E
+    built = 0
+    while built < 300:
+        x, y = rng.randint(-50, 50), rng.randint(1, 50)
+        a2, a4 = rng.randint(-50, 50), rng.randint(-50, 50)
+        try:
+            E = EllipticCurve(a2, a4, y * y - ((x + a2) * x + a4) * x)
+        except ValueError:          # singular
+            continue
+        N, D = _duplication_forms(E)
+        P = point(x, y)
+        assert N.coeffs[3] == 0
+        assert Fraction(N(x), D(x)) == E.add(P, P).x, (E, P)
+        built += 1
 
 
 # x^4 - 1 and 4x^3 - 4 share the root x = 1.

@@ -294,10 +294,13 @@ def test_forced_special_place_failure_exits_4_under_python_O(check):
 
 
 def test_hasse_path_has_no_asserts():
-    # Checks on the Hasse path go through exact.require, which python -O
-    # keeps; the companion c4/c6 check of descent.root_number is one.
-    for module in ("localglobal", "descent"):
-        path = pathlib.Path(symcurves.__file__).with_name(f"{module}.py")
-        tree = ast.parse(path.read_text())
+    # Checks go through exact.require, which python -O keeps: on the Hasse
+    # path (the companion c4/c6 check of descent.root_number is one) and in
+    # every other module of the package.
+    package = pathlib.Path(symcurves.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert {"localglobal", "descent", "dynamics", "elliptic"} <= set(modules)
+    for module in modules:
+        tree = ast.parse((package / f"{module}.py").read_text())
         asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert asserts == [], (module, asserts)
