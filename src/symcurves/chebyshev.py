@@ -55,32 +55,32 @@ def cheb(d: int) -> ChebPoly:
 
 
 def cheb_eval(d: int, x):
-    """T_d(x), exactly, as a Fraction, for rational or integer x.
+    """T_d(x), exactly: an int for an int x, a Fraction for anything else.
 
     One Lucas V-ladder over the bits of d: from (T_0, T_1) = (2, x), each bit
     maps the pair (T_k, T_{k+1}) to (T_{2k}, T_{2k+1}) or (T_{2k+1}, T_{2k+2})
     by T_{2k} = T_k^2 - 2 and T_{2k+1} = T_k*T_{k+1} - x, so O(log d) products.
-    The ladder runs on plain int when x is integral and on Fraction otherwise.
+    An int x runs the ladder on plain int; any other x (a Fraction, a float
+    or a string) is first converted to an exact Fraction.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    x = Fraction(x)
-    if x.denominator == 1:
-        x = x.numerator
+    if not isinstance(x, int):
+        x = Fraction(x)
     a, b = 2, x  # (T_k, T_{k+1}) with k = 0
     for bit in bin(d)[2:]:
         if bit == "1":
             a, b = a * b - x, b * b - 2
         else:
             a, b = a * a - 2, a * b - x
-    return Fraction(a)
+    return a
 
 
-def special_values(d: int) -> dict[Fraction, Fraction]:
-    """Values of T_d on {0, +-1, +-2} for d not divisible by 3.
+def special_values(d: int) -> dict[int, int]:
+    """Values of T_d on {0, +-1, +-2} for d not divisible by 3, as ints.
 
-    Odd d acts as the identity on the set; d = 2 mod 4 sends 0 to -2, +-2 to
-    2 and +-1 to -1; d = 0 mod 4 sends both 0 and +-2 to 2 and +-1 to -1.
+    Odd d acts as the identity on the set; even d sends +-1 to -1, +-2 to 2,
+    and 0 to -2 when d = 2 mod 4 or to 2 when d = 0 mod 4.
     The table follows from T_d(2 cos t) = 2 cos(d t) at t = 0, pi/3, pi/2,
     2pi/3 and pi, and is returned without evaluating T_d.
     """
@@ -88,18 +88,9 @@ def special_values(d: int) -> dict[Fraction, Fraction]:
         raise ValueError("degree must be >= 1")
     if d % 3 == 0:
         raise ValueError("values at +-1 differ when 3 | d; table not applicable")
-    pts = [Fraction(v) for v in (0, 1, -1, 2, -2)]
     if d % 2 == 1:
-        table = {v: v for v in pts}
-    elif d % 4 == 2:
-        table = {Fraction(0): Fraction(-2), Fraction(1): Fraction(-1),
-                 Fraction(-1): Fraction(-1), Fraction(2): Fraction(2),
-                 Fraction(-2): Fraction(2)}
-    else:
-        table = {Fraction(0): Fraction(2), Fraction(1): Fraction(-1),
-                 Fraction(-1): Fraction(-1), Fraction(2): Fraction(2),
-                 Fraction(-2): Fraction(2)}
-    return table
+        return {v: v for v in (0, 1, -1, 2, -2)}
+    return {0: 2 if d % 4 == 0 else -2, 1: -1, -1: -1, 2: 2, -2: 2}
 
 
 def growth_floor(d: int, x) -> bool:
@@ -108,7 +99,6 @@ def growth_floor(d: int, x) -> bool:
     This is the bound that confines integral points on Chebyshev curves to
     {0, +-1, +-2}: |T_2(3)| = 7 and |T_n| is monotone in n for |x| >= 2.
     """
-    x = Fraction(x)
     if d < 2:
         raise ValueError("d must be >= 2")
     if abs(x) < 3:

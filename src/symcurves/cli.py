@@ -89,9 +89,8 @@ def envelope(command: str, inputs: str, payload, assumptions=()) -> dict:
     }
 
 
-def _point_list(points) -> list:
-    return [[rat(x), rat(y)] for x, y in
-            sorted((p if isinstance(p, tuple) else (p.x, p.y)) for p in points)]
+def _point_list(cert) -> list:
+    return [[rat(x), rat(y)] for x, y in cert.sorted_points()]
 
 
 def _parse_point(text: str):
@@ -109,7 +108,7 @@ def cmd_quartic(args) -> tuple[dict, int]:
     gen = _parse_point(args.generator) if args.generator else None
     cert = determine_points(F, gen, rank_claim=args.rank, tol=args.tol)
     payload = {
-        "points": _point_list(cert.points),
+        "points": _point_list(cert),
         "count": len(cert.points),
         "index_bound": cert.index_bound,
         "n_window": cert.n_window,
@@ -132,7 +131,7 @@ def cmd_cheb(args) -> tuple[dict, int]:
     else:
         tag = "outside proven cases"
     payload = {
-        "points": _point_list(cert.points),
+        "points": _point_list(cert),
         "count": len(cert.points),
         "case": tag,
         "status": cert.status,

@@ -67,8 +67,9 @@ class PointCertificate:
     conditional_on: tuple = ()
     status: str = "certified"
 
-    def sorted_points(self):
-        return sorted(self.points, key=lambda P: (P.x, P.y))
+    def sorted_points(self) -> list:
+        """The points in (x, y) order: int pairs of X_d and QuarticPoints."""
+        return sorted(self.points, key=tuple)
 
 
 def build_input(F: SymQuartic, generator, rank_claim: int,
@@ -305,11 +306,10 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
 
 
 def determine_points(F: SymQuartic, generator=None, rank_claim: int = 1,
-                     tol: float = 1e-8,
-                     min_window: int = VERIFIED_WINDOW_FLOOR) -> PointCertificate:
+                     tol: float = 1e-8) -> PointCertificate:
     """Full pipeline: bounds, window, enumeration, certificate.  Over-covering
     is always sound, so rank-1 windows are floored at the verified 40."""
     inp = build_input(F, generator, rank_claim, tol)
     B = index_bound(inp)
-    N = max(n_window(B), min_window) if inp.rank_claim == 1 else 0
+    N = max(n_window(B), VERIFIED_WINDOW_FLOOR) if inp.rank_claim == 1 else 0
     return enumerate_and_pull_back(inp, N)

@@ -15,7 +15,7 @@ from .chebyshev import cheb_eval
 from .demjanenko import PointCertificate, determine_points
 from .exact import IntPoly, require
 from .quartic import SymQuartic
-from .elliptic import EllipticCurve, point
+from .elliptic import point
 
 # Externally certified inputs for the proven cases.  The X_4 companion
 # curve has Mordell-Weil rank one with the recorded generator; the X_5
@@ -23,13 +23,9 @@ from .elliptic import EllipticCurve, point
 # because its Jacobian y^2 = x^3 - 27x + 189/4 has trivial Mordell-Weil
 # group.  Each import is re-verified on-curve and guarded by bounded scans.
 X4_GENERATOR = point(4, -16)
-X5_POINTS = frozenset({
-    (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
-    (Fraction(-1), Fraction(2)), (Fraction(2), Fraction(-1)),
-})
-X3_JACOBIAN = EllipticCurve(0, -27, Fraction(189, 4))
+X5_POINTS = frozenset({(0, 1), (1, 0), (-1, 2), (2, -1)})
 
-SMALL_SET = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
+SMALL_SET = (0, 1, -1, 2, -2)
 
 
 @dataclass(frozen=True)
@@ -97,10 +93,11 @@ def shifted_intersection(pm: PolyMap, n: int, alpha, beta, horizon: int):
     return shifted & tb.as_set(), ta.cycled and tb.cycled
 
 
-def preperiodic_points(f: IntPoly, height_cap: int) -> set[Fraction]:
+def preperiodic_points(f: IntPoly, height_cap: int) -> set[int]:
     """All rational preperiodic points of a monic integer quadratic with
-    numerator/denominator at most height_cap.  Such points are integers, so
-    the scan runs over |r| <= height_cap with an exact escape radius."""
+    numerator/denominator at most height_cap, as ints.  Such points are
+    integers, so the scan runs over |r| <= height_cap with an exact escape
+    radius."""
     if f.degree != 2 or f.coeffs[-1] != 1:
         raise ValueError("monic integer quadratic required")
     b, c = abs(f.coeffs[1]), abs(f.coeffs[0])
@@ -113,15 +110,15 @@ def preperiodic_points(f: IntPoly, height_cap: int) -> set[Fraction]:
             seen.add(x)
             x = f(x)
         if x in seen:
-            out.add(Fraction(r))
+            out.add(r)
     return out
 
 
-def integral_pullback(d_prime: int, targets) -> set[Fraction]:
-    """All integers x0 with T_{d'}(x0) in targets, for targets inside
+def integral_pullback(d_prime: int, targets) -> set[int]:
+    """All integers x0 with T_{d'}(x0) in targets, as ints, for targets inside
     {0, +-1, +-2}: the growth floor |T_{d'}(x)| >= 7 for |x| >= 3 confines
     the scan to {0, +-1, +-2}."""
-    targets = {Fraction(t) for t in targets}
+    targets = {t if t in SMALL_SET else Fraction(t) for t in targets}
     if not targets <= set(SMALL_SET):
         raise ValueError("targets outside {0, +-1, +-2}: growth bound "
                          "does not apply")
@@ -144,7 +141,7 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     reduces to the certified X_5 list, both pulled back through the
     integral-point argument and the special-value table.  Every proven
     point set is checked on X_d and against the guard scan; a failure
-    raises CheckFailed.
+    raises CheckFailed.  The points are pairs of ints.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -164,7 +161,7 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     else:
         evidence = conjecture_scan(d, scan_cap)
         return PointCertificate(
-            points=frozenset((x, y) for x, y in evidence.inside_points),
+            points=frozenset(evidence.inside_points),
             index_bound=0, n_window=0,
             conditional_on=(f"bounded scan to cap {scan_cap} only",),
             status="conjectural-evidence",
@@ -212,8 +209,8 @@ def _integer_root(t: int, d: int) -> int:
     return r
 
 
-def _solve_cheb_value(d: int, t: int, small_values) -> set[Fraction]:
-    """All rational y with T_d(y) = t for an integer target t.
+def _solve_cheb_value(d: int, t: int, small_values) -> set[int]:
+    """All rational y with T_d(y) = t for an integer target t, as ints.
 
     Such y are integers by monicity.  `small_values` pairs each y in
     SMALL_SET with T_d(y).  For y >= 3, (y-1)^d < T_d(y) < y^d + 1, so with
@@ -227,24 +224,22 @@ def _solve_cheb_value(d: int, t: int, small_values) -> set[Fraction]:
         r = _integer_root(target, d)
         for y in (r, r + 1):
             if y >= 3 and cheb_eval(d, y) == target:
-                out.add(Fraction(sign * y))
+                out.add(sign * y)
     return out
 
 
-def conjecture_scan(d: int, num_den_cap: int) -> ScanEvidence:
+def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     """Exhaustive scan for the rational points of X_d whose x is an integer
-    of absolute value at most the cap, solving for y exactly; points outside
-    {0,+-1,+-2}^2 are recorded as exceptional.  Rational points with a
-    non-integral x are not scanned."""
+    of absolute value at most the cap, solving for y exactly; the points are
+    int pairs, and those outside {0,+-1,+-2}^2 are recorded as exceptional.
+    Rational points with a non-integral x are not scanned."""
     if d < 3:
         raise ValueError("d must be >= 3")
-    ev = ScanEvidence(d, num_den_cap)
+    ev = ScanEvidence(d, cap)
     small = set(SMALL_SET)
     small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
-    for x0 in range(-num_den_cap, num_den_cap + 1):
-        x = Fraction(x0)
-        t = 1 - cheb_eval(d, x)
-        for y in _solve_cheb_value(d, int(t), small_values):
+    for x in range(-cap, cap + 1):
+        for y in _solve_cheb_value(d, 1 - cheb_eval(d, x), small_values):
             if x in small and y in small:
                 ev.inside_points.add((x, y))
             else:

@@ -175,11 +175,12 @@ def count_points_mod_p(E: EllipticCurve, p: int) -> int:
     return count
 
 
-def _torsion_multiple_bound(E: EllipticCurve, num_primes: int = 10) -> int:
-    """gcd of #E(F_p) over good odd primes; a multiple of #E(Q)_tors."""
+def _torsion_multiple_bound(E: EllipticCurve) -> int:
+    """gcd of #E(F_p) over the first ten good odd primes; a multiple of
+    #E(Q)_tors."""
     g = 0
     p, found = 3, 0
-    while found < num_primes:
+    while found < 10:
         try:
             n = count_points_mod_p(E, p)
         except ValueError:

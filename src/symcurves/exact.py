@@ -168,17 +168,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree integer s with n = s * (square), keeping the sign of n."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    s = -1 if n < 0 else 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            s *= p
-    return s
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1}; p must be an odd prime."""
     if p == 2 or not is_prime(p):

@@ -9,7 +9,6 @@ criterion.  Failed certificate checks raise `CheckFailed`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import factorize, is_prime, rat_mod, require, sqrt_mod_pk
 from .quartic import SymQuartic
@@ -35,7 +34,7 @@ def real_solvable(F: SymQuartic) -> bool:
     """Exact real-place test: the quartic form attains its global minimum on
     the diagonal, so F(R) is nonempty iff that minimum is <= b'."""
     a, b = F.a_eff, F.b_eff
-    minimum = -a * a / 2 if a < 0 else Fraction(0)
+    minimum = -a * a / 2 if a < 0 else 0
     return b >= minimum
 
 

@@ -22,6 +22,10 @@ class QuarticPoint:
     def swap(self) -> "QuarticPoint":
         return QuarticPoint(self.y, self.x)
 
+    def __iter__(self):
+        """Unpack as (x, y), like the int pairs of an X_d certificate."""
+        return iter((self.x, self.y))
+
     def __repr__(self):
         return f"({self.x}, {self.y})"
 

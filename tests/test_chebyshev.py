@@ -30,7 +30,8 @@ def test_d_zero_rejected():
 
 def test_characterization_oracle():
     # T_5(2 + 1/2) must be 2^5 + 2^-5 computed independently.
-    assert cheb_eval(5, Fraction(5, 2)) == Fraction(2**10 + 1, 2**5)
+    value = cheb_eval(5, Fraction(5, 2))
+    assert type(value) is Fraction and value == Fraction(2**10 + 1, 2**5)
     rng = random.Random(17)
     for _ in range(40):
         num = rng.randrange(1, 50)
@@ -60,6 +61,8 @@ def test_parity():
 def test_fixed_small_values():
     for d in range(1, 30):
         assert cheb_eval(d, Fraction(2)) == 2
+        assert type(cheb_eval(d, 2)) is int and cheb_eval(d, 2) == 2
+        assert type(cheb_eval(d, -1)) is int
     assert cheb_eval(7, Fraction(-1)) == -1
     assert cheb_eval(6, Fraction(0)) == -2
 
@@ -92,7 +95,9 @@ def test_special_values_match_evaluation():
         if d % 3 == 0:
             continue
         table = special_values(d)
+        assert set(table) == {0, 1, -1, 2, -2}
         for v, img in table.items():
+            assert type(v) is int and type(img) is int
             assert cheb_eval(d, v) == img
 
 
@@ -119,7 +124,8 @@ def test_large_degree_paths_agree():
             value = cheb_eval(d, x)
             assert type(value) is Fraction and value == cur, (d, x)
             if x.denominator == 1:
-                assert cheb_eval(d, int(x)) == cur
+                value = cheb_eval(d, int(x))
+                assert type(value) is int and value == cur, (d, x)
             prev, cur = cur, x * cur - prev
 
 
@@ -142,7 +148,9 @@ def test_ladder_matches_recurrence_reference():
            for _ in range(8)]
     for x in xs:
         for d in range(1, 65):
-            assert cheb_eval(d, x) == _eval_recurrence(d, x), (d, x)
+            value = cheb_eval(d, x)
+            assert type(value) is type(x), (d, x)
+            assert value == _eval_recurrence(d, x), (d, x)
 
 
 def test_chebpoly_invariants():

@@ -33,13 +33,31 @@ from symcurves.exact import (
     _ROOT_SCAN_LIMIT,
     CheckFailed,
     IntPoly,
+    factorize,
     is_prime,
-    squarefree_part,
 )
 
 
 def primes(lo, hi):
     return [p for p in range(lo, hi) if is_prime(p)]
+
+
+def squarefree_part(n: int) -> int:
+    """Reference: the squarefree s with n = s * (square), keeping the sign
+    of n, by factoring n; `_square_class` is compared against it."""
+    if n == 0:
+        raise ValueError("0 has no squarefree part")
+    s = -1 if n < 0 else 1
+    for p, e in factorize(n).items():
+        if e % 2:
+            s *= p
+    return s
+
+
+def test_squarefree_part():
+    assert squarefree_part(12) == 3
+    assert squarefree_part(-18) == -2
+    assert squarefree_part(1) == 1
 
 
 # -- reference: the discriminant by a Fraction resultant, as the toolkit
@@ -242,7 +260,6 @@ def test_recursive_solver_vs_bounded_bruteforce():
 
 def test_selmer_candidate_set_is_group():
     from symcurves.descent import selmer_candidate_set
-    from symcurves.exact import squarefree_part
 
     for p in (5, 7, 11, 29, 73):
         sols = selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from symcurves import chebyshev, dynamics
 from symcurves.chebyshev import _cheb_coeffs, cheb, cheb_eval
 from symcurves.dynamics import (
     SMALL_SET,
@@ -9,6 +10,7 @@ from symcurves.dynamics import (
     PolyMap,
     X5_POINTS,
     _integer_root,
+    _x4_certificate,
     _solve_cheb_value,
     chebyshev_curve_points,
     conjecture_scan,
@@ -97,6 +99,30 @@ def test_chebyshev_curve_points_cases():
     assert set(chebyshev_curve_points(10).points) == EIGHT
     with pytest.raises(ValueError):
         chebyshev_curve_points(2)
+
+
+def test_x_d_certificates_hold_plain_ints(monkeypatch):
+    # T_d is monic with integer coefficients, so no X_d case needs Fraction:
+    # with it unusable in the Chebyshev and X_d layers, every case still
+    # certifies, and every coordinate is an int.
+    def no_fraction(*args):
+        raise AssertionError("Fraction on the integral X_d path")
+
+    monkeypatch.setattr(chebyshev, "Fraction", no_fraction)
+    monkeypatch.setattr(dynamics, "Fraction", no_fraction)
+    for d in (3, 4, 5, 7, 20, 25, 97, 200):
+        cert = chebyshev_curve_points(d)
+        assert all(type(c) is int for P in cert.points for c in P), d
+
+
+def test_sorted_points_orders_pairs_and_quartic_points():
+    # X_d certificates hold (x, y) pairs, the X_4 quartic certificate
+    # QuarticPoints; both sort by (x, y).
+    for d, expected in ((20, TWELVE), (25, FOUR)):
+        pts = chebyshev_curve_points(d).sorted_points()
+        assert pts == sorted(expected), d
+    quartic = _x4_certificate().sorted_points()
+    assert [(P.x, P.y) for P in quartic] == sorted(TWELVE)
 
 
 def test_point_counts_in_theorem_range():

@@ -22,7 +22,6 @@ from symcurves.exact import (
     rational_sqrt,
     roots_mod_p,
     sqrt_mod_pk,
-    squarefree_part,
 )
 
 
@@ -119,12 +118,6 @@ def test_is_squarefree():
     assert is_squarefree(577)
     assert is_squarefree(-15)
     assert not is_squarefree(49)
-
-
-def test_squarefree_part():
-    assert squarefree_part(12) == 3
-    assert squarefree_part(-18) == -2
-    assert squarefree_part(1) == 1
 
 
 def test_roots_mod_p_examples():
