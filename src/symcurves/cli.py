@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -272,18 +273,22 @@ class ScanCache:
     def _load(self):
         if not self.path or not os.path.exists(self.path):
             return
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(self.path, "rb") as fh:
+            for raw in fh:
+                # Each line is decoded on its own, so one bad byte costs
+                # only its line; ValueError covers bad UTF-8 and bad JSON.
                 try:
-                    entry = json.loads(line)
+                    entry = json.loads(raw.decode("utf-8"))
+                    if not (isinstance(entry, dict)
+                            and isinstance(entry.get("key"), str)
+                            and isinstance(entry.get("hash"), str)
+                            and "record" in entry):
+                        continue
                     if entry["hash"] != self._digest(entry["key"], entry["record"]):
                         continue
-                    self.entries[entry["key"]] = entry["record"]
-                except (json.JSONDecodeError, KeyError):
+                except (ValueError, RecursionError):
                     continue
+                self.entries[entry["key"]] = entry["record"]
 
     def get(self, key: str):
         return self.entries.get(key)
@@ -379,9 +384,15 @@ def _render(env: dict, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a new Namespace on every
+    # call and looks up sys.stdout/sys.stderr only when it prints.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         env, code = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

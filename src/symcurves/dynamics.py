@@ -209,22 +209,32 @@ def _integer_root(t: int, d: int) -> int:
     return r
 
 
-def _solve_cheb_value(d: int, t: int, small_values) -> set[int]:
+def _table_value(d: int, table, y: int) -> int:
+    """T_d(y) read from table[|y|], where table[a] = T_d(a), through the
+    parity T_d(-y) = (-1)^d T_d(y); evaluated directly past the table."""
+    a = -y if y < 0 else y
+    v = table[a] if a < len(table) else cheb_eval(d, a)
+    return -v if y < 0 and d % 2 else v
+
+
+def _solve_cheb_value(d: int, t: int, small_values, table) -> set[int]:
     """All rational y with T_d(y) = t for an integer target t, as ints.
 
     Such y are integers by monicity.  `small_values` pairs each y in
-    SMALL_SET with T_d(y).  For y >= 3, (y-1)^d < T_d(y) < y^d + 1, so with
-    r = floor(t^(1/d)) the only candidates are r and r + 1, each checked
-    exactly; y <= -3 reduces to -y by the parity of T_d.
+    SMALL_SET with T_d(y), and `table` holds T_d(0), T_d(1), ... as far as
+    the caller evaluated them, possibly none.  For y >= 3,
+    (y-1)^d < T_d(y) < y^d + 1, so with r = floor(|t|^(1/d)) the only
+    candidates are r and r + 1, each read from the table (or evaluated past
+    its end) and checked exactly against |t|.  By the parity of T_d a match
+    y gives -y as well for even d, and the sign of t for odd d.
     """
     out = {y for y, v in small_values if v == t}
-    for sign, target in ((1, t), (-1, -t if d % 2 else t)):
-        if target <= 0:
-            continue
+    target = -t if d % 2 and t < 0 else t
+    if target > 0:
         r = _integer_root(target, d)
         for y in (r, r + 1):
-            if y >= 3 and cheb_eval(d, y) == target:
-                out.add(sign * y)
+            if y >= 3 and _table_value(d, table, y) == target:
+                out |= {y, -y} if d % 2 == 0 else {y if t > 0 else -y}
     return out
 
 
@@ -232,14 +242,22 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     """Exhaustive scan for the rational points of X_d whose x is an integer
     of absolute value at most the cap, solving for y exactly; the points are
     int pairs, and those outside {0,+-1,+-2}^2 are recorded as exceptional.
-    Rational points with a non-integral x are not scanned."""
+    Rational points with a non-integral x are not scanned.
+
+    T_d is evaluated once per scan, at 0, 1, ..., cap + 1, into one table.
+    Negative arguments are read through parity, and every candidate y >= 3
+    lies in the table: it has (y - 1)^d <= |1 - T_d(x)|, which is at most 3
+    for |x| <= 2 and below |x|^d + 2 otherwise, so y <= cap + 1.
+    """
     if d < 3:
         raise ValueError("d must be >= 3")
     ev = ScanEvidence(d, cap)
     small = set(SMALL_SET)
-    small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
+    table = [cheb_eval(d, x) for x in range(cap + 2)]
+    small_values = [(y, _table_value(d, table, y)) for y in SMALL_SET]
     for x in range(-cap, cap + 1):
-        for y in _solve_cheb_value(d, 1 - cheb_eval(d, x), small_values):
+        t = 1 - _table_value(d, table, x)
+        for y in _solve_cheb_value(d, t, small_values, table):
             if x in small and y in small:
                 ev.inside_points.add((x, y))
             else:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -18,6 +20,7 @@ from symcurves.cli import (
     rat,
     unrat,
 )
+from symcurves.elliptic import point
 from symcurves.exact import is_prime
 from fractions import Fraction
 
@@ -217,3 +220,114 @@ def test_parser_covers_all_subcommands():
     subparsers = ap._subparsers._group_actions[0].choices
     assert set(subparsers) == {"quartic", "cheb", "hasse-scan", "heights",
                                "descent", "local", "orbit"}
+
+
+def _hasse_payload(cache_dir, capsys):
+    code, out, _ = run(["hasse-scan", "3", "100", "--cache-dir", cache_dir,
+                        "--json"], capsys)
+    assert code == EXIT_OK
+    return json.loads(out)["payload"]
+
+
+BAD_CACHE_LINES = {
+    "list": b"[1, 2]",
+    "string": b'"x"',
+    "number": b"7",
+    "null": b"null",
+    "empty-object": b"{}",
+    "int-key": b'{"key": 5, "record": {}, "hash": "0"}',
+    "int-hash": b'{"key": "k", "record": {}, "hash": 0}',
+    "no-record": b'{"key": "k", "hash": "0"}',
+    "bad-utf8": b"\xff" + b'{"key": "k", "record": {}, "hash": "0"}',
+    "deep-nesting": b"[" * 100_000,
+    "list-key": None,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CACHE_LINES.values(), ids=BAD_CACHE_LINES)
+def test_malformed_cache_line_is_skipped(bad, tmp_path, monkeypatch, capsys):
+    # The cache skips and recomputes every line it cannot trust; the valid
+    # entries around the bad line are still served.
+    fresh = _hasse_payload(str(tmp_path / "fresh"), capsys)
+    cache = tmp_path / "cache"
+    _hasse_payload(str(cache), capsys)
+    path = cache / "hasse-scan.jsonl"
+    valid = path.read_bytes().splitlines()
+    assert len(valid) == 2
+    if bad is None:
+        # A well-formed entry with a correct hash but an unhashable key.
+        record = {"p": 1}
+        bad = json.dumps({"key": ["k"], "record": record, "hash":
+                          ScanCache(None, "x")._digest(["k"], record)}).encode()
+    path.write_bytes(b"\n".join([valid[0], bad, valid[1], b""]))
+
+    def no_recompute(*args):
+        raise AssertionError("a valid cache entry was recomputed")
+
+    monkeypatch.setattr(cli, "hasse_candidate_verdict", no_recompute)
+    assert _hasse_payload(str(cache), capsys) == fresh
+    assert len(ScanCache(str(cache), "hasse-scan").entries) == 2
+
+
+@pytest.mark.parametrize("callee, first, second, seen_first, seen_second", [
+    ("hasse_candidate_verdict", ["hasse-scan", "3", "100", "--assume-parity"],
+     ["hasse-scan", "3", "100"], True, False),
+    ("chebyshev_curve_points", ["cheb", "20", "--scan-cap", "7"],
+     ["cheb", "20"], 7, 40),
+    ("determine_points", ["quartic", "-4", "-3", "1", "--generator", "4,-16"],
+     ["quartic", "-4", "-3", "1"], point(4, -16), None),
+], ids=["assume-parity", "scan-cap", "generator"])
+def test_no_option_carries_over_between_calls(callee, first, second, seen_first,
+                                              seen_second, monkeypatch, capsys):
+    # main reuses one parser; each call must still start from the defaults.
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    seen = []
+    real = getattr(cli, callee)
+
+    def spy(*args, **kwargs):
+        seen.append(args[1] if len(args) > 1 else kwargs["scan_cap"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, callee, spy)
+    run(first, capsys)
+    run(second, capsys)
+    assert (seen[0], seen[-1]) == (seen_first, seen_second)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for argv in (["cheb", "20"], ["descent", "73"], ["cheb", "9", "--json"]):
+            assert run(argv, capsys)[0] == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, expected_code, stream, text", [
+    (["--help"], 0, "out", "usage: symcurves"),
+    (["cheb", "--help"], 0, "out", "--scan-cap"),
+    (["cheb", "x"], 2, "err", "invalid int value"),
+    (["no-such-command"], 2, "err", "invalid choice"),
+])
+def test_reused_parser_prints_to_current_streams(argv, expected_code, stream,
+                                                 text, capsys):
+    # Build the parser while the output goes elsewhere; later usage and
+    # errors must still reach the streams in place when they are printed.
+    cli._parser.cache_clear()
+    elsewhere = io.StringIO()
+    with contextlib.redirect_stdout(elsewhere), contextlib.redirect_stderr(elsewhere):
+        assert main(["cheb", "20"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == expected_code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
+    assert "usage:" not in elsewhere.getvalue()

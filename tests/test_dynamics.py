@@ -275,15 +275,15 @@ def test_solve_cheb_value_boundaries():
             bound = 2 ** -(-abs(t).bit_length() // d) + 3
             table = _cheb_table(d, bound)
             expected = {Fraction(y) for y, v in table.items() if v == t}
-            assert _solve_cheb_value(d, t, small_values) == expected, (d, t)
+            assert _solve_cheb_value(d, t, small_values, ()) == expected, (d, t)
         # T_d >= -2 on the reals for even d.
         if d % 2 == 0:
             for t in (-3, -t3, -41 ** d):
-                assert _solve_cheb_value(d, t, small_values) == set()
+                assert _solve_cheb_value(d, t, small_values, ()) == set()
     # Large roots are found exactly.
     d, y = 3, 10**9 + 7
     small_values = [(v, cheb_eval(d, v)) for v in SMALL_SET]
-    assert _solve_cheb_value(d, y ** 3 - 3 * y, small_values) == {Fraction(y)}
+    assert _solve_cheb_value(d, y ** 3 - 3 * y, small_values, ()) == {Fraction(y)}
 
 
 def test_conjecture_scan_matches_bruteforce():
@@ -298,3 +298,61 @@ def test_conjecture_scan_matches_bruteforce():
             ev = conjecture_scan(d, cap)
             assert ev.inside_points == {p for p in found if set(p) <= small}
             assert ev.exceptional == {p for p in found if not set(p) <= small}
+
+
+def _reference_solve(d, t, small_values):
+    # The two-branch solver that evaluated T_d at every candidate.
+    out = {y for y, v in small_values if v == t}
+    for sign, target in ((1, t), (-1, -t if d % 2 else t)):
+        if target <= 0:
+            continue
+        r = _integer_root(target, d)
+        for y in (r, r + 1):
+            if y >= 3 and cheb_eval(d, y) == target:
+                out.add(sign * y)
+    return out
+
+
+def _reference_scan(d, cap):
+    # The scan that evaluated T_d at x and at -x separately.
+    small = set(SMALL_SET)
+    small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
+    inside, exceptional = set(), set()
+    for x in range(-cap, cap + 1):
+        for y in _reference_solve(d, 1 - cheb_eval(d, x), small_values):
+            (inside if x in small and y in small else exceptional).add((x, y))
+    return inside, exceptional
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 40])
+def test_conjecture_scan_table_matches_reference(cap):
+    # Caps 0 to 3 put the table's edge inside SMALL_SET and the candidates
+    # r, r + 1, where values past the table are evaluated directly.
+    for d in range(3, 81):
+        ev = conjecture_scan(d, cap)
+        assert (ev.inside_points, ev.exceptional) == _reference_scan(d, cap), d
+    # X_d has no point with |y| >= 3 here, so solve values of T_d directly
+    # to read matches from the table and past its end.
+    for d in range(3, 81, 7):
+        table = [cheb_eval(d, x) for x in range(cap + 2)]
+        small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
+        for y in range(cap + 4):
+            v = cheb_eval(d, y)
+            for t in (v, v - 1, v + 1, -v, -v + 1):
+                assert (_solve_cheb_value(d, t, small_values, table)
+                        == _reference_solve(d, t, small_values)), (d, t)
+
+
+def test_conjecture_scan_evaluates_one_table(monkeypatch):
+    calls = []
+
+    def counted(d, x):
+        calls.append(x)
+        return cheb_eval(d, x)
+
+    monkeypatch.setattr(dynamics, "cheb_eval", counted)
+    for cap in (0, 1, 2, 3, 40, 100):
+        for d in (3, 4, 7, 8, 25, 64, 199):
+            calls.clear()
+            conjecture_scan(d, cap)
+            assert len(calls) <= cap + 4, (d, cap, len(calls))
