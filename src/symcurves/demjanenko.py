@@ -5,13 +5,14 @@ certificate for the rational points of the symmetric quartic.
 
 The whole window is covered, but most R = n*G + T are ruled out modulo
 good primes before any exact arithmetic (a Mordell-Weil sieve in the sense
-of Bruin-Stoll, applied to the pull-back).  At an odd prime l = 3 (mod 4)
-of good reduction, a pair (T, n) is skipped when R mod l is affine with
-x(R) != 0 and either -x(R)/4 is a non-residue, or both (+-y(R)/t - 4a')/8
-are non-zero non-residues, where t = (-x(R)/4)^((l+1)/4).  Proof: x(R) is
-then an l-adic unit, so a phi_1-preimage (x, y) of R or of -R would have
-x^2 = -x(R)/4, hence x = +-t mod l, and y^2 = (+-y(R)/x - 4a')/8 would be
-one of those two residues mod l.
+of Bruin-Stoll, applied to the pull-back).  At an odd prime l of good
+reduction, a pair (T, n) is skipped when R mod l is affine with x(R) != 0
+and either -x(R)/4 is a non-residue, or both (+-y(R)/t - 4a')/8 are
+non-zero non-residues, where t is any square root of -x(R)/4 mod l.
+Proof: x(R) is then an l-adic unit, so a phi_1-preimage (x, y) of R or of
+-R would have x^2 = -x(R)/4, hence x = +-t mod l, and y^2 =
+(+-y(R)/x - 4a')/8 would be one of those two residues mod l; the pair of
+residues is the same for R and -R and for either choice of t.
 
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve and non-torsion but does not prove the rank bound.
@@ -42,8 +43,8 @@ CERTIFIED_GAP_FLOOR = 9.62
 # Rank-1 enumerations never search a window smaller than the verified one.
 VERIFIED_WINDOW_FLOOR = 40
 
-# The residue sieve works modulo this many primes l = 3 (mod 4).
-SIEVE_PRIME_COUNT = 12
+# The residue sieve works modulo this many odd primes of good reduction.
+SIEVE_PRIME_COUNT = 24
 
 
 @dataclass
@@ -174,16 +175,15 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
 
 
 def _sieve_primes(E: EllipticCurve) -> list[int]:
-    """The first SIEVE_PRIME_COUNT primes l = 3 (mod 4) dividing neither a
-    coefficient denominator of E (a6 = 0) nor the numerator of its
-    discriminant."""
+    """The first SIEVE_PRIME_COUNT odd primes dividing neither a coefficient
+    denominator of E (a6 = 0) nor the numerator of its discriminant."""
     den = math.lcm(E.a2.denominator, E.a4.denominator)
     disc = E.discriminant().numerator
     primes, ell = [], 3
     while len(primes) < SIEVE_PRIME_COUNT:
         if den % ell and disc % ell and is_prime(ell):
             primes.append(ell)
-        ell += 4
+        ell += 2
     return primes
 
 
@@ -212,19 +212,24 @@ def _add_mod(P, Q, a2: int, a4: int, ell: int):
     return (x3, (lam * (x1 - x3) - y1) % ell)
 
 
-def _no_preimage_mod(R, a: int, ell: int) -> bool:
-    """True when R mod ell (a = a' mod ell) proves that neither R nor -R
-    has a rational phi_1-preimage; see the module docstring."""
+def _square_roots_mod(ell: int) -> dict[int, int]:
+    """{v: t} with t^2 = v mod ell, for every square v mod ell (0 included)."""
+    return {t * t % ell: t for t in range(ell)}
+
+
+def _no_preimage_mod(R, a: int, ell: int, roots: dict[int, int]) -> bool:
+    """True when R mod ell (a = a' mod ell, `roots` the table of
+    `_square_roots_mod(ell)`) proves that neither R nor -R has a rational
+    phi_1-preimage; see the module docstring."""
     if R is None or R[0] == 0:
         return False
     X, Y = R
-    u = -X * pow(4, -1, ell) % ell
-    t = pow(u, (ell + 1) // 4, ell)
-    if t * t % ell != u:
+    t = roots.get(-X * pow(4, -1, ell) % ell)
+    if t is None:
         return True                     # x^2 = -X/4 has no solution mod ell
     yt, inv8 = Y * pow(t, -1, ell), pow(8, -1, ell)
     for v in ((yt - 4 * a) * inv8 % ell, (-yt - 4 * a) * inv8 % ell):
-        if v == 0 or pow(v, (ell - 1) // 2, ell) == 1:
+        if v in roots:
             return False                # y^2 = v is solvable mod ell
     return True
 
@@ -234,7 +239,7 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     n*G + T_i nor its negative has a phi_1-preimage, for 0 <= n <= N.
 
     Raises ValueError unless E is the companion curve of F (so a6 = 0) and
-    every l is a prime = 3 (mod 4) of good reduction for E."""
+    every l is an odd prime of good reduction for E."""
     E, F = inp.E, inp.F
     if E != companion_curve(F):
         raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
@@ -242,15 +247,17 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     disc = E.discriminant().numerator
     alive = [[True] * len(inp.torsion) for _ in range(N + 1)]
     for ell in primes:
-        if ell % 4 != 3 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
-            raise ValueError(f"{ell} is not a prime = 3 (mod 4) of good reduction")
+        if ell == 2 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
+            raise ValueError(f"{ell} is not a prime > 2 of good reduction")
         a2, a4, a = rat_mod(E.a2, ell), rat_mod(E.a4, ell), rat_mod(F.a_eff, ell)
+        roots = _square_roots_mod(ell)
         G = _reduce(inp.generator, ell)
         torsion = [_reduce(T, ell) for T in inp.torsion]
         nG = None
         for row in alive:
             for i, T in enumerate(torsion):
-                if row[i] and _no_preimage_mod(_add_mod(nG, T, a2, a4, ell), a, ell):
+                if row[i] and _no_preimage_mod(_add_mod(nG, T, a2, a4, ell),
+                                               a, ell, roots):
                     row[i] = False
             nG = _add_mod(nG, G, a2, a4, ell)
     return alive
@@ -263,11 +270,11 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
 
     A pair (T, n) with 0 <= n <= N stands for R = n*G + T and -R, which
     covers the window since the torsion is a group.  Pairs that the
-    residue sieve rejects are skipped: modulo a good prime l = 3 (mod 4),
-    x(R) is an l-adic unit and either x^2 = -x(R)/4 or both candidate
-    values of y^2 = (+-y(R)/x - 4a')/8 are unsolvable, so neither R nor -R
-    has a preimage.  Only surviving points are built exactly, each n*G once
-    for all torsion points T."""
+    residue sieve rejects are skipped: modulo an odd good prime l, x(R) is
+    an l-adic unit and either x^2 = -x(R)/4 or both candidate values of
+    y^2 = (+-y(R)/x - 4a')/8 are unsolvable, so neither R nor -R has a
+    preimage.  Only surviving points are built exactly, each n*G once for
+    all torsion points T."""
     E, F = inp.E, inp.F
     points: set[QuarticPoint] = set()
 

@@ -61,8 +61,16 @@ class EllipticCurve:
 
     def __init__(self, a2, a4, a6=0):
         self.a2, self.a4, self.a6 = Fraction(a2), Fraction(a4), Fraction(a6)
-        if self.discriminant() == 0:
+        b2, b4, b6, b8 = self.b_invariants()
+        self._disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if self._disc == 0:
             raise ValueError("singular curve (discriminant 0)")
+        # The equation with denominators cleared, for `contains`: D and the
+        # integers D*a2, D*a4, D*a6.
+        self._D = math.lcm(self.a2.denominator, self.a4.denominator,
+                           self.a6.denominator)
+        self._Da = tuple(int(self._D * c) for c in (self.a2, self.a4, self.a6))
+        self._integral = None       # built on first use by integral_model
 
     def b_invariants(self):
         b2 = 4 * self.a2
@@ -72,16 +80,20 @@ class EllipticCurve:
         return b2, b4, b6, b8
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def rhs(self, x: Fraction) -> Fraction:
-        return ((x + self.a2) * x + self.a4) * x + self.a6
+        return self._disc
 
     def contains(self, P) -> bool:
+        """y^2 = x^3 + a2*x^2 + a4*x + a6 tested in integers: with x = p/q
+        and y = r/s in lowest terms, it reads D*r^2*q^3 =
+        s^2*(D*p^3 + Da2*p^2*q + Da4*p*q^2 + Da6*q^3)."""
         if P is INF:
             return True
-        return P.y * P.y == self.rhs(P.x)
+        p, q = P.x.numerator, P.x.denominator
+        r, s = P.y.numerator, P.y.denominator
+        D, (c2, c4, c6) = self._D, self._Da
+        q2 = q * q
+        return D * r * r * q2 * q == s * s * (((D * p + c2 * q) * p + c4 * q2) * p
+                                              + c6 * q2 * q)
 
     def _require(self, P):
         if P is not INF and not self.contains(P):
@@ -126,14 +138,13 @@ class EllipticCurve:
 
     def integral_model(self):
         """(curve, u) with integer coefficients; points map (x, y) ->
-        (u^2 x, u^3 y).  The canonical height is invariant under this."""
-        dens = [self.a2.denominator, self.a4.denominator, self.a6.denominator]
-        u = 1
-        for d in dens:
-            u = u * d // math.gcd(u, d)
-        if u == 1:
-            return self, 1
-        return EllipticCurve(self.a2 * u * u, self.a4 * u**4, self.a6 * u**6), u
+        (u^2 x, u^3 y).  The canonical height is invariant under this.
+        Built once per curve."""
+        if self._integral is None:
+            u = self._D
+            self._integral = (self, 1) if u == 1 else (
+                EllipticCurve(self.a2 * u * u, self.a4 * u**4, self.a6 * u**6), u)
+        return self._integral
 
     def __repr__(self):
         terms = ["x^3"]
@@ -248,19 +259,25 @@ def torsion_subgroup(E: EllipticCurve) -> list:
     divisibility y^2 | disc on an integral model; each candidate is certified
     by checking its order divides the Mazur cap 12, and the result is closed
     under the group law.
+
+    The Lutz-Nagell search, which factors the discriminant, is skipped when
+    the point-count gcd g of `_torsion_multiple_bound` equals |E[2](Q)| =
+    1 + the number of integer roots of the cubic.  That is a proof: E[2](Q)
+    is a subgroup of E(Q)_tors, whose order divides g, so both have order g
+    and are equal.
     """
     Ei, u = E.integral_model()
     bound = _torsion_multiple_bound(Ei)
     found = {None}  # None stands for INF
     a2, a4, a6 = int(Ei.a2), int(Ei.a4), int(Ei.a6)
-    candidates = set()
-    for r in _integer_roots_monic_cubic(a2, a4, a6):
-        candidates.add((Fraction(r), Fraction(0)))
-    disc = abs(int(Ei.discriminant()))
-    for y in _square_divisors(disc):
-        for x in _integer_roots_monic_cubic(a2, a4, a6 - y * y):
-            candidates.add((Fraction(x), Fraction(y)))
-            candidates.add((Fraction(x), Fraction(-y)))
+    roots = _integer_roots_monic_cubic(a2, a4, a6)
+    candidates = {(Fraction(r), Fraction(0)) for r in roots}
+    if bound != 1 + len(roots):
+        disc = abs(int(Ei.discriminant()))
+        for y in _square_divisors(disc):
+            for x in _integer_roots_monic_cubic(a2, a4, a6 - y * y):
+                candidates.add((Fraction(x), Fraction(y)))
+                candidates.add((Fraction(x), Fraction(-y)))
     for x, y in candidates:
         P = ECPoint(x, y)
         if not Ei.contains(P):
@@ -307,11 +324,20 @@ def naive_height(P) -> float:
 
 
 def is_torsion(E: EllipticCurve, P) -> bool:
+    """Whether P has finite order.  On the integral model (a1 = a3 = 0)
+    every torsion point is integral (Lutz-Nagell), so the first multiple
+    with a non-integral x proves infinite order; otherwise the order is at
+    most the Mazur cap 12."""
     if P is INF:
         return True
+    E._require(P)
+    Ei, u = E.integral_model()
+    P = ECPoint(P.x * u * u, P.y * u**3)
     Q = P
     for _ in range(MAZUR_ORDER_CAP):
-        Q = E.add(Q, P)
+        if Q.x.denominator != 1:
+            return False
+        Q = Ei.add(Q, P)
         if Q is INF:
             return True
     return False
@@ -371,8 +397,9 @@ class _HeightMachine:
         self.c_lower = -math.log(self.m_min) + math.log(self.content_bound)
         # |hhat - h| <= (step bound)/3 from the telescoping series.
         self.step_bound = max(self.c_upper, self.c_lower)
-        self.bad_primes = sorted(factorize(self.content_bound)) \
-            if self.content_bound > 1 else []
+        # Only the primes are used (`height` recounts each exponent), and
+        # factoring cp and cq apart is far cheaper than their product.
+        self.bad_primes = sorted(set(factorize(cp)) | set(factorize(cq)))
 
     def gap_bounds(self):
         """(sup(hhat - h), sup(h - hhat)) over all rational points."""

@@ -46,6 +46,11 @@ class SymQuartic:
         self.alpha = alpha
         if self.disc() == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
+        # The equation with denominators cleared, for `contains`: D and the
+        # integers D*a', D*b'.
+        a, b = self.a_eff, self.b_eff
+        self._D = math.lcm(a.denominator, b.denominator)
+        self._Da, self._Db = int(self._D * a), int(self._D * b)
         self._companion = None      # built on first use by companion_curve
         self._bad_primes = None     # and by localglobal.bad_primes
 
@@ -61,11 +66,15 @@ class SymQuartic:
         a, b = self.a, self.b
         return b * (a * a + 2 * b) * (a * a + 4 * b)
 
-    def lhs(self, x: Fraction, y: Fraction) -> Fraction:
-        return x**4 + self.a_eff * x * x + self.a_eff * y * y + y**4
-
     def contains(self, P: QuarticPoint) -> bool:
-        return self.lhs(P.x, P.y) == self.b_eff
+        """x^4 + a'x^2 + a'y^2 + y^4 = b' tested in integers: with x = p/q
+        and y = r/s in lowest terms, times D*q^4*s^4 the equation reads
+        D*(X^2 + Y^2) + Da'*W*(X + Y) = Db'*W^2, where X = p^2 s^2,
+        Y = r^2 q^2 and W = q^2 s^2."""
+        p, q = P.x.numerator, P.x.denominator
+        r, s = P.y.numerator, P.y.denominator
+        X, Y, W = (p * s) ** 2, (r * q) ** 2, (q * s) ** 2
+        return self._D * (X * X + Y * Y) + self._Da * W * (X + Y) == self._Db * W * W
 
     def _require(self, P: QuarticPoint):
         if not self.contains(P):

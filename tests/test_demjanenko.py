@@ -13,8 +13,10 @@ from symcurves.demjanenko import (
     SIEVE_PRIME_COUNT,
     VERIFIED_WINDOW_FLOOR,
     DemjanenkoInput,
+    _no_preimage_mod,
     _sieve_primes,
     _sieve_survivors,
+    _square_roots_mod,
     build_input,
     determine_points,
     enumerate_and_pull_back,
@@ -196,7 +198,8 @@ def test_phi_gap_matches_appendix_constant():
 # ------------------------------------------------------------ residue sieve
 
 # (a, b, G): X_4 with G = (4, -16), then curves whose companion torsion has
-# order 4, each with G = phi_1(P) for a seeded point P on F_(a, b).
+# order 4, each with G = phi_1(P) for a seeded point P on F_(a, b), then two
+# curves with a' = 0, where primes l = 3 (mod 4) alone reject no odd n*G.
 SIEVE_CURVES = [
     (-4, -3, (4, -16)),
     (Fraction(-1, 2), Fraction(287, 16), (-9, 45)),
@@ -204,6 +207,8 @@ SIEVE_CURVES = [
     (Fraction(-9, 2), Fraction(-49, 8), (-9, 24)),
     (-12, Fraction(-527, 16), (-9, 60)),
     (-8, Fraction(-287, 16), (-25, 60)),
+    (0, 2, (-4, 8)),
+    (0, 1312, (-144, -192)),
 ]
 
 
@@ -252,6 +257,10 @@ def test_sieve_rejections_have_no_preimage(case):
     rejected = [(i, n) for n, row in enumerate(alive)
                 for i, survives in enumerate(row) if not survives]
     assert rejected  # the sieve does work on every curve of the corpus
+    if inp.F.a_eff == 0:
+        # Some odd n*G is not built at all: the sieve rejects n*G + T for
+        # every torsion point T.
+        assert any(n % 2 and not any(row) for n, row in enumerate(alive))
     for key in rejected:
         assert preimages[key] == set(), key
     assert all(alive[n][i] for (i, n), found in preimages.items() if found)
@@ -262,7 +271,7 @@ def test_sieve_primes_are_the_first_good_primes():
         E = _sieve_input(case).E
         disc = E.discriminant()
         dens = (E.a2.denominator, E.a4.denominator)
-        expected = [ell for ell in range(3, 400, 4)
+        expected = [ell for ell in range(3, 400, 2)
                     if all(ell % q for q in range(2, ell))
                     and all(d % ell for d in dens) and disc.numerator % ell]
         assert _sieve_primes(E) == expected[:SIEVE_PRIME_COUNT]
@@ -273,10 +282,12 @@ def test_sieve_preconditions_raise():
     # primes of bad reduction.
     inp = _sieve_input(2)
     assert inp.E.discriminant().numerator % 21 == 0
-    for primes in ([3], [7], [11, 7], [5], [15]):
+    for primes in ([2], [3], [7], [11, 7], [9], [15]):
         with pytest.raises(ValueError):
             _sieve_survivors(inp, 4, primes)
+    # Good primes of both classes mod 4 are valid.
     assert _sieve_survivors(inp, 4, [11, 19])[0][0]
+    assert _sieve_survivors(inp, 4, [5, 13, 11])[0][0]
     # The sieve is sound only on the companion curve of F, where a6 = 0.
     x4 = _sieve_input(0)
     for E in (EllipticCurve(16, -16, 1), EllipticCurve(16, -15, 0)):
@@ -303,3 +314,30 @@ def test_sieve_preconditions_survive_python_O():
                            env=dict(os.environ, PYTHONPATH=src))
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith("refused: 7 is not a prime")
+
+
+@pytest.mark.parametrize("case", [0, 1, 6])
+def test_no_preimage_mod_is_the_lemma_at_every_small_prime(case):
+    # For every odd good l < 60, of both classes mod 4, and every affine
+    # point (X, Y) of E(F_l): the test rejects exactly when X != 0 and no
+    # (x, y) in F_l^2 with x != 0 has -4x^2 = X and x(8y^2 + 4a') = +-Y.
+    inp = _sieve_input(case)
+    E, F = inp.E, inp.F
+    den = math.lcm(E.a2.denominator, E.a4.denominator)
+    disc = E.discriminant().numerator
+    primes = [ell for ell in range(3, 60, 2)
+              if all(ell % q for q in range(2, ell)) and den % ell and disc % ell]
+    assert {ell % 4 for ell in primes} == {1, 3}
+    for ell in primes:
+        a2, a4, a = (q.numerator * pow(q.denominator, -1, ell) % ell
+                     for q in (E.a2, E.a4, F.a_eff))
+        images = {(-4 * x * x % ell, x * (8 * y * y + 4 * a) % ell)
+                  for x in range(1, ell) for y in range(ell)}
+        roots = _square_roots_mod(ell)
+        for X in range(ell):
+            for Y in range(ell):
+                if (Y * Y - ((X + a2) * X + a4) * X) % ell:
+                    continue
+                hit = (X, Y) in images or (X, -Y % ell) in images
+                rejected = _no_preimage_mod((X, Y), a, ell, roots)
+                assert rejected == (X != 0 and not hit), (ell, X, Y)

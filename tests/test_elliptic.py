@@ -15,12 +15,15 @@ from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.elliptic import (
     HEIGHT_MACHINE_MEMO,
     INF,
+    MAZUR_ORDER_CAP,
+    ECPoint,
     EllipticCurve,
     _bezout_data,
     _duplication_forms,
     _eval_homog,
     _height_machine,
     _integer_roots_monic_cubic,
+    _machine_for,
     _square_divisors,
     canonical_height,
     canonical_height_doubling,
@@ -59,6 +62,46 @@ def test_group_law_examples():
 def test_off_curve_rejected():
     with pytest.raises(ValueError):
         Y_CURVE.add(point(1, 2), T2)
+
+
+def fraction_contains(E, P):
+    """The on-curve test in Fraction arithmetic, as `contains` was written
+    before it cleared denominators: the reference for it."""
+    return P is INF or P.y * P.y == ((P.x + E.a2) * P.x + E.a4) * P.x + E.a6
+
+
+def _rand_q(rng, num, den):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def test_contains_matches_fraction_reference():
+    # Random curves with fractional coefficients, each through a random
+    # point P; tested on P, -P, 2P, P + P' and perturbed points off the curve.
+    rng = random.Random(2026)
+    verdicts = []
+    while len(verdicts) < 3000:
+        a2, a4 = _rand_q(rng, 30, 12), _rand_q(rng, 30, 12)
+        x, y = _rand_q(rng, 40, 9), _rand_q(rng, 40, 9)
+        a6 = y * y - ((x + a2) * x + a4) * x
+        if rng.random() < 0.2:
+            a6 = 0                  # the shape of every companion curve
+        try:
+            E = EllipticCurve(a2, a4, a6)
+        except ValueError:
+            continue
+        P = ECPoint(x, y)
+        tests = [P, ECPoint(x, -y), ECPoint(x, y + _rand_q(rng, 3, 5)),
+                 ECPoint(x + Fraction(1, rng.randint(1, 9)), y),
+                 ECPoint(y, x), ECPoint(x / 4, y / 8), ECPoint(-x, y)]
+        if fraction_contains(E, P):
+            twoP = E.add(P, P)
+            tests += [twoP]
+            if twoP is not INF and twoP != P:
+                tests += [E.add(twoP, P)]
+        for Q in tests:
+            verdicts.append(E.contains(Q))
+            assert verdicts[-1] == fraction_contains(E, Q), (E, Q)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
 
 
 def test_negation_and_inverse():
@@ -267,6 +310,111 @@ def test_torsion_of_family_examples(ab, expected):
     tor = torsion_subgroup(companion_curve(SymQuartic(*ab, 1)))
     assert tor[0] is INF
     assert [(P.x, P.y) for P in tor[1:]] == [(Fraction(x), Fraction(y)) for x, y in expected]
+
+
+def lutz_nagell_torsion(E):
+    """`torsion_subgroup` without the point-count shortcut: every integral
+    (x, y) with y = 0 or y^2 | disc on the integral model whose order is at
+    most the Mazur cap.  The reference for the shortcut."""
+    Ei, u = E.integral_model()
+    a2, a4, a6 = int(Ei.a2), int(Ei.a4), int(Ei.a6)
+    candidates = {(x, 0) for x in _integer_roots_monic_cubic(a2, a4, a6)}
+    for y in _square_divisors(abs(int(Ei.discriminant()))):
+        for x in _integer_roots_monic_cubic(a2, a4, a6 - y * y):
+            candidates |= {(x, y), (x, -y)}
+    found = []
+    for x, y in sorted(candidates):
+        P = Q = point(x, y)
+        for _ in range(MAZUR_ORDER_CAP):
+            Q = Ei.add(Q, P)
+            if Q is INF:
+                found.append(P)
+                break
+    return [INF] + [ECPoint(P.x / u**2, P.y / u**3) for P in found]
+
+
+FAMILY_BOX = [(a, b) for a in range(-12, 13) for b in range(-30, 31)
+              if b * (a * a + 2 * b) * (a * a + 4 * b) != 0]
+
+
+def test_torsion_matches_lutz_nagell_on_the_family_box():
+    # The companion curves of F_(a, b) for integral |a| <= 12, |b| <= 30.
+    assert len(FAMILY_BOX) == 1484
+    larger = 0
+    for a, b in FAMILY_BOX:
+        E = companion_curve(SymQuartic(a, b, 1))
+        tor = torsion_subgroup(E)
+        assert tor == lutz_nagell_torsion(E), (a, b)
+        larger += len(tor) > 1 + sum(P.y == 0 for P in tor[1:])
+    assert larger > 0           # some torsion is not E[2](Q)
+
+
+def test_torsion_shortcut_does_not_factor_the_discriminant(monkeypatch):
+    calls = []
+    real = exact.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    x4 = companion_curve(SymQuartic(-4, -3, 1))
+    E = companion_curve(SymQuartic(-6, -6, 1))
+    monkeypatch.setattr(exact, "factorize", counting)
+    monkeypatch.setattr(elliptic, "factorize", counting)
+    # X_4's companion curve: the point-count gcd is 2 = |E[2](Q)|.
+    assert len(torsion_subgroup(x4)) == 2
+    assert calls == []
+    # Torsion Z/6 exceeds E[2](Q), so the Lutz-Nagell search runs.
+    assert len(torsion_subgroup(E)) == 6
+    assert calls == [abs(int(E.integral_model()[0].discriminant()))]
+
+
+def test_is_torsion_matches_the_mazur_loop():
+    # The early exit at a non-integral multiple against all twelve steps.
+    def reference(E, P):
+        Q = P
+        for _ in range(MAZUR_ORDER_CAP):
+            Q = E.add(Q, P)
+            if Q is INF:
+                return True
+        return False
+
+    # Companion curves of F_(a, b) with G = phi_1(P) of infinite order and
+    # torsion up to order 4, curves with torsion Z/6 and Z/2 x Z/4 and no
+    # generator, and two curves with non-integral coefficients: X_4's
+    # companion scaled by u = 2, and the Z/6 curve scaled by u = 3, whose
+    # torsion points are not integral on that model.
+    def companion(a, b):
+        return companion_curve(SymQuartic(a, b, 1))
+
+    cases = [(companion(-4, -3), (4, -16)),
+             (companion(Fraction(-1, 2), Fraction(287, 16)), (-9, 45)),
+             (companion(-8, -23), (-16, 48)),
+             (companion(Fraction(-9, 2), Fraction(-49, 8)), (-9, 24)),
+             (companion(0, 2), (-4, 8)),
+             (companion(-6, -6), None), (companion(-2, 2), None),
+             (EllipticCurve(4, -1, 0), (1, -2)),
+             (EllipticCurve(Fraction(8, 3), Fraction(-16, 27), 0), None)]
+    checked = 0
+    for E, gen in cases:
+        pool = torsion_subgroup(E)[1:]
+        if gen:
+            pool += [E.add(E.scalar_mul(n, point(*gen)), T)
+                     for n in range(1, 5) for T in [INF] + pool]
+        for P in pool:
+            assert is_torsion(E, P) == reference(E, P), (E, P)
+            checked += 1
+    assert checked > 60
+
+
+def test_height_machine_bad_primes_are_those_of_the_content_bound():
+    from test_heights_golden import CORPUS
+
+    assert len(CORPUS) == 37
+    for a, b, alpha, _ in CORPUS:
+        m = _machine_for(companion_curve(SymQuartic(Fraction(a), Fraction(b),
+                                                    int(alpha))))
+        assert m.bad_primes == sorted(factorize(m.cp * m.cq)), (a, b, alpha)
 
 
 def test_naive_height():

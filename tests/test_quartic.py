@@ -90,6 +90,47 @@ def test_phi_lands_on_companion_exactly():
         assert E.contains(phi(2, P, F))
 
 
+def fraction_contains(F, P):
+    """The on-curve test in Fraction arithmetic, as `contains` was written
+    before it cleared denominators: the reference for it."""
+    x, y, a = P.x, P.y, F.a_eff
+    return x**4 + a * x * x + a * y * y + y**4 == F.b_eff
+
+
+def test_contains_matches_fraction_reference():
+    # Random twists F_(a, b) by alpha through a random point P, with b
+    # back-solved from P; tested on the images of P under signs and the swap,
+    # on perturbed points off F, and on phi_1(P) and its perturbations
+    # against the Fraction test of the companion curve.
+    rng = random.Random(2027)
+    verdicts = []
+    while len(verdicts) < 3000:
+        x = Fraction(rng.randint(-15, 15), rng.randint(1, 8))
+        y = Fraction(rng.randint(-15, 15), rng.randint(1, 8))
+        a = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        alpha = rng.choice((1, 1, -1, 2, -3, 5, 6, -7, 10, -15))
+        a_eff = alpha * a
+        b = (x**4 + a_eff * x * x + a_eff * y * y + y**4) / alpha**2
+        try:
+            F = SymQuartic(a, b, alpha)
+        except ValueError:
+            continue
+        P = qpoint(x, y)
+        tests = [P, P.swap(), qpoint(-x, y), qpoint(x, -y),
+                 qpoint(x + Fraction(1, rng.randint(1, 9)), y),
+                 qpoint(x, y * rng.randint(2, 4)), qpoint(x / 2, 2 * y)]
+        for Q in tests:
+            verdicts.append(F.contains(Q))
+            assert verdicts[-1] == fraction_contains(F, Q), (F, Q)
+        E = companion_curve(F)
+        img = phi(1, P, F)
+        for R in (img, E.neg(img), point(img.x, img.y + 1), point(img.x / 9, img.y)):
+            verdicts.append(E.contains(R))
+            rhs = (R.x * R.x + E.a2 * R.x + E.a4) * R.x       # a6 = 0
+            assert verdicts[-1] == (R.y * R.y == rhs), (E, R)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
 def test_phi_equivariance():
     rng = random.Random(13)
     for _ in range(30):
