@@ -230,14 +230,25 @@ def _relevant_places(spaces: list[HomSpace]) -> list:
     """All places where some space could fail: the real place, 2, and the
     odd primes of bad reduction.  The quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4
     has discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime
-    away from it the space is a smooth genus-1 curve, hence solvable."""
+    away from it the space is a smooth genus-1 curve, hence solvable.
+
+    The values |c4|, |d| and |c2^2 - 4 d^2 c4| share most of their primes.
+    Taken in increasing order, each value is divided by every prime already
+    found before it is factored: its primes are the primes of the cofactor
+    together with known ones, so the union is the same for any list of
+    spaces, and only a cofactor other than 1 is factored."""
     values = set()
     for C in spaces:
         tail = C.c2 * C.c2 - 4 * C.d * C.d * C.c4
         values |= {abs(C.c4), abs(C.d)} | ({abs(tail)} if tail else set())
     primes = {2}
-    for n in values:
-        primes |= set(factorize(n))
+    for n in sorted(values):
+        if n:   # a zero value goes on to factorize, which rejects it
+            for q in primes:
+                while n % q == 0:
+                    n //= q
+        if n != 1:
+            primes |= set(factorize(n))
     return ["real"] + sorted(primes)
 
 

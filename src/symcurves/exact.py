@@ -14,8 +14,8 @@ import math
 import random
 from fractions import Fraction
 
-# Witnesses proving deterministic Miller-Rabin for all n < 3.3 * 10^24,
-# which covers every 64-bit input.
+# Witnesses proving deterministic Miller-Rabin for all n < psi_12 ~ 3.187 * 10^23
+# (Sorenson and Webster, Math. Comp. 86 (2017)), which covers every 64-bit input.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_LARGE = 40
 
@@ -43,7 +43,19 @@ def require(cond, msg: str) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 2^64."""
+    """Whether the int n is prime.  n below 10,000 (the trial-division bound
+    of `factorize`) is answered from the sieve table; from there on by
+    Miller-Rabin, deterministic below 2^64.  Any other type raises TypeError."""
+    if not isinstance(n, int):
+        raise TypeError(f"is_prime needs an int, not {type(n).__name__}")
+    if n < _SIEVE_LIMIT:
+        return n > 1 and _SIEVE[n] == 1
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    # Trial division by _SMALL_PRIMES, then Miller-Rabin: answers any int,
+    # deterministically below 2^64.
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -106,18 +118,21 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
-    # Sieve of Eratosthenes.
+def _sieve(n: int) -> bytearray:
+    # Sieve of Eratosthenes: entry i is 1 iff i is prime, for 0 <= i < n.
     sieve = bytearray([1]) * n
     sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return tuple(i for i in range(n) if sieve[i])
+    return sieve
 
 
-# Trial divisors of `factorize`; cofactors past them go to Pollard rho.
-_TRIAL_PRIMES = _primes_below(10_000)
+# The primality table of `is_prime` and the trial divisors of `factorize`;
+# cofactors past them go to Pollard rho.
+_SIEVE_LIMIT = 10_000
+_SIEVE = _sieve(_SIEVE_LIMIT)
+_TRIAL_PRIMES = tuple(i for i, flag in enumerate(_SIEVE) if flag)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -46,6 +46,9 @@ class SymQuartic:
         self.alpha = alpha
         if self.disc() == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
+        # a' and b', computed once: a, b and alpha are never reassigned.
+        self.a_eff = alpha * self.a
+        self.b_eff = alpha * alpha * self.b
         # The equation with denominators cleared, for `contains`: D and the
         # integers D*a', D*b'.
         a, b = self.a_eff, self.b_eff
@@ -53,14 +56,6 @@ class SymQuartic:
         self._Da, self._Db = int(self._D * a), int(self._D * b)
         self._companion = None      # built on first use by companion_curve
         self._bad_primes = None     # and by localglobal.bad_primes
-
-    @property
-    def a_eff(self) -> Fraction:
-        return self.alpha * self.a
-
-    @property
-    def b_eff(self) -> Fraction:
-        return self.alpha * self.alpha * self.b
 
     def disc(self) -> Fraction:
         a, b = self.a, self.b

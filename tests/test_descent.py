@@ -484,7 +484,52 @@ def test_relevant_places_factors_each_value_once(monkeypatch):
         for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
             factored.clear()
             assert _relevant_places(spaces) == ["real", 2, p]
-            assert len(factored) == len(set(factored)) == 9
+            # Values are stripped of known primes in increasing order: |d| = p
+            # is the only one left with a cofactor > 1.
+            assert len(factored) == len(set(factored)) == 1
+
+
+def _reference_places(spaces):
+    # {2} and the primes of every value |c4|, |d|, |c2^2 - 4 d^2 c4| != 0,
+    # each factored on its own.
+    primes = {2}
+    for C in spaces:
+        tail = C.c2 * C.c2 - 4 * C.d * C.d * C.c4
+        for n in (C.c4, C.d) + ((tail,) if tail else ()):
+            primes |= set(factorize(n))
+    return ["real"] + sorted(primes)
+
+
+def test_relevant_places_match_per_value_factoring():
+    rng = random.Random(13)
+    pairs = 0
+    while pairs < 320:
+        a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+        if b * (a * a - 4 * b) == 0:
+            continue
+        pairs += 1
+        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
+            assert _relevant_places(spaces) == _reference_places(spaces), (a, b)
+    # Lists of unrelated random spaces, in either order, and a hand-built
+    # mix of family, non-family and single spaces.
+    rng = random.Random(14)
+    for _ in range(200):
+        spaces = [HomSpace(rng.choice([-1, 1]) * rng.randint(1, 3000),
+                           rng.randint(-10**6, 10**6),
+                           rng.choice([-1, 1]) * rng.randint(1, 10**7))
+                  for _ in range(rng.randint(1, 5))]
+        assert _relevant_places(spaces) == _reference_places(spaces)
+        assert _relevant_places(spaces[::-1]) == _reference_places(spaces)
+    mixed = (isogeny_spaces(4 * 73, 2 * 73 * 73) + dual_isogeny_spaces(7, 3)
+             + [HomSpace(1, 0, 10007 * 65537), HomSpace(-3, 2, 9973**2),
+                HomSpace(1, 2, 1)])     # tail 2^2 - 4 = 0 is left out
+    assert _relevant_places(mixed) == _reference_places(mixed)
+
+
+def test_relevant_places_reject_a_zero_value():
+    for C in (HomSpace(0, 3, 5), HomSpace(3, 1, 0)):
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            _relevant_places(isogeny_spaces(20, 50) + [C])
 
 
 def test_zl_branch_ell_divides_c():

@@ -8,6 +8,7 @@ from symcurves import exact
 from symcurves.exact import (
     _ROOT_SCAN_LIMIT,
     IntPoly,
+    _miller_rabin,
     _pollard_rho,
     _polymod_pow,
     _sqrt_mod_p,
@@ -40,6 +41,22 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
     assert is_prime(577)  # squarefree example prime
+
+
+def test_is_prime_table_matches_miller_rabin():
+    # Below 10,000 is_prime reads the sieve table, from there on it runs
+    # Miller-Rabin: both agree with Miller-Rabin across the boundary.
+    for n in range(-5, 10_200):
+        assert is_prime(n) == _miller_rabin(n), n
+    assert is_prime(9973) and is_prime(10007)
+    assert not any(is_prime(n) for n in range(9974, 10007))
+
+
+def test_is_prime_rejects_non_int():
+    for n in (7.0, 9973.0, Fraction(7), "7", None):
+        with pytest.raises(TypeError, match="is_prime needs an int"):
+            is_prime(n)
+    assert is_prime(True) is False      # bool is an int
 
 
 def test_factorize_roundtrip():
