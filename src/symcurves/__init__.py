@@ -5,7 +5,7 @@ elliptic heights, and quadratic orbit dynamics."""
 
 __version__ = "0.1.0"
 
-from .chebyshev import ChebPoly, cheb, cheb_eval, growth_floor, special_values
+from .chebyshev import ChebPoly, cheb, cheb_eval, special_values
 from .demjanenko import (
     DemjanenkoInput,
     PointCertificate,
@@ -64,16 +64,11 @@ from .localglobal import (
     special_place_checks,
 )
 from .quartic import (
-    HigherSym,
     QuarticPoint,
     SymQuartic,
     companion_curve,
-    height_sandwich_check,
-    higher_membership,
-    infinity_points,
     kappa,
     phi,
     phi_preimages,
-    phi_sum_x_closed_form,
     qpoint,
 )

@@ -91,16 +91,3 @@ def special_values(d: int) -> dict[int, int]:
     if d % 2 == 1:
         return {v: v for v in (0, 1, -1, 2, -2)}
     return {0: 2 if d % 4 == 0 else -2, 1: -1, -1: -1, 2: 2, -2: 2}
-
-
-def growth_floor(d: int, x) -> bool:
-    """Verify |T_d(x)| >= 7 for |x| >= 3, d >= 2, by direct evaluation.
-
-    This is the bound that confines integral points on Chebyshev curves to
-    {0, +-1, +-2}: |T_2(3)| = 7 and |T_n| is monotone in n for |x| >= 2.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if abs(x) < 3:
-        raise ValueError("growth floor applies to |x| >= 3 only")
-    return abs(cheb_eval(d, x)) >= 7

@@ -145,6 +145,7 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     """
     if d < 3:
         raise ValueError("d must be >= 3")
+    _require_cap(scan_cap)
     if d % 3 == 0:
         pts, bound, window = set(), 0, 0
         conditions = ("imported certificate: the degree-3 curve has "
@@ -238,6 +239,12 @@ def _solve_cheb_value(d: int, t: int, small_values, table) -> set[int]:
     return out
 
 
+def _require_cap(cap: int):
+    # A negative cap scans no x, so a guard built on it would check nothing.
+    if cap < 0:
+        raise ValueError(f"scan cap must be >= 0, got {cap}")
+
+
 def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     """Exhaustive scan for the rational points of X_d whose x is an integer
     of absolute value at most the cap, solving for y exactly; the points are
@@ -251,6 +258,7 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     """
     if d < 3:
         raise ValueError("d must be >= 3")
+    _require_cap(cap)
     ev = ScanEvidence(d, cap)
     small = set(SMALL_SET)
     table = [cheb_eval(d, x) for x in range(cap + 2)]

@@ -16,14 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import IntPoly, bezout, factorize, is_prime, log_abs, require
 
 MAZUR_ORDER_CAP = 12
-# Curves whose height data `_height_machine` keeps, least recently used
-# out first; determining the points of one quartic uses a single curve.
-HEIGHT_MACHINE_MEMO = 64
 
 
 class Infinity:
@@ -71,6 +67,7 @@ class EllipticCurve:
                            self.a6.denominator)
         self._Da = tuple(int(self._D * c) for c in (self.a2, self.a4, self.a6))
         self._integral = None       # built on first use by integral_model
+        self._heights = None        # and by _machine_for
 
     def b_invariants(self):
         b2 = 4 * self.a2
@@ -257,7 +254,7 @@ def torsion_subgroup(E: EllipticCurve) -> list:
 
     Candidates come from y = 0 (rational 2-torsion) and from the Lutz-Nagell
     divisibility y^2 | disc on an integral model; each candidate is certified
-    by checking its order divides the Mazur cap 12, and the result is closed
+    by `is_torsion` (order at most the Mazur cap 12), and the result is closed
     under the group law.
 
     The Lutz-Nagell search, which factors the discriminant, is skipped when
@@ -280,18 +277,7 @@ def torsion_subgroup(E: EllipticCurve) -> list:
                 candidates.add((Fraction(x), Fraction(-y)))
     for x, y in candidates:
         P = ECPoint(x, y)
-        if not Ei.contains(P):
-            continue
-        Q, order = P, None
-        for n in range(1, MAZUR_ORDER_CAP + 1):
-            if Q is INF:
-                order = n - 1
-                break
-            Q = Ei.add(Q, P)
-        else:
-            if Q is INF:
-                order = MAZUR_ORDER_CAP
-        if order:
+        if Ei.contains(P) and is_torsion(Ei, P):
             found.add((P.x, P.y))
     # Close under the group law (redundant for Lutz-Nagell candidates, cheap).
     pts = [INF] + [ECPoint(x, y) for (x, y) in sorted(p for p in found if p)]
@@ -368,21 +354,18 @@ def _bezout_data(E: EllipticCurve):
     return at_q + at_p
 
 
-@lru_cache(maxsize=HEIGHT_MACHINE_MEMO)
-def _height_machine(key):
-    return _HeightMachine(EllipticCurve(*key))
-
-
 def _machine_for(E: EllipticCurve):
+    """The height data of E, built once and kept on its integral model."""
     Ei, u = E.integral_model()
-    return _height_machine((Ei.a2, Ei.a4, Ei.a6))
+    if Ei._heights is None:
+        Ei._heights = _HeightMachine(Ei)
+    return Ei._heights
 
 
 class _HeightMachine:
     """Per-curve data for canonical height computation (integral model)."""
 
     def __init__(self, E: EllipticCurve):
-        self.E = E
         self.N, self.D = _duplication_forms(E)
         cq, U, V, cp, Ur, Vr = _bezout_data(E)
         self.cq, self.cp = cq, cp
@@ -504,10 +487,15 @@ def height_difference_bound(E: EllipticCurve) -> float:
     return max(height_gap_bounds(E))
 
 
+def _require_tol(tol: float):
+    # NaN fails both comparisons.
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def canonical_height(E: EllipticCurve, P, tol: float = 1e-10) -> float:
     """hhat(P) = lim 4^-n h(x(2^n P)) to within tol; exactly 0 on torsion."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     E._require(P)
     if is_torsion(E, P):
         return 0.0
@@ -518,8 +506,7 @@ def _nontorsion_height(E: EllipticCurve, P, tol: float) -> float:
     """hhat(P) to within tol for a point the caller has already checked to
     lie on E and to have infinite order (`canonical_height` without those
     two checks)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     Ei, u = E.integral_model()
     x = P.x * u * u
     return _machine_for(E).height(x.numerator, x.denominator, tol)
@@ -530,8 +517,7 @@ def canonical_height_doubling(E: EllipticCurve, P, tol: float = 1e-2) -> float:
     and return 4^-n h(x(2^n P)) once the telescoping tail (step bound / 3 *
     4^-n) is below tol.  Feasible only for loose tolerances; the fast path
     in `canonical_height` computes the same limit."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     E._require(P)
     if is_torsion(E, P):
         return 0.0

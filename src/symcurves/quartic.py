@@ -1,7 +1,6 @@
 """The symmetric quartic family x^4 + a*x^2 + a*y^2 + y^4 = b, its quadratic
 twists, the two covering maps to the companion elliptic curve, exact preimage
-solving, the local height constant kappa, and the higher-degree symmetric
-family with its hyperelliptic membership identity.
+solving, and the local height constant kappa.
 """
 
 from __future__ import annotations
@@ -177,91 +176,3 @@ def kappa(a, b) -> Fraction:
         total *= max(Fraction(p) ** -p_valuation(t, p)
                      for t in terms if t != 0)
     return total
-
-
-def projective_height(P: QuarticPoint) -> int:
-    """H([x, y, 1]) = max abs of the coprime integer coordinates."""
-    den = (P.x.denominator * P.y.denominator
-           // math.gcd(P.x.denominator, P.y.denominator))
-    xs = P.x.numerator * (den // P.x.denominator)
-    ys = P.y.numerator * (den // P.y.denominator)
-    g = math.gcd(math.gcd(abs(xs), abs(ys)), den)
-    return max(abs(xs) // g, abs(ys) // g, den // g)
-
-
-def height_sandwich_check(P: QuarticPoint, F: SymQuartic) -> bool:
-    """Exact check of H_F^2 / (12*kappa) <= H(x(phi_i(P))) <= 24*H_F^2 for
-    both covering maps (the multiplicative form of the height sandwich)."""
-    F._require(P)
-    k = kappa(F.a_eff, F.b_eff)
-    hf = projective_height(P)
-    for i in (1, 2):
-        img = phi(i, P, F)
-        if img is INF or img.x == 0:
-            he = 1
-        else:
-            he = max(abs(img.x.numerator), img.x.denominator)
-        if not (Fraction(hf * hf) / (12 * k) <= he <= 24 * hf * hf):
-            return False
-    return True
-
-
-def phi_sum_x_closed_form(P: QuarticPoint, F: SymQuartic):
-    """x(phi_1(P) + phi_2(P)) via the closed form
-
-        ((2xy)^2 + (2x+2y)^2 (x^2+y^2) + 4a(x^2+xy+y^2) + a^2)
-        / (x+y)^2,
-
-    at z = 1; returns the string "infinity" at the pole x + y = 0."""
-    F._require(P)
-    x, y, a = P.x, P.y, F.a_eff
-    if x + y == 0:
-        return "infinity"
-    num = ((2 * x * y) ** 2 + (2 * x + 2 * y) ** 2 * (x * x + y * y)
-           + 4 * a * (x * x + x * y + y * y) + a * a)
-    return num / (x + y) ** 2
-
-
-@dataclass(frozen=True)
-class HigherSym:
-    """C: X^2m + aX^m + aY^m + Y^2m = b with its companion hyperelliptic
-    curve B: y^2 = -x^2m - ax^m + (a^2/4 + b), for odd m >= 3."""
-
-    m: int
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if self.m < 3 or self.m % 2 == 0:
-            raise ValueError("m must be an odd integer >= 3")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    def on_c(self, x: Fraction, y: Fraction) -> bool:
-        m = self.m
-        return x**(2 * m) + self.a * x**m + self.a * y**m + y**(2 * m) == self.b
-
-    def on_b(self, x: Fraction, y: Fraction) -> bool:
-        m = self.m
-        return y * y == -(x**(2 * m)) - self.a * x**m + (self.a * self.a / 4 + self.b)
-
-
-def higher_membership(H: HigherSym, x, y) -> bool:
-    """For (x, y) on C, check that (x, y^m + a/2) and (y, x^m + a/2) lie on
-    B — the identity that makes both covering maps land in the Jacobian."""
-    x, y = Fraction(x), Fraction(y)
-    if not H.on_c(x, y):
-        raise ValueError("point is not on the higher symmetric curve")
-    return (H.on_b(x, y**H.m + H.a / 2)
-            and H.on_b(y, x**H.m + H.a / 2))
-
-
-def infinity_points(H: HigherSym) -> dict:
-    """Rational points at infinity of C: classes [1, zeta, 0] with
-    zeta^2m = -1, which never has rational solutions."""
-    has_rational = any(Fraction(z) ** (2 * H.m) == -1 for z in (1, -1))
-    return {
-        "classes": "[1, zeta, 0] with zeta^(2m) + 1 = 0",
-        "rational": has_rational,
-        "note": "no rational point at infinity (x^(2m) = -1 has no real root)",
-    }

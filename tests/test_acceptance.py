@@ -33,12 +33,8 @@ from symcurves.elliptic import (
 )
 from symcurves.exact import IntPoly, is_prime
 from symcurves.localglobal import everywhere_locally_solvable
-from symcurves.quartic import (
-    SymQuartic,
-    height_sandwich_check,
-    kappa,
-    qpoint,
-)
+from symcurves.quartic import SymQuartic, kappa, qpoint
+from test_quartic import height_sandwich_check
 
 TWELVE = {(Fraction(x), Fraction(y)) for x, y in [
     (0, 1), (0, -1), (2, 1), (2, -1), (-2, 1), (-2, -1),

@@ -7,7 +7,6 @@ from symcurves.chebyshev import (
     ChebPoly,
     cheb,
     cheb_eval,
-    growth_floor,
     special_values,
 )
 from symcurves.exact import IntPoly
@@ -102,13 +101,13 @@ def test_special_values_match_evaluation():
 
 
 def test_growth_floor():
-    assert growth_floor(2, Fraction(3))
+    # |T_d(x)| >= 7 for |x| >= 3 and d >= 2: the bound that confines the
+    # integral points `dynamics.integral_pullback` looks for to {0, +-1, +-2}.
     assert cheb_eval(2, Fraction(3)) == 7
-    assert growth_floor(5, Fraction(3))
     assert cheb_eval(5, Fraction(3)) == 123
-    assert growth_floor(2, Fraction(-3))
-    with pytest.raises(ValueError):
-        growth_floor(4, Fraction(2))
+    for d in range(2, 41):
+        for x in range(3, 31):
+            assert abs(cheb_eval(d, x)) >= 7 and abs(cheb_eval(d, -x)) >= 7, (d, x)
 
 
 def test_large_degree_paths_agree():

@@ -97,6 +97,32 @@ def test_cheb_precondition(capsys):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_cheb_negative_scan_cap_is_a_precondition(d, capsys):
+    # A negative cap scans no x: the guard of d = 8 and 9 and the evidence
+    # of d = 7 would rest on nothing.
+    code, out, err = run(["cheb", str(d), "--scan-cap", "-3"], capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == "error: scan cap must be >= 0, got -3\n"
+    code, out, _ = run(["cheb", str(d), "--scan-cap", "0", "--json"], capsys)
+    env = json.loads(out)
+    assert (code, env["payload"]["count"]) == {7: (EXIT_UNDETERMINED, 1),
+                                               8: (EXIT_OK, 12),
+                                               9: (EXIT_OK, 0)}[d]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+@pytest.mark.parametrize("argv", [
+    ["quartic", "--generator", "4,-16"],
+    ["heights", "--point", "4,-16"],
+], ids=["quartic", "heights"])
+def test_non_finite_or_non_positive_tol_is_a_precondition(argv, tol, capsys):
+    code, out, err = run(argv + [f"--tol={tol}", "--", "-4", "-3", "1"], capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error: tol must be positive and finite, got ")
+
+
 def test_descent_command(capsys):
     code, out, _ = run(["descent", "73", "--json"], capsys)
     assert code == EXIT_OK

@@ -115,7 +115,8 @@ def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
     monkeypatch.setattr(elliptic, "is_torsion", counting)
     monkeypatch.setattr(demjanenko, "is_torsion", counting)
     inp = build_input(X4, G, 1, tol=1e-8)
-    assert seen == [G]
+    # torsion_subgroup tests its own candidates, here (0, 0), the same way.
+    assert seen.count(G) == 1
     assert inp.hhat_G == elliptic.canonical_height(inp.E, G, 1e-8)
     with pytest.raises(ValueError, match="tol must be positive"):
         build_input(X4, G, 1, tol=0.0)

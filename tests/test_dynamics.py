@@ -235,6 +235,9 @@ def test_conjecture_scan():
     ev11 = conjecture_scan(11, 60)
     assert ev11.exceptional == set()
     assert ev11.inside_points == FOUR
+    assert conjecture_scan(7, 0).inside_points == {(0, 1)}
+    with pytest.raises(ValueError, match="scan cap must be >= 0"):
+        conjecture_scan(7, -1)
 
 
 def _cheb_table(d, bound):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ import symcurves
 from symcurves import elliptic, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.elliptic import (
-    HEIGHT_MACHINE_MEMO,
     INF,
     MAZUR_ORDER_CAP,
     ECPoint,
@@ -21,7 +22,6 @@ from symcurves.elliptic import (
     _bezout_data,
     _duplication_forms,
     _eval_homog,
-    _height_machine,
     _integer_roots_monic_cubic,
     _machine_for,
     _square_divisors,
@@ -431,8 +431,11 @@ def test_canonical_height_torsion_zero():
 
 
 def test_canonical_height_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        canonical_height(Y_CURVE, G, 0.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf, -math.inf):
+        for height in (canonical_height, elliptic._nontorsion_height,
+                       canonical_height_doubling):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                height(Y_CURVE, G, tol)
 
 
 def test_canonical_height_quadraticity():
@@ -642,10 +645,9 @@ COMMON_ROOT = (IntPoly([-1, 0, 0, 0, 1]), IntPoly([-4, 0, 0, 4]))
 
 @pytest.fixture
 def common_root_forms(monkeypatch):
-    _height_machine.cache_clear()
+    # Y_CURVE is its own integral model, so its height data lives on it.
+    monkeypatch.setattr(Y_CURVE, "_heights", None)
     monkeypatch.setattr(elliptic, "_duplication_forms", lambda E: COMMON_ROOT)
-    yield
-    _height_machine.cache_clear()
 
 
 def test_non_coprime_duplication_pair_raises_check_failed(common_root_forms,
@@ -688,16 +690,25 @@ def test_non_coprime_duplication_pair_exits_4_under_python_O():
     assert "Traceback" not in child.stderr
 
 
-def test_height_machine_memo_is_bounded():
-    info = _height_machine.cache_info()
-    assert isinstance(info.maxsize, int) and info.maxsize == HEIGHT_MACHINE_MEMO > 0
-    _height_machine.cache_clear()
-    before = (height_gap_bounds(Y_CURVE), canonical_height(Y_CURVE, G))
-    for a4 in range(1, HEIGHT_MACHINE_MEMO + 2):
-        height_gap_bounds(EllipticCurve(0, a4, 1))
-    info = _height_machine.cache_info()
-    assert info.currsize == HEIGHT_MACHINE_MEMO
-    # Y_CURVE was evicted: it is built once more, with the same results.
-    after = (height_gap_bounds(Y_CURVE), canonical_height(Y_CURVE, G))
-    assert _height_machine.cache_info().misses == info.misses + 1
-    assert after == before
+def test_height_machine_is_built_once_per_curve_and_freed_with_it(monkeypatch):
+    from test_quartic_golden import CORPUS, _run_quartic
+
+    built = 0
+
+    class Counting(elliptic._HeightMachine):
+        def __init__(self, E):
+            nonlocal built
+            built += 1
+            super().__init__(E)
+
+    monkeypatch.setattr(elliptic, "_HeightMachine", Counting)
+    for item in CORPUS:
+        _run_quartic(item)
+    # Each item asks twice (gap bounds and the height of G) and builds once.
+    assert built == len(CORPUS) == 30
+    E = EllipticCurve(Fraction(1, 2), 7, 1)
+    machine = weakref.ref(_machine_for(E))
+    assert _machine_for(E) is machine() is E.integral_model()[0]._heights
+    del E
+    gc.collect()
+    assert machine() is None

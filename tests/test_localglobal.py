@@ -304,3 +304,22 @@ def test_hasse_path_has_no_asserts():
         tree = ast.parse((package / f"{module}.py").read_text())
         asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert asserts == [], (module, asserts)
+
+
+def test_package_has_no_unread_imports():
+    # A module-level import that its module never reads is dead, as deletions
+    # tend to leave behind.  __init__.py imports only to re-export.
+    package = pathlib.Path(symcurves.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        imported = [(alias.asname or alias.name.split(".")[0], node.lineno)
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        unread = [(name, line) for name, line in imported if name not in read]
+        assert unread == [], (path.name, unread)
