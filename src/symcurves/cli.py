@@ -33,6 +33,7 @@ from .descent import (
 from .dynamics import PolyMap, chebyshev_curve_points, orbit_tail, shifted_intersection
 from .elliptic import (
     INF,
+    _require_tol,
     canonical_height,
     height_gap_bounds,
     naive_height,
@@ -180,6 +181,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
 
 
 def cmd_heights(args) -> tuple[dict, int]:
+    _require_tol(args.tol)
     F = SymQuartic(Fraction(args.a), Fraction(args.b), args.alpha)
     E = companion_curve(F)
     up, low = height_gap_bounds(E)

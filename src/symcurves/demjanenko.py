@@ -28,6 +28,7 @@ from .elliptic import (
     INF,
     EllipticCurve,
     _nontorsion_height,
+    _require_tol,
     height_gap_bounds,
     is_torsion,
     torsion_subgroup,
@@ -77,6 +78,7 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
                 tol: float = 1e-8) -> DemjanenkoInput:
     """Assemble the enumeration input from a quartic, an externally
     certified rank claim, and (for rank 1) a generator of the free part."""
+    _require_tol(tol)
     if rank_claim not in (0, 1):
         raise ValueError("rank claim must be 0 or 1 for this method")
     E = companion_curve(F)

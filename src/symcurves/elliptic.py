@@ -254,8 +254,9 @@ def torsion_subgroup(E: EllipticCurve) -> list:
 
     Candidates come from y = 0 (rational 2-torsion) and from the Lutz-Nagell
     divisibility y^2 | disc on an integral model; each candidate is certified
-    by `is_torsion` (order at most the Mazur cap 12), and the result is closed
-    under the group law.
+    by `is_torsion` (order at most the Mazur cap 12).  By Lutz-Nagell every
+    torsion point of the integral model is such a candidate, so the points
+    kept are all of E(Q)_tors, which is a group.
 
     The Lutz-Nagell search, which factors the discriminant, is skipped when
     the point-count gcd g of `_torsion_multiple_bound` equals |E[2](Q)| =
@@ -279,18 +280,6 @@ def torsion_subgroup(E: EllipticCurve) -> list:
         P = ECPoint(x, y)
         if Ei.contains(P) and is_torsion(Ei, P):
             found.add((P.x, P.y))
-    # Close under the group law (redundant for Lutz-Nagell candidates, cheap).
-    pts = [INF] + [ECPoint(x, y) for (x, y) in sorted(p for p in found if p)]
-    closed = True
-    while closed:
-        closed = False
-        for P in list(pts[1:]):
-            for Q in list(pts[1:]):
-                R = Ei.add(P, Q)
-                if R is not INF and (R.x, R.y) not in found:
-                    found.add((R.x, R.y))
-                    pts.append(R)
-                    closed = True
     require(bound == 0 or bound % len(found) == 0,
             "torsion order does not divide the point-count gcd")
     # Map back from the integral model to the original coordinates.

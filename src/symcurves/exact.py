@@ -5,7 +5,8 @@ Rationals are plain ``fractions.Fraction`` values, which are always kept
 in canonical form (reduced, positive denominator) by the standard library.
 Polynomials are `IntPoly`; work over Q stays over Z through pseudo-division
 (`IntPoly.pseudo_divmod`) and the integer Bezout identity (`bezout`).
-`roots_mod_p` keeps its own private coefficient lists over F_p.
+`roots_mod_p` reduces f to a plain coefficient list mod p and solves it by
+closed forms where it can.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_LARGE = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# `roots_mod_p` solves degree 1, 2 and even polynomials by formula; for any
-# other f it evaluates f at every residue below this prime and splits
-# gcd(f, x^p - x) from it on.  Measured on the non-constant calls made by
-# `selmer_rank_bound` for primes 101..1499 (Python 3.11, one core), while
-# they all took this route: scan 232 us against gcd 245 us per call for p in
-# [300, 400), 292 against 265 in [400, 500), 714 against 266 in [900, 1000).
-_ROOT_SCAN_LIMIT = 400
 
 
 class CheckFailed(Exception):
@@ -448,11 +441,12 @@ def roots_mod_p(f: IntPoly, p: int) -> set[int]:
     """All residues r in [0, p) with f(r) = 0 mod p.  For odd p, f mod p of
     degree 1 or 2 is solved by formula, and an even f = g(z^2) mod p through
     the roots s of g and the square roots of s.  Any other f is scanned at
-    every residue for p < _ROOT_SCAN_LIMIT and split by gcd against
-    x^p - x from there on."""
+    every residue."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    fp = _ptrim([c % p for c in f.coeffs])
+    fp = [c % p for c in f.coeffs]
+    while len(fp) > 1 and fp[-1] == 0:
+        fp.pop()
     if fp == [0]:
         raise ValueError("polynomial is zero mod p")
     return _roots_fp(fp, p)
@@ -471,12 +465,22 @@ def _roots_fp(fp, p) -> set[int]:
         return {(r - b) * inv % p for r in _square_roots((b * b - 4 * a * c) % p, p)}
     if p > 2 and not any(fp[1::2]):
         return {r for s in _roots_fp(fp[::2], p) for r in _square_roots(s, p)}
-    if p < _ROOT_SCAN_LIMIT:
-        f = IntPoly(fp)
-        return {r for r in range(p) if f.eval_mod(r, p) == 0}
-    xp = _polymod_pow([0, 1], p, fp, p)
-    g = _polymod_gcd(_polymod_sub(xp, [0, 1], p), fp, p)
-    return _split_linear(g, p)
+    # No caller in the package gets here: the descent passes even quartics
+    # only, and its shift z0 + ell*t at a root leaves one even again (z0 = 0)
+    # or of degree <= 2 mod ell (a triple root at z0 != 0 forces one at -z0).
+    return _scan_roots(fp, p)
+
+
+def _scan_roots(fp, p) -> set[int]:
+    # The roots of the coefficient list fp over F_p, by Horner at each residue.
+    roots = set()
+    for r in range(p):
+        acc = 0
+        for c in reversed(fp):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            roots.add(r)
+    return roots
 
 
 def _square_roots(a: int, p: int) -> set[int]:
@@ -488,87 +492,3 @@ def _square_roots(a: int, p: int) -> set[int]:
     r = _sqrt_mod_p(a, p)
     return {r, p - r}
 
-
-# -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
-
-
-def _ptrim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polymod_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _polymod_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - 1 - db
-        c = a[-1] * inv % p
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = (a[k + i] - c * bc) % p
-        a.pop()
-    return _ptrim(q), _ptrim(a if a else [0])
-
-
-def _polymod_gcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b != [0]:
-        _, r = _polymod_divmod(a, b, p)
-        a, b = b, r
-    if a[-1] != 1 and a != [0]:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _polymod_mulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    _, r = _polymod_divmod(_ptrim(out), f, p)
-    return r
-
-
-def _polymod_pow(base, e, f, p):
-    # base^e mod f over F_p by square and multiply; always a new list, which
-    # the caller may change.
-    result = [1]
-    while e:
-        if e & 1:
-            result = _polymod_mulmod(result, base, f, p)
-        base = _polymod_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _split_linear(g, p) -> set[int]:
-    # g is a product of distinct linear factors over F_p; extract the roots.
-    g = _ptrim(list(g))
-    if g == [0] or len(g) == 1:
-        return set()
-    if len(g) == 2:
-        return {(-g[0] * pow(g[1], -1, p)) % p}
-    rng = random.Random(0xC0FFEE ^ p)
-    while True:
-        a = rng.randrange(p)
-        # gcd(g, (x+a)^((p-1)/2) - 1) splits the roots into two classes.
-        h = _polymod_pow([a, 1], (p - 1) // 2, g, p)
-        h[0] = (h[0] - 1) % p
-        d = _polymod_gcd(_ptrim(h), g, p)
-        if 0 < len(d) - 1 < len(g) - 1:
-            q, _ = _polymod_divmod(g, d, p)
-            return _split_linear(d, p) | _split_linear(q, p)

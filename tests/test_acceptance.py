@@ -120,7 +120,8 @@ def test_criterion_04_root_numbers():
 
 def test_criterion_05_quartic_residue_law():
     # Brute force: an explicit scan of every residue, next to the criterion
-    # (whose roots_mod_p splits gcd(f, x^p - x) for all but small p).
+    # (whose roots_mod_p solves the even f through the square roots of the
+    # roots of s^2 - 4s + 2).
     f = IntPoly([2, 0, -4, 0, 1])
     bad = [p for p in primes(3, 5000)
            if quartic_residue_criterion(p) != (p % 16 in (1, 15))

@@ -115,7 +115,9 @@ def test_cheb_negative_scan_cap_is_a_precondition(d, capsys):
 @pytest.mark.parametrize("argv", [
     ["quartic", "--generator", "4,-16"],
     ["heights", "--point", "4,-16"],
-], ids=["quartic", "heights"])
+    ["quartic", "--rank", "0"],
+    ["heights"],
+], ids=["quartic", "heights", "quartic-rank-0", "heights-no-point"])
 def test_non_finite_or_non_positive_tol_is_a_precondition(argv, tol, capsys):
     code, out, err = run(argv + [f"--tol={tol}", "--", "-4", "-3", "1"], capsys)
     assert code == EXIT_PRECONDITION

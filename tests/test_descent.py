@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import symcurves
-from symcurves import descent
+from symcurves import descent, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.descent import (
     HomSpace,
@@ -30,7 +30,6 @@ from symcurves.descent import (
     selmer_rank_bound,
 )
 from symcurves.exact import (
-    _ROOT_SCAN_LIMIT,
     CheckFailed,
     IntPoly,
     factorize,
@@ -377,14 +376,10 @@ def _outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def _primes_around_scan_limit():
-    below = max(p for p in range(3, _ROOT_SCAN_LIMIT) if is_prime(p))
-    above = min(p for p in range(_ROOT_SCAN_LIMIT, 2 * _ROOT_SCAN_LIMIT)
-                if is_prime(p))
-    return [below, above]
-
-
-ELLS = [3, 5, 7, 11, 13, 17, 19, 29, 97] + _primes_around_scan_limit() + [1009]
+# The primes on either side of 400, kept from when roots_mod_p switched route
+# there.
+SCAN_EDGE_PRIMES = [397, 401]
+ELLS = [3, 5, 7, 11, 13, 17, 19, 29, 97] + SCAN_EDGE_PRIMES + [1009]
 
 
 def _nonresidue(ell):
@@ -598,7 +593,7 @@ def test_zl_recursion_through_double_roots():
 
     descent._zl_solvable = tracking
     try:
-        for ell in (3, 5, 17) + tuple(_primes_around_scan_limit()):
+        for ell in (3, 5, 17, *SCAN_EDGE_PRIMES):
             n = _nonresidue(ell)
             for r in (0, 1, ell - 1):
                 quartic = IntPoly([-r, 1]) * IntPoly([-r, 1])
@@ -617,12 +612,35 @@ def test_zl_recursion_through_double_roots():
 
 
 def test_homspace_solvability_matches_residue_scans():
-    for p in primes(3, 480) + _primes_around_scan_limit() + [1009]:
+    for p in primes(3, 480) + SCAN_EDGE_PRIMES + [1009]:
         a, b = 4 * p, 2 * p * p
         for C in isogeny_spaces(a, b) + dual_isogeny_spaces(a, b):
             for place in (2, 3, 5, p):
                 got = homspace_locally_solvable(C, place)
                 assert got == reference_ql_solvable(C.multiplied_quartic(), place)
+
+
+def test_descent_never_reaches_the_root_scan(monkeypatch):
+    # roots_mod_p falls back to a scan of every residue only for f that are
+    # neither even nor of degree <= 2 mod p; the descent never passes one.
+    def scan(fp, p):
+        raise AssertionError(f"root scan reached: {fp} mod {p}")
+
+    monkeypatch.setattr(exact, "_scan_roots", scan)
+    with pytest.raises(AssertionError, match="root scan reached"):
+        exact.roots_mod_p(IntPoly([-4, 1, 0, 2]), 397)
+    for p in primes(3, 2000):
+        selmer_rank_bound(p)
+        quartic_residue_criterion(p)
+    rng = random.Random(15)
+    pairs = 0
+    while pairs < 200:
+        a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+        if b == 0 or a * a == 4 * b:
+            continue
+        selmer_candidate_set(isogeny_spaces(a, b))
+        selmer_candidate_set(dual_isogeny_spaces(a, b))
+        pairs += 1
 
 
 def test_homspace_discriminant_closed_form():

@@ -323,3 +323,31 @@ def test_package_has_no_unread_imports():
                     for alias in node.names]
         unread = [(name, line) for name, line in imported if name not in read]
         assert unread == [], (path.name, unread)
+
+
+def test_package_has_no_dead_private_helper():
+    # A module-level _name function or class that nothing else in the package
+    # refers to is dead, as deletions tend to leave behind.  A reference from
+    # its own body (recursion) does not count.
+    package = pathlib.Path(symcurves.__file__).parent
+    helpers, refs = [], []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and own.startswith("_") and not own.startswith("__")):
+                helpers.append((path.name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                refs.append((path.name, own, name))
+    dead = [(module, name) for module, name in helpers
+            if not any(ref == name and (m, own) != (module, name)
+                       for m, own, ref in refs)]
+    assert dead == [], dead
