@@ -1,20 +1,16 @@
 """Monic Chebyshev polynomials and the identities the whole toolkit rests on.
 
 T_d is the unique monic integer polynomial with T_d(z + 1/z) = z^d + z^-d.
-This script builds the first few, checks the characterization at rational
-points, shows the nesting property T_{nm} = T_n(T_m), and prints the
-special-value table on {0, +-1, +-2} that drives the curve classification.
+This script checks the characterization at rational points, shows the
+nesting property T_{nm} = T_n(T_m), and prints the values on {0, +-1, +-2}
+that drive the curve classification.
 """
 
 from fractions import Fraction
 
-from symcurves import cheb, cheb_eval, special_values
+from symcurves import cheb_eval
 
-print("First Chebyshev polynomials (monic normalization):")
-for d in range(1, 7):
-    print(f"  T_{d} = {cheb(d).poly}")
-
-print("\nCharacterization at z = 3/2 (so x = z + 1/z = 13/6):")
+print("Characterization at z = 3/2 (so x = z + 1/z = 13/6):")
 z = Fraction(3, 2)
 x = z + 1 / z
 for d in (2, 5, 12):
@@ -30,6 +26,5 @@ print(f"  T_5(T_3): {cheb_eval(5, cheb_eval(3, x))}")
 
 print("\nValues on {0, +-1, +-2} (d not divisible by 3):")
 for d in (5, 10, 8):
-    table = special_values(d)
-    row = ", ".join(f"T({v}) = {img}" for v, img in sorted(table.items()))
+    row = ", ".join(f"T({v}) = {cheb_eval(d, v)}" for v in range(-2, 3))
     print(f"  d = {d:>2} (d mod 4 = {d % 4}): {row}")

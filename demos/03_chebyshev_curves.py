@@ -7,8 +7,7 @@ scan evidence for the conjecture that coordinates always lie in
 {0, +-1, +-2}.
 """
 
-from symcurves import chebyshev_curve_points, conjecture_scan, nonsingular
-from symcurves.dynamics import ChebCurve
+from symcurves import chebyshev_curve_points, conjecture_scan
 
 for d in (9, 8, 5, 10, 20, 50):
     cert = chebyshev_curve_points(d)
@@ -21,7 +20,3 @@ for d in (7, 11):
     inside = ", ".join(f"({x},{y})" for x, y in sorted(ev.inside_points))
     print(f"  d = {d}: inside = {inside}; "
           f"exceptional = {sorted(ev.exceptional) or 'none'}")
-
-print("\nNonsingularity of the generalized curve T_d(x) + T_d(y) = k:")
-for d, k in ((4, 1), (4, 4), (5, 0), (7, 3)):
-    print(f"  X_({d},{k}): {'nonsingular' if nonsingular(ChebCurve(d, k)) else 'not certified (k in {0, +-4})'}")

@@ -16,11 +16,10 @@ from symcurves import (
     PolyMap,
     canonical_height,
     canonical_height_doubling,
-    height_difference_bound,
+    height_gap_bounds,
     naive_height,
     orbit_tail,
     point,
-    preperiodic_points,
     shifted_intersection,
     torsion_subgroup,
 )
@@ -29,7 +28,7 @@ E = EllipticCurve(16, -16, 0)
 G = point(4, -16)
 print(f"curve   : {E}")
 print(f"torsion : {torsion_subgroup(E)}")
-print(f"|hhat - h| <= {height_difference_bound(E):.3f} on this model\n")
+print(f"|hhat - h| <= {max(height_gap_bounds(E)):.3f} on this model\n")
 
 h1 = canonical_height(E, G, 1e-10)
 print(f"hhat(G)  = {h1:.10f}   (naive h = {naive_height(G):.6f})")
@@ -41,9 +40,9 @@ for n in (2, 3, 5):
 print("\nOrbits of f(x) = x^2 - 2 under the shift L(x) = 1 - x:")
 f = IntPoly([-2, 0, 1])
 pm = PolyMap(f, Fraction(1), Fraction(-1))
-print(f"  PrePer(f, Q) = {sorted(preperiodic_points(f, 100))}")
 for start in (0, 1, -1, 2):
     t = orbit_tail(pm, 2, Fraction(start), 16)
     print(f"  orbit tail from {start:>2}: {t.values} (cycled: {t.cycled})")
-meet, exact = shifted_intersection(pm, 2, Fraction(-1), Fraction(0), 16)
+meet, exact = shifted_intersection(pm, orbit_tail(pm, 2, Fraction(-1), 16),
+                                   orbit_tail(pm, 2, Fraction(0), 16))
 print(f"  L(orbit(-1)) meets orbit(0) in {meet} (exact: {exact})")

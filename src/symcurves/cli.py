@@ -57,10 +57,6 @@ def rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def unrat(obj) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def _encode(obj):
     if isinstance(obj, Fraction):
         return rat(obj)
@@ -238,8 +234,7 @@ def cmd_orbit(args) -> tuple[dict, int]:
     pm = PolyMap(f, u, v)
     tail_a = orbit_tail(pm, args.n, Fraction(args.alpha), args.horizon)
     tail_b = orbit_tail(pm, args.n, Fraction(args.beta), args.horizon)
-    meet, exact = shifted_intersection(pm, args.n, Fraction(args.alpha),
-                                       Fraction(args.beta), args.horizon)
+    meet, exact = shifted_intersection(pm, tail_a, tail_b)
     payload = {
         "orbit_alpha": _encode(tail_a),
         "orbit_beta": _encode(tail_b),

@@ -8,7 +8,7 @@ violation verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import (
     IntPoly,
@@ -44,11 +44,6 @@ class HomSpace:
     def discriminant(self) -> int:
         # Of the biquadratic A z^4 + B z^2 + C: 16 A C (B^2 - 4 A C)^2.
         return 16 * self.d**8 * self.c4 * (self.c2**2 - 4 * self.d**2 * self.c4)**2
-
-
-def family_space(d: int, p: int) -> HomSpace:
-    """The family's space d*w^2 = d^2 - 8pd*z^2 + 8p^2*z^4."""
-    return HomSpace(d, -8 * p * d, 8 * p * p)
 
 
 def isogeny_spaces(a: int, b: int) -> list[HomSpace]:
@@ -332,7 +327,6 @@ class HasseVerdict:
     selmer_bound: object = None
     conditional_rank: object = None
     conclusion: str = ""
-    reports: list = field(default_factory=list)
 
 
 def hasse_candidate_verdict(p: int, assume_parity: bool) -> HasseVerdict:
@@ -346,9 +340,8 @@ def hasse_candidate_verdict(p: int, assume_parity: bool) -> HasseVerdict:
     if p % 24 != 1:
         v.conclusion = "outside the locally solvable congruence family"
         return v
-    ok, reports = everywhere_locally_solvable(p)
+    ok, _ = everywhere_locally_solvable(p)
     v.locally_solvable = ok
-    v.reports = reports
     rn = root_number(p)
     v.root_number = rn.W
     v.selmer_bound = selmer_rank_bound(p)

@@ -1,12 +1,10 @@
 """Orbit machinery for quadratic dynamics and the Chebyshev curves
-X_{d,k}: T_d(x) + T_d(y) = k: shifted-orbit intersections, rational
-preperiodic points, the proven case analysis for the rational points of
-X_d (k = 1), the nonsingularity criterion, and brute-force evidence scans.
+X_d: T_d(x) + T_d(y) = 1: shifted-orbit intersections, the proven case
+analysis for the rational points of X_d, and brute-force evidence scans.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +25,12 @@ X5_POINTS = frozenset({(0, 1), (1, 0), (-1, 2), (2, -1)})
 
 SMALL_SET = (0, 1, -1, 2, -2)
 
+# An orbit tail stops before a value whose numerator or denominator has more
+# bits: 2^14284 < 10^4300, so every kept value prints under Python's default
+# 4,300-digit limit on int-to-str conversion.  A wandering orbit's heights
+# roughly double per step, so the cap also bounds the work of a tail.
+TAIL_BIT_CAP = 14_284
+
 
 @dataclass(frozen=True)
 class PolyMap:
@@ -46,15 +50,6 @@ class PolyMap:
         return self.u + self.v * x
 
 
-@dataclass(frozen=True)
-class ChebCurve:
-    d: int
-    k: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
-
-
 @dataclass
 class OrbitTail:
     values: list
@@ -64,54 +59,38 @@ class OrbitTail:
         return set(self.values)
 
 
+def _too_big(x: Fraction) -> bool:
+    return max(x.numerator.bit_length(),
+               x.denominator.bit_length()) > TAIL_BIT_CAP
+
+
 def orbit_tail(pm: PolyMap, n: int, start, horizon: int) -> OrbitTail:
     """[f^n(start), f^(n+1)(start), ...] truncated at `horizon` values, with
-    early stop and a cycle tag once a value repeats."""
+    early stop and a cycle tag once a value repeats.  A tail is also cut,
+    untagged, before a value past TAIL_BIT_CAP."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     x = Fraction(start)
-    for _ in range(n):
-        x = pm.f(x)
     values, seen = [], set()
-    for _ in range(horizon):
+    for step in range(n + horizon):
         if x in seen:
             return OrbitTail(values, True)
-        values.append(x)
-        seen.add(x)
+        if _too_big(x):
+            return OrbitTail(values, False)
+        if step >= n:
+            values.append(x)
+            seen.add(x)
         x = pm.f(x)
     return OrbitTail(values, x in seen)
 
 
-def shifted_intersection(pm: PolyMap, n: int, alpha, beta, horizon: int):
-    """(L(O_{f,n}(alpha)) intersect O_{f,n}(beta), exact_flag); exact when
-    both orbits were detected periodic within the horizon."""
-    ta = orbit_tail(pm, n, alpha, horizon)
-    tb = orbit_tail(pm, n, beta, horizon)
+def shifted_intersection(pm: PolyMap, ta: OrbitTail, tb: OrbitTail):
+    """(L(ta) intersect tb, exact_flag) for the tails of O_{f,n}(alpha) and
+    O_{f,n}(beta); exact when both orbits were detected periodic."""
     shifted = {pm.shift(x) for x in ta.values}
     return shifted & tb.as_set(), ta.cycled and tb.cycled
-
-
-def preperiodic_points(f: IntPoly, height_cap: int) -> set[int]:
-    """All rational preperiodic points of a monic integer quadratic with
-    numerator/denominator at most height_cap, as ints.  Such points are
-    integers, so the scan runs over |r| <= height_cap with an exact escape
-    radius."""
-    if f.degree != 2 or f.coeffs[-1] != 1:
-        raise ValueError("monic integer quadratic required")
-    b, c = abs(f.coeffs[1]), abs(f.coeffs[0])
-    # |f(r)| > |r| outside this radius, so escape is monotone past it.
-    radius = (b + 1 + math.isqrt((b + 1) ** 2 + 4 * c)) // 2 + 1
-    out = set()
-    for r in range(-height_cap, height_cap + 1):
-        x, seen = r, set()
-        while abs(x) <= max(radius, abs(r)) and x not in seen:
-            seen.add(x)
-            x = f(x)
-        if x in seen:
-            out.add(r)
-    return out
 
 
 def integral_pullback(d_prime: int, targets) -> set[int]:
@@ -139,9 +118,10 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     Cases: 3 | d is empty (covering to the trivial-Jacobian X_3); otherwise
     4 | d reduces through the two-cover enumeration on X_4, and 5 | d
     reduces to the certified X_5 list, both pulled back through the
-    integral-point argument and the special-value table.  Every proven
-    point set is checked on X_d and against the guard scan; a failure
-    raises CheckFailed.  The points are pairs of ints.
+    integral-point argument (`integral_pullback`, which evaluates T_{d'}
+    on {0, +-1, +-2}).  Every proven point set is checked on X_d and
+    against the guard scan; a failure raises CheckFailed.  The points are
+    pairs of ints.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -193,8 +173,6 @@ def _guard_scan(d: int, certified: set, cap: int):
 
 @dataclass
 class ScanEvidence:
-    d: int
-    cap: int
     inside_points: set = field(default_factory=set)
     exceptional: set = field(default_factory=set)
 
@@ -259,7 +237,7 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     if d < 3:
         raise ValueError("d must be >= 3")
     _require_cap(cap)
-    ev = ScanEvidence(d, cap)
+    ev = ScanEvidence()
     small = set(SMALL_SET)
     table = [cheb_eval(d, x) for x in range(cap + 2)]
     small_values = [(y, _table_value(d, table, y)) for y in SMALL_SET]
@@ -271,13 +249,3 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
             else:
                 ev.exceptional.add((x, y))
     return ev
-
-
-def nonsingular(dk: ChebCurve) -> bool:
-    """Nonsingularity of X_{d,k} over Q-bar: certified whenever
-    k is not in {0, 4, -4} (singular points force T_d' to vanish in both
-    variables, pinning T_d to +-2 at each, so k must be a sum of two
-    critical values)."""
-    if dk.d < 2:
-        raise ValueError("d must be >= 2")
-    return dk.k not in (0, 4, -4)

@@ -471,11 +471,6 @@ def height_gap_bounds(E: EllipticCurve):
     return _machine_for(E).gap_bounds()
 
 
-def height_difference_bound(E: EllipticCurve) -> float:
-    """A single C with |hhat - h| <= C, used for iteration control."""
-    return max(height_gap_bounds(E))
-
-
 def _require_tol(tol: float):
     # NaN fails both comparisons.
     if not 0 < tol < math.inf:
@@ -494,8 +489,7 @@ def canonical_height(E: EllipticCurve, P, tol: float = 1e-10) -> float:
 def _nontorsion_height(E: EllipticCurve, P, tol: float) -> float:
     """hhat(P) to within tol for a point the caller has already checked to
     lie on E and to have infinite order (`canonical_height` without those
-    two checks)."""
-    _require_tol(tol)
+    two checks, and the check of tol that both callers make)."""
     Ei, u = E.integral_model()
     x = P.x * u * u
     return _machine_for(E).height(x.numerator, x.denominator, tol)

@@ -316,11 +316,6 @@ class IntPoly:
             acc = (acc * x + c) % m
         return acc
 
-    def derivative(self) -> "IntPoly":
-        if self.degree == 0:
-            return IntPoly([0])
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -29,10 +29,6 @@ class QuarticPoint:
         return f"({self.x}, {self.y})"
 
 
-def qpoint(x, y) -> QuarticPoint:
-    return QuarticPoint(Fraction(x), Fraction(y))
-
-
 class SymQuartic:
     """F: x^4 + a'x^2 + a'y^2 + y^4 = b' where (a', b') = (alpha*a, alpha^2*b)
     is the twist of (a, b) by a squarefree integer alpha (alpha = 1 untwisted).

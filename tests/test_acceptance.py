@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from symcurves.chebyshev import cheb_eval, special_values
-from symcurves.cli import main, unrat
+from symcurves.chebyshev import cheb_eval
+from symcurves.cli import main
 from symcurves.descent import quartic_residue_criterion, root_number, selmer_rank_bound
 from symcurves.dynamics import (
     PolyMap,
@@ -21,7 +21,6 @@ from symcurves.dynamics import (
     chebyshev_curve_points,
     conjecture_scan,
     orbit_tail,
-    preperiodic_points,
     shifted_intersection,
 )
 from symcurves.elliptic import (
@@ -33,8 +32,11 @@ from symcurves.elliptic import (
 )
 from symcurves.exact import IntPoly, is_prime
 from symcurves.localglobal import everywhere_locally_solvable
-from symcurves.quartic import SymQuartic, kappa, qpoint
-from test_quartic import height_sandwich_check
+from symcurves.quartic import SymQuartic, kappa
+from test_chebyshev import special_values
+from test_cli import unrat
+from test_dynamics import preperiodic_points
+from test_quartic import height_sandwich_check, qpoint
 
 TWELVE = {(Fraction(x), Fraction(y)) for x, y in [
     (0, 1), (0, -1), (2, 1), (2, -1), (-2, 1), (-2, -1),
@@ -213,7 +215,9 @@ def test_criterion_10_dynamics():
         t = orbit_tail(pm, 2, Fraction(start), 32)
         ok = ok and t.values == [Fraction(2)] and t.cycled
     for start in (1, -1):
-        meet, exact = shifted_intersection(pm, 2, Fraction(start), Fraction(0), 32)
+        meet, exact = shifted_intersection(
+            pm, orbit_tail(pm, 2, Fraction(start), 32),
+            orbit_tail(pm, 2, Fraction(0), 32))
         ok = ok and meet == {Fraction(2)} and exact
     report(10, ok, "PrePer(x^2-2) = {0,+-1,+-2}; shifted-orbit identities "
            "O_{f,2}(0) = O_{f,2}(+-2) = {2} = L(O_{f,2}(+-1))")

@@ -1,28 +1,49 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from symcurves.chebyshev import (
-    ChebPoly,
-    cheb,
-    cheb_eval,
-    special_values,
-)
+from symcurves.chebyshev import cheb_eval
 from symcurves.exact import IntPoly
 
 
+@lru_cache(maxsize=None)
+def _cheb_coeffs(d: int) -> IntPoly:
+    # Reference: the coefficient form of T_d by T_d = x*T_{d-1} - T_{d-2}.
+    if d == 1:
+        return IntPoly([0, 1])
+    if d == 2:
+        return IntPoly([-2, 0, 1])
+    return IntPoly([0, 1]) * _cheb_coeffs(d - 1) - _cheb_coeffs(d - 2)
+
+
+def special_values(d: int) -> dict[int, int]:
+    """Reference: T_d on {0, +-1, +-2} for d not divisible by 3, from
+    T_d(2 cos t) = 2 cos(d t) at t = 0, pi/3, pi/2, 2pi/3 and pi, without
+    evaluating T_d.  Odd d acts as the identity on the set; even d sends +-1
+    to -1, +-2 to 2, and 0 to -2 when d = 2 mod 4 or to 2 when d = 0 mod 4.
+    """
+    if d % 3 == 0:
+        raise ValueError("values at +-1 differ when 3 | d; table not applicable")
+    if d % 2 == 1:
+        return {v: v for v in (0, 1, -1, 2, -2)}
+    return {0: 2 if d % 4 == 0 else -2, 1: -1, -1: -1, 2: 2, -2: 2}
+
+
 def test_first_polynomials():
-    assert cheb(1).poly == IntPoly([0, 1])
-    assert cheb(2).poly == IntPoly([-2, 0, 1])
-    assert cheb(3).poly == IntPoly([0, -3, 0, 1])
-    assert cheb(4).poly == IntPoly([2, 0, -4, 0, 1])
-    assert cheb(5).poly == IntPoly([0, 5, 0, -5, 0, 1])
+    assert _cheb_coeffs(1) == IntPoly([0, 1])
+    assert _cheb_coeffs(2) == IntPoly([-2, 0, 1])
+    assert _cheb_coeffs(3) == IntPoly([0, -3, 0, 1])
+    assert _cheb_coeffs(4) == IntPoly([2, 0, -4, 0, 1])
+    assert _cheb_coeffs(5) == IntPoly([0, 5, 0, -5, 0, 1])
+    rng = random.Random(5)
+    for d in range(1, 30):
+        x = Fraction(rng.randrange(-40, 41), rng.randrange(1, 9))
+        assert _cheb_coeffs(d)(x) == cheb_eval(d, x), d
 
 
 def test_d_zero_rejected():
-    with pytest.raises(ValueError):
-        cheb(0)
     with pytest.raises(ValueError):
         cheb_eval(0, Fraction(1))
 
@@ -150,10 +171,3 @@ def test_ladder_matches_recurrence_reference():
             value = cheb_eval(d, x)
             assert type(value) is type(x), (d, x)
             assert value == _eval_recurrence(d, x), (d, x)
-
-
-def test_chebpoly_invariants():
-    with pytest.raises(ValueError):
-        ChebPoly(3, IntPoly([1, 0, 0, 1]))  # parity violation (even term)
-    with pytest.raises(ValueError):
-        ChebPoly(2, IntPoly([0, 1]))  # wrong degree

@@ -18,11 +18,15 @@ from symcurves.cli import (
     build_parser,
     main,
     rat,
-    unrat,
 )
 from symcurves.elliptic import point
 from symcurves.exact import is_prime
 from fractions import Fraction
+
+
+def unrat(obj) -> Fraction:
+    """Reference: the inverse of `cli.rat`, decoding a serialized rational."""
+    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def run(argv, capsys):
@@ -156,6 +160,21 @@ def test_orbit_command(capsys):
     env = json.loads(out)
     assert env["payload"]["intersection"] == [{"num": "2", "den": "1"}]
     assert env["payload"]["exact"] is True
+
+
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "13"]],
+                         ids=["default", "13"])
+def test_orbit_command_stops_on_a_wandering_orbit(horizon, capsys):
+    # The orbit of 3 under x^2 - 2 never cycles: its tail is cut at the bit
+    # cap, after f^13(3), and the command reports it undetermined instead of
+    # running on or failing to print a value past 4,300 digits.
+    code, out, err = run(["orbit", "--alpha", "3", "--beta", "0", "--json"]
+                         + horizon, capsys)
+    assert code == EXIT_UNDETERMINED and err == ""
+    env = json.loads(out)
+    assert len(env["payload"]["orbit_alpha"]["values"]) == 12
+    assert env["payload"]["orbit_alpha"]["cycled"] is False
+    assert env["payload"]["exact"] is False
 
 
 def test_hasse_scan_and_cache(tmp_path, capsys):

@@ -26,7 +26,8 @@ from symcurves.demjanenko import (
 )
 from symcurves.elliptic import INF, EllipticCurve, point
 from symcurves.exact import rational_sqrt
-from symcurves.quartic import SymQuartic, phi_preimages, qpoint
+from symcurves.quartic import SymQuartic, phi_preimages
+from test_quartic import qpoint
 
 X4 = SymQuartic(-4, -3, 1)
 G = point(4, -16)

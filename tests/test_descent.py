@@ -23,7 +23,6 @@ from symcurves.descent import (
     hasse_candidate_verdict,
     homspace_locally_solvable,
     isogeny_spaces,
-    family_space,
     quartic_residue_criterion,
     root_number,
     selmer_candidate_set,
@@ -35,10 +34,16 @@ from symcurves.exact import (
     factorize,
     is_prime,
 )
+from test_exact import derivative
 
 
 def primes(lo, hi):
     return [p for p in range(lo, hi) if is_prime(p)]
+
+
+def family_space(d: int, p: int) -> HomSpace:
+    """The family's space d*w^2 = d^2 - 8pd*z^2 + 8p^2*z^4."""
+    return HomSpace(d, -8 * p * d, 8 * p * p)
 
 
 def squarefree_part(n: int) -> int:
@@ -103,7 +108,7 @@ def int_poly_disc(f: IntPoly) -> Fraction:
     n = f.degree
     if n < 1:
         raise ValueError("degree >= 1 required")
-    res = qpoly_resultant(f.coeffs, f.derivative().coeffs)
+    res = qpoly_resultant(f.coeffs, derivative(f).coeffs)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res / f.coeffs[-1]
 

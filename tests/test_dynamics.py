@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from symcurves import chebyshev, dynamics
-from symcurves.chebyshev import _cheb_coeffs, cheb, cheb_eval
+from symcurves.chebyshev import cheb_eval
 from symcurves.dynamics import (
     SMALL_SET,
-    ChebCurve,
+    TAIL_BIT_CAP,
     PolyMap,
     X5_POINTS,
     _integer_root,
@@ -15,12 +16,12 @@ from symcurves.dynamics import (
     chebyshev_curve_points,
     conjecture_scan,
     integral_pullback,
-    nonsingular,
     orbit_tail,
-    preperiodic_points,
     shifted_intersection,
 )
 from symcurves.exact import IntPoly, bezout
+from test_chebyshev import _cheb_coeffs
+from test_exact import derivative
 
 F_SQUARE_MINUS_2 = IntPoly([-2, 0, 1])
 PM = PolyMap(F_SQUARE_MINUS_2, Fraction(1), Fraction(-1))  # L(x) = 1 - x
@@ -32,6 +33,37 @@ EIGHT = {(Fraction(x), Fraction(y)) for x, y in [
     (1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)]}
 FOUR = {(Fraction(x), Fraction(y)) for x, y in [
     (0, 1), (1, 0), (-1, 2), (2, -1)]}
+
+
+def preperiodic_points(f: IntPoly, height_cap: int) -> set[int]:
+    """Reference: all rational preperiodic points of a monic integer
+    quadratic with numerator/denominator at most height_cap, as ints.  Such
+    points are integers, so the scan runs over |r| <= height_cap with an
+    exact escape radius."""
+    if f.degree != 2 or f.coeffs[-1] != 1:
+        raise ValueError("monic integer quadratic required")
+    b, c = abs(f.coeffs[1]), abs(f.coeffs[0])
+    # |f(r)| > |r| outside this radius, so escape is monotone past it.
+    radius = (b + 1 + math.isqrt((b + 1) ** 2 + 4 * c)) // 2 + 1
+    out = set()
+    for r in range(-height_cap, height_cap + 1):
+        x, seen = r, set()
+        while abs(x) <= max(radius, abs(r)) and x not in seen:
+            seen.add(x)
+            x = f(x)
+        if x in seen:
+            out.add(r)
+    return out
+
+
+def nonsingular(d: int, k) -> bool:
+    """Reference: X_{d,k}: T_d(x) + T_d(y) = k is nonsingular over Q-bar
+    whenever k is not in {0, 4, -4}.  A singular point forces T_d' to vanish
+    in both variables, pinning T_d to +-2 at each, so k must be a sum of two
+    critical values."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return k not in (0, 4, -4)
 
 
 def test_orbit_tail_examples():
@@ -56,14 +88,36 @@ def test_orbit_tail_validation():
         PolyMap(IntPoly([1, 1]))
 
 
+def intersect(pm, n, alpha, beta, horizon):
+    return shifted_intersection(pm, orbit_tail(pm, n, alpha, horizon),
+                                orbit_tail(pm, n, beta, horizon))
+
+
 def test_shifted_intersection_example():
-    meet, exact = shifted_intersection(PM, 2, Fraction(-1), Fraction(0), 20)
+    meet, exact = intersect(PM, 2, Fraction(-1), Fraction(0), 20)
     assert meet == {Fraction(2)} and exact
     ident = PolyMap(F_SQUARE_MINUS_2)  # identity shift
-    meet, exact = shifted_intersection(ident, 2, Fraction(0), Fraction(0), 20)
+    meet, exact = intersect(ident, 2, Fraction(0), Fraction(0), 20)
     assert meet == {Fraction(2)} and exact
-    meet, exact = shifted_intersection(PM, 0, Fraction(5), Fraction(3), 4)
+    meet, exact = intersect(PM, 0, Fraction(5), Fraction(3), 4)
     assert meet == set() and not exact
+
+
+def test_orbit_tail_stops_at_the_bit_cap():
+    # f^k(3) has about 1.39 * 2^k bits: the tail from 3 keeps f^2(3) ..
+    # f^13(3) and is cut, not cycled, before f^14(3), whatever the horizon.
+    assert 2**TAIL_BIT_CAP < 10**4300 < 2**(TAIL_BIT_CAP + 1)
+    t = orbit_tail(PM, 2, Fraction(3), 32)
+    assert len(t.values) == 12 and not t.cycled
+    assert t.values == orbit_tail(PM, 2, Fraction(3), 12).values
+    assert all(x.numerator.bit_length() <= TAIL_BIT_CAP for x in t.values)
+    assert F_SQUARE_MINUS_2(t.values[-1]).numerator.bit_length() > TAIL_BIT_CAP
+    # The cap also ends the n steps before the tail, and it binds the
+    # denominator as much as the numerator.
+    assert orbit_tail(PM, 40, Fraction(3), 5).values == []
+    t = orbit_tail(PM, 0, Fraction(1, 3), 32)
+    assert not t.cycled and len(t.values) == 14
+    assert t.values[-1].denominator.bit_length() <= TAIL_BIT_CAP
 
 
 def test_preperiodic_points():
@@ -170,19 +224,19 @@ def test_genus2_substitution_identity():
 
 
 def test_nonsingular_criterion():
-    assert nonsingular(ChebCurve(4, Fraction(1)))
-    assert not nonsingular(ChebCurve(4, Fraction(4)))
-    assert not nonsingular(ChebCurve(5, Fraction(0)))
-    assert nonsingular(ChebCurve(7, Fraction(3)))
+    assert nonsingular(4, Fraction(1))
+    assert not nonsingular(4, Fraction(4))
+    assert not nonsingular(5, Fraction(0))
+    assert nonsingular(7, Fraction(3))
     with pytest.raises(ValueError):
-        nonsingular(ChebCurve(1, Fraction(1)))
+        nonsingular(1, Fraction(1))
 
 
 def _critical_values(d):
     # Reference: the s in {2, -2} with T_d - s and T_d' sharing a root, by
     # the integer Bezout identity (None when they are not coprime).
     td = _cheb_coeffs(d)
-    deriv = td.derivative()
+    deriv = derivative(td)
     return {s for s in (2, -2) if bezout(td - IntPoly([s]), deriv) is None}
 
 
@@ -195,11 +249,11 @@ def test_nonsingular_statement_by_critical_values():
         assert crits == ({-2} if d == 2 else {2, -2}), d
         td = _cheb_coeffs(d)
         for s in (1, -1, 0, 3):
-            assert bezout(td - IntPoly([s]), td.derivative()) is not None
+            assert bezout(td - IntPoly([s]), derivative(td)) is not None
         sums = {s + t for s in crits for t in crits}
         assert sums <= {0, 4, -4}
         for k in [Fraction(k) for k in range(-6, 7)] + [Fraction(1, 2)]:
-            if nonsingular(ChebCurve(d, k)):
+            if nonsingular(d, k):
                 assert k not in sums, (d, k)
 
 
@@ -211,7 +265,7 @@ def test_nonsingular_vs_resultants():
 
     x, y = sympy.symbols("x y")
     for d in range(2, 9):
-        td = sympy.Poly(cheb(d).poly.coeffs[::-1], x).as_expr()
+        td = sympy.Poly(_cheb_coeffs(d).coeffs[::-1], x).as_expr()
         tdy = td.subs(x, y)
         dtd = sympy.diff(td, x)
         dtdy = sympy.diff(tdy, y)
@@ -219,7 +273,7 @@ def test_nonsingular_vs_resultants():
             r1 = sympy.resultant(td + tdy - k, dtdy, y)
             r2 = sympy.resultant(r1, dtd, x)
             singular = (r2 == 0)
-            if nonsingular(ChebCurve(d, Fraction(k))):
+            if nonsingular(d, Fraction(k)):
                 assert not singular, (d, k)
 
 

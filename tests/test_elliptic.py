@@ -14,6 +14,7 @@ import pytest
 import symcurves
 from symcurves import elliptic, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
+from symcurves.demjanenko import build_input
 from symcurves.elliptic import (
     INF,
     MAZUR_ORDER_CAP,
@@ -28,7 +29,6 @@ from symcurves.elliptic import (
     canonical_height,
     canonical_height_doubling,
     count_points_mod_p,
-    height_difference_bound,
     height_gap_bounds,
     is_torsion,
     naive_height,
@@ -431,11 +431,16 @@ def test_canonical_height_torsion_zero():
 
 
 def test_canonical_height_rejects_bad_tol():
+    # Every public way to a height checks tol; the private
+    # `_nontorsion_height` leaves that to its two callers, `canonical_height`
+    # and `build_input` (Y_CURVE is the companion curve of X_4).
+    X4 = SymQuartic(-4, -3, 1)
     for tol in (0.0, -1e-8, math.nan, math.inf, -math.inf):
-        for height in (canonical_height, elliptic._nontorsion_height,
-                       canonical_height_doubling):
+        for height in (lambda: canonical_height(Y_CURVE, G, tol),
+                       lambda: canonical_height_doubling(Y_CURVE, G, tol),
+                       lambda: build_input(X4, G, 1, tol)):
             with pytest.raises(ValueError, match="tol must be positive"):
-                height(Y_CURVE, G, tol)
+                height()
 
 
 def test_canonical_height_quadraticity():
@@ -477,9 +482,8 @@ def test_canonical_height_other_curve_oracle():
 
 
 def test_height_difference_bound_contains_observed():
-    bound = height_difference_bound(Y_CURVE)
     up, low = height_gap_bounds(Y_CURVE)
-    assert bound == max(up, low) > 0
+    assert max(up, low) > 0
     for n in range(1, 8):
         P = Y_CURVE.scalar_mul(n, G)
         gap = canonical_height(Y_CURVE, P, 1e-10) - naive_height(P)

@@ -351,3 +351,101 @@ def test_package_has_no_dead_private_helper():
             if not any(ref == name and (m, own) != (module, name)
                        for m, own, ref in refs)]
     assert dead == [], dead
+
+
+# Top-level definitions of the package that no command reaches, kept with
+# their reasons.
+UNREACHED_ALLOWED = {
+    "elliptic.canonical_height_doubling":
+        "the exact doubling-limit oracle for canonical_height; ROADMAP item 3 "
+        "turns it into the certified lower bound on hhat(G)",
+}
+
+
+def package_reach(package: pathlib.Path):
+    """(definitions, reached): every top-level function, class and assigned
+    name of the package as "module.name", and those reached from `cli.main`
+    and the `cmd_*` functions.  A definition reaches each one its source
+    names, in its own module or through a relative import; a class reaches
+    what any of its methods names."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    bodies, refs = {}, {}
+    for module, tree in trees.items():
+        imported = {}  # local name -> "module.name" or a module's name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        imported[local] = f"{node.module}.{alias.name}"
+                    elif alias.name in trees:
+                        imported[local] = alias.name
+                    else:
+                        imported[local] = f"__init__.{alias.name}"
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                bodies[f"{module}.{name}"] = (module, stmt, imported)
+    for key, (module, stmt, imported) in bodies.items():
+        refs[key] = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                own = f"{module}.{node.id}"
+                refs[key].add(own if own in bodies
+                              else imported.get(node.id, own))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and imported.get(node.value.id) in trees):
+                refs[key].add(f"{imported[node.value.id]}.{node.attr}")
+    todo = [key for key in bodies if key == "cli.main"
+            or key.startswith("cli.cmd_")]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in bodies:
+            continue
+        reached.add(key)
+        todo.extend(refs[key])
+    return set(bodies), reached
+
+
+def test_every_definition_is_reached_from_a_command():
+    # The library is what a command uses: a top-level definition that no
+    # command reaches belongs in the tests as a reference, or nowhere, unless
+    # the allow-list gives it a reason.
+    package = pathlib.Path(symcurves.__file__).parent
+    definitions, reached = package_reach(package)
+    assert {"cli.main", "cli.cmd_orbit", "chebyshev.cheb_eval",
+            "exact._SIEVE", "__init__.__version__"} <= reached
+    assert all(reason for reason in UNREACHED_ALLOWED.values())
+    assert definitions - reached == set(UNREACHED_ALLOWED)
+
+
+def _imports_from_symcurves(source: str) -> set:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "symcurves"
+            for alias in node.names}
+
+
+def test_package_exports_what_demos_and_readme_import():
+    # `__init__` re-exports exactly the names that the demos and the README's
+    # Python examples import from `symcurves`; the rest stays in its module.
+    package = pathlib.Path(symcurves.__file__).parent
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = [path.read_text() for path in sorted(root.glob("demos/*.py"))]
+    sources += (root / "README.md").read_text().split("```python")[1:]
+    used = set().union(*(_imports_from_symcurves(s.split("```")[0])
+                         for s in sources))
+    exported = {alias.name for node in ast.parse(
+                    (package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert exported == used

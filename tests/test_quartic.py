@@ -12,11 +12,14 @@ from symcurves.quartic import (
     kappa,
     phi,
     phi_preimages,
-    qpoint,
 )
 
 X4 = SymQuartic(-4, -3, 1)
 HASSE = SymQuartic(-4, -6, 1)
+
+
+def qpoint(x, y) -> QuarticPoint:
+    return QuarticPoint(Fraction(x), Fraction(y))
 
 
 def projective_height(P: QuarticPoint) -> int:
