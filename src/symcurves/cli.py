@@ -30,7 +30,13 @@ from .descent import (
     root_number,
     selmer_rank_bound,
 )
-from .dynamics import PolyMap, chebyshev_curve_points, orbit_tail, shifted_intersection
+from .dynamics import (
+    TAIL_BIT_CAP,
+    PolyMap,
+    chebyshev_curve_points,
+    orbit_tail,
+    shifted_intersection,
+)
 from .elliptic import (
     INF,
     _require_tol,
@@ -45,6 +51,10 @@ from .localglobal import everywhere_locally_solvable
 from .quartic import SymQuartic, companion_curve
 
 CACHE_ENV = "DEMJANENKO_CACHE"
+# Part of every hasse-scan cache key, with the toolkit version: bump it
+# whenever the computation of a verdict changes, so that no line written by
+# an older algorithm is served.
+HASSE_VERDICT_SCHEMA = 1
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -57,7 +67,13 @@ def rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
+# Exact types that encode as themselves; a subclass takes the checks below.
+_PLAIN = frozenset({int, str, bool, float, type(None)})
+
+
 def _encode(obj):
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, Fraction):
         return rat(obj)
     if isinstance(obj, frozenset) or isinstance(obj, set):
@@ -151,7 +167,8 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
     for p in range(args.lo | 1, args.hi + 1, 2):
         if p % 24 != 1 or not is_prime(p):
             continue
-        key = f"hasse:p={p}:parity={args.assume_parity}"
+        key = (f"hasse:v={__version__}:schema={HASSE_VERDICT_SCHEMA}"
+               f":p={p}:parity={args.assume_parity}")
         cached = cache.get(key)
         if cached is not None:
             verdicts.append(cached)
@@ -228,6 +245,13 @@ def cmd_local(args) -> tuple[dict, int]:
     return env, code
 
 
+def _encode_tail(tail) -> dict:
+    out = {"values": _encode(tail.values), "cycled": tail.cycled}
+    if tail.cut:
+        out["cut_at_bit_cap"] = TAIL_BIT_CAP
+    return out
+
+
 def cmd_orbit(args) -> tuple[dict, int]:
     f = IntPoly([int(c) for c in args.f.split(",")])
     u, v = (Fraction(x) for x in args.shift.split(","))
@@ -236,8 +260,8 @@ def cmd_orbit(args) -> tuple[dict, int]:
     tail_b = orbit_tail(pm, args.n, Fraction(args.beta), args.horizon)
     meet, exact = shifted_intersection(pm, tail_a, tail_b)
     payload = {
-        "orbit_alpha": _encode(tail_a),
-        "orbit_beta": _encode(tail_b),
+        "orbit_alpha": _encode_tail(tail_a),
+        "orbit_beta": _encode_tail(tail_b),
         "intersection": _encode(sorted(meet)),
         "exact": exact,
     }
@@ -249,10 +273,22 @@ def cmd_orbit(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------- cache
 
 
+# The last cache file read in this process: (path, its bytes up to and with
+# the last b"\n", the entries those lines verified to).  One file at most.
+_last_verified = None
+
+
 class ScanCache:
     """Append-only JSONL cache, one file per scan family, advisory-locked.
     Entries carry a hash of their key and payload; corrupted lines are
-    skipped and recomputed rather than trusted."""
+    skipped and recomputed rather than trusted.
+
+    A load reads the file whole.  When its path is the one read last in
+    this process and the file still starts with the same complete lines,
+    their verified entries are reused and only the lines after them are
+    parsed and hash-checked; any other file is checked line by line.  An
+    unterminated last line is checked on every load and never reused.  The
+    reused records are shared, not copied: callers must not mutate them."""
 
     def __init__(self, cache_dir, family: str):
         base = cache_dir or os.environ.get(CACHE_ENV)
@@ -268,24 +304,40 @@ class ScanCache:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def _load(self):
-        if not self.path or not os.path.exists(self.path):
+        global _last_verified
+        try:
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                # Each line is decoded on its own, so one bad byte costs
-                # only its line; ValueError covers bad UTF-8 and bad JSON.
-                try:
-                    entry = json.loads(raw.decode("utf-8"))
-                    if not (isinstance(entry, dict)
-                            and isinstance(entry.get("key"), str)
-                            and isinstance(entry.get("hash"), str)
-                            and "record" in entry):
-                        continue
-                    if entry["hash"] != self._digest(entry["key"], entry["record"]):
-                        continue
-                except (ValueError, RecursionError):
+        start = 0
+        path, verified_bytes, verified = _last_verified or (None, b"", {})
+        if path == self.path and data.startswith(verified_bytes):
+            start = len(verified_bytes)
+            self.entries.update(verified)
+        end = data.rfind(b"\n") + 1
+        if end > start:
+            self._verify(data[start:end - 1].split(b"\n"))
+        _last_verified = (self.path, data[:end], dict(self.entries))
+        if end < len(data):
+            self._verify([data[end:]])
+
+    def _verify(self, lines):
+        for raw in lines:
+            # Each line is decoded on its own, so one bad byte costs only
+            # its line; ValueError covers bad UTF-8 and bad JSON.
+            try:
+                entry = json.loads(raw.decode("utf-8"))
+                if not (isinstance(entry, dict)
+                        and isinstance(entry.get("key"), str)
+                        and isinstance(entry.get("hash"), str)
+                        and "record" in entry):
                     continue
-                self.entries[entry["key"]] = entry["record"]
+                if entry["hash"] != self._digest(entry["key"], entry["record"]):
+                    continue
+            except (ValueError, RecursionError):
+                continue
+            self.entries[entry["key"]] = entry["record"]
 
     def get(self, key: str):
         return self.entries.get(key)

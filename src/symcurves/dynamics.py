@@ -54,6 +54,7 @@ class PolyMap:
 class OrbitTail:
     values: list
     cycled: bool
+    cut: bool = False       # stopped before a value past TAIL_BIT_CAP
 
     def as_set(self) -> set:
         return set(self.values)
@@ -67,7 +68,7 @@ def _too_big(x: Fraction) -> bool:
 def orbit_tail(pm: PolyMap, n: int, start, horizon: int) -> OrbitTail:
     """[f^n(start), f^(n+1)(start), ...] truncated at `horizon` values, with
     early stop and a cycle tag once a value repeats.  A tail is also cut,
-    untagged, before a value past TAIL_BIT_CAP."""
+    tagged `cut`, before a value past TAIL_BIT_CAP."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n < 0:
@@ -78,7 +79,7 @@ def orbit_tail(pm: PolyMap, n: int, start, horizon: int) -> OrbitTail:
         if x in seen:
             return OrbitTail(values, True)
         if _too_big(x):
-            return OrbitTail(values, False)
+            return OrbitTail(values, False, cut=True)
         if step >= n:
             values.append(x)
             seen.add(x)

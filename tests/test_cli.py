@@ -19,6 +19,7 @@ from symcurves.cli import (
     main,
     rat,
 )
+from symcurves.dynamics import TAIL_BIT_CAP
 from symcurves.elliptic import point
 from symcurves.exact import is_prime
 from fractions import Fraction
@@ -177,6 +178,23 @@ def test_orbit_command_stops_on_a_wandering_orbit(horizon, capsys):
     assert env["payload"]["exact"] is False
 
 
+def test_cut_orbit_tail_names_the_bit_cap(capsys):
+    # A tail cut at the bit cap says so; an uncut tail's encoding keeps only
+    # its values and cycle tag, as before the cap was named.
+    code, out, _ = run(["orbit", "--alpha", "3", "--beta", "0", "--horizon",
+                        "1000000", "--json"], capsys)
+    assert code == EXIT_UNDETERMINED
+    payload = json.loads(out)["payload"]
+    assert payload["orbit_alpha"]["cut_at_bit_cap"] == TAIL_BIT_CAP
+    assert set(payload["orbit_beta"]) == {"values", "cycled"}
+    code, out, _ = run(["orbit", "--alpha", "-1", "--beta", "0", "--json"],
+                       capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert set(payload["orbit_alpha"]) == set(payload["orbit_beta"]) == {
+        "values", "cycled"}
+
+
 def test_hasse_scan_and_cache(tmp_path, capsys):
     cache = str(tmp_path)
     code, out1, _ = run(["hasse-scan", "3", "200", "--assume-parity",
@@ -314,6 +332,177 @@ def test_malformed_cache_line_is_skipped(bad, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "hasse_candidate_verdict", no_recompute)
     assert _hasse_payload(str(cache), capsys) == fresh
     assert len(ScanCache(str(cache), "hasse-scan").entries) == 2
+
+
+def _fill(cache_dir, hi, capsys):
+    """A hasse-scan cache over 3..hi, filled by the CLI; returns its path."""
+    code, _, _ = run(["hasse-scan", "3", str(hi), "--cache-dir", str(cache_dir)],
+                     capsys)
+    assert code == EXIT_OK
+    return cache_dir / "hasse-scan.jsonl"
+
+
+def _key(p):
+    return (f"hasse:v={symcurves.__version__}:schema={cli.HASSE_VERDICT_SCHEMA}"
+            f":p={p}:parity=False")
+
+
+def _load(cache_dir):
+    return ScanCache(str(cache_dir), "hasse-scan").entries
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """The keys ScanCache hashes from here on, starting from an empty slot
+    of verified lines."""
+    monkeypatch.setattr(cli, "_last_verified", None)
+    keys = []
+    real = ScanCache._digest
+
+    def counting(self, key, record):
+        keys.append(key)
+        return real(self, key, record)
+
+    monkeypatch.setattr(ScanCache, "_digest", counting)
+    return keys
+
+
+def test_second_load_of_an_unchanged_cache_hashes_nothing(tmp_path, digests,
+                                                         capsys):
+    _fill(tmp_path, 200, capsys)
+    digests.clear()
+    first = _load(tmp_path)
+    assert sorted(digests) == sorted(first) == sorted(map(_key, (73, 97, 193)))
+    digests.clear()
+    assert _load(tmp_path) == first and digests == []
+
+
+def test_lines_appended_by_another_writer_are_served(tmp_path, digests,
+                                                    monkeypatch, capsys):
+    path = _fill(tmp_path / "a", 100, capsys)
+    line = _fill(tmp_path / "b", 200, capsys).read_bytes().splitlines(True)[2]
+    _load(tmp_path / "a")
+    with open(path, "ab") as fh:
+        fh.write(line)
+    digests.clear()
+    assert _key(193) in _load(tmp_path / "a")
+    assert digests == [_key(193)]
+
+    def no_recompute(*args):
+        raise AssertionError("a cached verdict was recomputed")
+
+    monkeypatch.setattr(cli, "hasse_candidate_verdict", no_recompute)
+    code, out, _ = run(["hasse-scan", "3", "200", "--cache-dir",
+                        str(tmp_path / "a"), "--json"], capsys)
+    assert [v["p"] for v in json.loads(out)["payload"]["verdicts"]] == [73, 97, 193]
+
+
+def test_rewritten_earlier_line_is_checked_again(tmp_path, digests, capsys):
+    path = _fill(tmp_path, 200, capsys)
+    _load(tmp_path)
+    lines = path.read_bytes().splitlines(True)
+    entry = json.loads(lines[0])
+    entry["record"]["selmer_bound"] = 99
+    # Rewritten with a matching hash: the new record is served, not the one
+    # verified from the old bytes.
+    entry["hash"] = ScanCache(None, "x")._digest(entry["key"], entry["record"])
+    path.write_bytes(json.dumps(entry).encode() + b"\n" + b"".join(lines[1:]))
+    assert _load(tmp_path)[_key(73)]["selmer_bound"] == 99
+    # Rewritten without fixing the hash: rejected, the others still served.
+    entry["record"]["selmer_bound"] = 98
+    path.write_bytes(json.dumps(entry).encode() + b"\n" + b"".join(lines[1:]))
+    digests.clear()
+    assert set(_load(tmp_path)) == {_key(97), _key(193)}
+    assert len(digests) == 3
+
+
+def test_unterminated_last_line_is_never_kept(tmp_path, digests, capsys):
+    path = _fill(tmp_path / "a", 100, capsys)
+    line = _fill(tmp_path / "b", 200, capsys).read_bytes().splitlines(True)[2]
+    # Half a line, as a writer in the middle of an append leaves it.
+    with open(path, "ab") as fh:
+        fh.write(line[:40])
+    assert _key(193) not in _load(tmp_path / "a")
+    # The whole line but its newline: served, and hashed again on each load.
+    with open(path, "ab") as fh:
+        fh.write(line[40:-1])
+    for _ in range(2):
+        digests.clear()
+        assert _key(193) in _load(tmp_path / "a")
+        assert digests == [_key(193)]
+        assert _key(193) not in cli._last_verified[2]
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    digests.clear()
+    assert _key(193) in _load(tmp_path / "a") and digests == [_key(193)]
+    digests.clear()
+    assert _key(193) in _load(tmp_path / "a") and digests == []
+
+
+def test_cache_lines_are_split_on_newline_only(tmp_path, digests, capsys):
+    # As when the file was iterated line by line: two entries joined by a
+    # raw \r are one bad line, and a \r between JSON tokens or before the
+    # newline is whitespace.
+    l73, l97, l193 = _fill(tmp_path, 200, capsys).read_bytes().splitlines()
+    (tmp_path / "hasse-scan.jsonl").write_bytes(
+        l73 + b"\r" + l97 + b"\n" + l193[:1] + b"\r" + l193[1:] + b"\r\n")
+    assert set(_load(tmp_path)) == {_key(193)}
+    digests.clear()
+    assert set(_load(tmp_path)) == {_key(193)} and digests == []
+
+
+def test_loading_another_cache_file_drops_the_first(tmp_path, digests, capsys):
+    a, b = _fill(tmp_path / "a", 100, capsys), _fill(tmp_path / "b", 200, capsys)
+    _load(tmp_path / "a")
+    _load(tmp_path / "b")
+    assert cli._last_verified[0] == str(b)
+    digests.clear()
+    _load(tmp_path / "a")
+    assert sorted(digests) == sorted(map(_key, (73, 97)))
+    assert cli._last_verified[0] == str(a)
+
+
+def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
+    # A correctly hashed line under the key format before versioning is not
+    # served: the verdict is computed again and stored under the new key.
+    old_key = "hasse:p=73:parity=False"
+    stale = dict(_hasse_payload(str(tmp_path / "fresh"), capsys)["verdicts"][0],
+                 conclusion="stale")
+    path = tmp_path / "cache" / "hasse-scan.jsonl"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"key": old_key, "record": stale, "hash":
+                                ScanCache(None, "x")._digest(old_key, stale)})
+                    + "\n")
+    computed = []
+    real = cli.hasse_candidate_verdict
+
+    def spy(p, parity):
+        computed.append(p)
+        return real(p, parity)
+
+    monkeypatch.setattr(cli, "hasse_candidate_verdict", spy)
+    verdicts = _hasse_payload(str(tmp_path / "cache"), capsys)["verdicts"]
+    assert computed == [73, 97]
+    assert verdicts[0]["conclusion"] != "stale"
+    keys = [json.loads(x)["key"] for x in path.read_text().splitlines()]
+    assert keys == [old_key, _key(73), _key(97)]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # The benchmark's tracer looks up private functions and methods of the
+    # package by name (cli._render, the ScanCache methods, the counted
+    # methods), and a renamed one breaks only traced runs.  `install`
+    # patches the modules, so it runs in a child process.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, str(root / "benchmarks")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import tracer\nfrom symcurves import cli\n"
+         "print(tracer.install(tracer.Tracer()))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) > 0
 
 
 @pytest.mark.parametrize("callee, first, second, seen_first, seen_second", [

@@ -120,6 +120,16 @@ def test_orbit_tail_stops_at_the_bit_cap():
     assert t.values[-1].denominator.bit_length() <= TAIL_BIT_CAP
 
 
+def test_orbit_tail_says_whether_it_was_cut():
+    # Only the bit cap sets `cut`; a tail that cycles or runs out of horizon
+    # is not cut, even when its last value is large.
+    assert orbit_tail(PM, 2, Fraction(3), 32).cut
+    assert orbit_tail(PM, 40, Fraction(3), 5).cut
+    assert not orbit_tail(PM, 2, Fraction(3), 12).cut
+    assert not orbit_tail(PM, 2, Fraction(0), 20).cut
+    assert not orbit_tail(PM, 0, Fraction(3), 4).cut
+
+
 def test_preperiodic_points():
     assert preperiodic_points(F_SQUARE_MINUS_2, 100) == \
         {Fraction(v) for v in (0, 1, -1, 2, -2)}
