@@ -67,12 +67,8 @@ def rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-# Exact types that encode as themselves; a subclass takes the checks below.
-_PLAIN = frozenset({int, str, bool, float, type(None)})
-
-
 def _encode(obj):
-    if type(obj) in _PLAIN:
+    if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj
     if isinstance(obj, Fraction):
         return rat(obj)
@@ -87,8 +83,6 @@ def _encode(obj):
                 for f in dataclasses.fields(obj)}
     if obj is INF:
         return "infinity"
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
     return repr(obj)
 
 
@@ -278,6 +272,15 @@ def cmd_orbit(args) -> tuple[dict, int]:
 _last_verified = None
 
 
+def _json_copy(value):
+    """A deep copy of a value parsed from JSON."""
+    if type(value) is dict:
+        return {k: _json_copy(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_json_copy(v) for v in value]
+    return value
+
+
 class ScanCache:
     """Append-only JSONL cache, one file per scan family, advisory-locked.
     Entries carry a hash of their key and payload; corrupted lines are
@@ -287,8 +290,9 @@ class ScanCache:
     this process and the file still starts with the same complete lines,
     their verified entries are reused and only the lines after them are
     parsed and hash-checked; any other file is checked line by line.  An
-    unterminated last line is checked on every load and never reused.  The
-    reused records are shared, not copied: callers must not mutate them."""
+    unterminated last line is checked on every load and never reused.
+    `get` returns a copy, so no caller can change what a later `get` or
+    load serves."""
 
     def __init__(self, cache_dir, family: str):
         base = cache_dir or os.environ.get(CACHE_ENV)
@@ -340,7 +344,7 @@ class ScanCache:
             self.entries[entry["key"]] = entry["record"]
 
     def get(self, key: str):
-        return self.entries.get(key)
+        return _json_copy(self.entries.get(key))
 
     def put(self, key: str, record):
         self.entries[key] = record

@@ -348,7 +348,9 @@ def _key(p):
 
 
 def _load(cache_dir):
-    return ScanCache(str(cache_dir), "hasse-scan").entries
+    """Every record a fresh load of the hasse-scan cache serves, by key."""
+    cache = ScanCache(str(cache_dir), "hasse-scan")
+    return {key: cache.get(key) for key in cache.entries}
 
 
 @pytest.fixture
@@ -460,6 +462,21 @@ def test_loading_another_cache_file_drops_the_first(tmp_path, digests, capsys):
     _load(tmp_path / "a")
     assert sorted(digests) == sorted(map(_key, (73, 97)))
     assert cli._last_verified[0] == str(a)
+
+
+def test_record_changed_by_a_caller_is_not_served_again(tmp_path, digests,
+                                                       capsys):
+    # What get() returns belongs to the caller: changing it reaches neither
+    # a later get() nor a later load that reuses the verified lines.
+    _fill(tmp_path, 200, capsys)
+    cache = ScanCache(str(tmp_path), "hasse-scan")
+    cache.get(_key(73))["selmer_bound"] = 99
+    assert cache.get(_key(73))["selmer_bound"] != 99
+    cache = ScanCache(str(tmp_path), "hasse-scan")
+    cache.get(_key(97))["selmer_bound"] = 99
+    digests.clear()
+    assert all(r["selmer_bound"] != 99 for r in _load(tmp_path).values())
+    assert digests == []
 
 
 def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
