@@ -5,8 +5,9 @@ Exit codes: 0 = certificate produced, 2 = precondition violation,
 3 = an undetermined place or conjectural verdict is present, 4 = a check
 that gates a certificate failed (`CheckFailed`), so no result is reported.
 
-Rationals serialize as {"num": "...", "den": "..."} decimal strings so the
-payloads round-trip losslessly.
+Each command builds its payload from JSON values only, and `envelope`
+stores it as given.  Rationals serialize as {"num": "...", "den": "..."}
+decimal strings (`rat`) so the payloads round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -67,30 +68,11 @@ def rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def _encode(obj):
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    if isinstance(obj, Fraction):
-        return rat(obj)
-    if isinstance(obj, frozenset) or isinstance(obj, set):
-        return sorted((_encode(x) for x in obj), key=json.dumps)
-    if isinstance(obj, (list, tuple)):
-        return [_encode(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _encode(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if obj is INF:
-        return "infinity"
-    return repr(obj)
-
-
 def envelope(command: str, inputs: str, payload, assumptions=()) -> dict:
     return {
         "command": command,
         "inputs": inputs,
-        "payload": _encode(payload),
+        "payload": payload,
         "assumptions": list(assumptions),
         "toolkit_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -168,7 +150,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
             verdicts.append(cached)
             continue
         v = hasse_candidate_verdict(p, args.assume_parity)
-        record = _encode({
+        record = {
             "p": p,
             "congruence_gate": v.congruence_gate,
             "locally_solvable": v.locally_solvable,
@@ -176,7 +158,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
             "selmer_bound": v.selmer_bound,
             "conditional_rank": v.conditional_rank,
             "conclusion": v.conclusion,
-        })
+        }
         cache.put(key, record)
         verdicts.append(record)
     payload = {"primes_scanned": len(verdicts), "verdicts": verdicts}
@@ -196,12 +178,12 @@ def cmd_heights(args) -> tuple[dict, int]:
         "curve": repr(E),
         "gap_upper": up,
         "gap_lower": low,
-        "torsion": [_encode("infinity" if P is INF else (P.x, P.y))
+        "torsion": ["infinity" if P is INF else [rat(P.x), rat(P.y)]
                     for P in torsion_subgroup(E)],
     }
     if args.point:
         P = _parse_point(args.point)
-        payload["point"] = _encode((P.x, P.y))
+        payload["point"] = [rat(P.x), rat(P.y)]
         payload["naive_height"] = naive_height(P)
         payload["canonical_height"] = canonical_height(E, P, args.tol)
     env = envelope("heights",
@@ -232,15 +214,15 @@ def cmd_local(args) -> tuple[dict, int]:
     payload = {
         "p": args.p,
         "everywhere_locally_solvable": ok,
-        "places": [_encode(r) for r in reports],
+        "places": [dataclasses.asdict(r) for r in reports],
     }
     env = envelope("local", f"p={args.p}", payload)
     code = EXIT_OK if ok else EXIT_UNDETERMINED
     return env, code
 
 
-def _encode_tail(tail) -> dict:
-    out = {"values": _encode(tail.values), "cycled": tail.cycled}
+def _tail_payload(tail) -> dict:
+    out = {"values": [rat(x) for x in tail.values], "cycled": tail.cycled}
     if tail.cut:
         out["cut_at_bit_cap"] = TAIL_BIT_CAP
     return out
@@ -254,9 +236,9 @@ def cmd_orbit(args) -> tuple[dict, int]:
     tail_b = orbit_tail(pm, args.n, Fraction(args.beta), args.horizon)
     meet, exact = shifted_intersection(pm, tail_a, tail_b)
     payload = {
-        "orbit_alpha": _encode_tail(tail_a),
-        "orbit_beta": _encode_tail(tail_b),
-        "intersection": _encode(sorted(meet)),
+        "orbit_alpha": _tail_payload(tail_a),
+        "orbit_beta": _tail_payload(tail_b),
+        "intersection": [rat(x) for x in sorted(meet)],
         "exact": exact,
     }
     env = envelope("orbit", f"f={args.f} shift={args.shift} n={args.n} "
@@ -292,7 +274,7 @@ class ScanCache:
     parsed and hash-checked; any other file is checked line by line.  An
     unterminated last line is checked on every load and never reused.
     `get` returns a copy, so no caller can change what a later `get` or
-    load serves."""
+    load serves; it is the only copy between the cache and a payload."""
 
     def __init__(self, cache_dir, family: str):
         base = cache_dir or os.environ.get(CACHE_ENV)

@@ -68,14 +68,18 @@ def _too_big(x: Fraction) -> bool:
 def orbit_tail(pm: PolyMap, n: int, start, horizon: int) -> OrbitTail:
     """[f^n(start), f^(n+1)(start), ...] truncated at `horizon` values, with
     early stop and a cycle tag once a value repeats.  A tail is also cut,
-    tagged `cut`, before a value past TAIL_BIT_CAP."""
+    tagged `cut`, before a value past TAIL_BIT_CAP.  Before step n a repeat
+    skips whole periods, so reaching step n takes at most the preperiod
+    plus two periods of steps, however large n is."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     x = Fraction(start)
     values, seen = [], set()
-    for step in range(n + horizon):
+    first = {}          # the step of each value met before step n
+    step = 0
+    while step < n + horizon:
         if x in seen:
             return OrbitTail(values, True)
         if _too_big(x):
@@ -83,7 +87,17 @@ def orbit_tail(pm: PolyMap, n: int, start, horizon: int) -> OrbitTail:
         if step >= n:
             values.append(x)
             seen.add(x)
+        elif x in first:
+            # x recurs with this period, so whole periods up to step n
+            # leave it unchanged: skip them.
+            period = step - first[x]
+            step += (n - step) // period * period
+            first.clear()
+            continue
+        else:
+            first[x] = step
         x = pm.f(x)
+        step += 1
     return OrbitTail(values, x in seen)
 
 
@@ -178,17 +192,6 @@ class ScanEvidence:
     exceptional: set = field(default_factory=set)
 
 
-def _integer_root(t: int, d: int) -> int:
-    """floor(t^(1/d)) for t >= 0, fixed one binary digit at a time from the
-    top: the root is below 2^ceil(bits(t)/d)."""
-    r = 0
-    for k in reversed(range(-(-t.bit_length() // d))):
-        c = r | (1 << k)
-        if c ** d <= t:
-            r = c
-    return r
-
-
 def _table_value(d: int, table, y: int) -> int:
     """T_d(y) read from table[|y|], where table[a] = T_d(a), through the
     parity T_d(-y) = (-1)^d T_d(y); evaluated directly past the table."""
@@ -197,24 +200,20 @@ def _table_value(d: int, table, y: int) -> int:
     return -v if y < 0 and d % 2 else v
 
 
-def _solve_cheb_value(d: int, t: int, small_values, table) -> set[int]:
+def _solve_cheb_value(d: int, t: int, small_values, index) -> set[int]:
     """All rational y with T_d(y) = t for an integer target t, as ints.
 
     Such y are integers by monicity.  `small_values` pairs each y in
-    SMALL_SET with T_d(y), and `table` holds T_d(0), T_d(1), ... as far as
-    the caller evaluated them, possibly none.  For y >= 3,
-    (y-1)^d < T_d(y) < y^d + 1, so with r = floor(|t|^(1/d)) the only
-    candidates are r and r + 1, each read from the table (or evaluated past
-    its end) and checked exactly against |t|.  By the parity of T_d a match
-    y gives -y as well for even d, and the sign of t for odd d.
+    SMALL_SET with T_d(y), and `index` maps T_d(y) to y for the y >= 3 the
+    caller evaluated.  T_d is strictly increasing on y >= 2, so t (or -t
+    for odd d and t < 0) is T_d(y) for at most one y >= 3, which the index
+    holds when it covers y.  By the parity of T_d a match y gives -y as well
+    for even d, and the sign of t for odd d.
     """
     out = {y for y, v in small_values if v == t}
-    target = -t if d % 2 and t < 0 else t
-    if target > 0:
-        r = _integer_root(target, d)
-        for y in (r, r + 1):
-            if y >= 3 and _table_value(d, table, y) == target:
-                out |= {y, -y} if d % 2 == 0 else {y if t > 0 else -y}
+    y = index.get(-t if d % 2 and t < 0 else t)
+    if y is not None:
+        out |= {y, -y} if d % 2 == 0 else {y if t > 0 else -y}
     return out
 
 
@@ -233,7 +232,8 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     T_d is evaluated once per scan, at 0, 1, ..., cap + 1, into one table.
     Negative arguments are read through parity, and every candidate y >= 3
     lies in the table: it has (y - 1)^d <= |1 - T_d(x)|, which is at most 3
-    for |x| <= 2 and below |x|^d + 2 otherwise, so y <= cap + 1.
+    for |x| <= 2 and below |x|^d + 2 otherwise, so y <= cap + 1.  So the
+    index {T_d(y): y} over 3 <= y <= cap + 1 solves every target exactly.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -242,9 +242,10 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     small = set(SMALL_SET)
     table = [cheb_eval(d, x) for x in range(cap + 2)]
     small_values = [(y, _table_value(d, table, y)) for y in SMALL_SET]
+    index = {table[y]: y for y in range(3, cap + 2)}
     for x in range(-cap, cap + 1):
         t = 1 - _table_value(d, table, x)
-        for y in _solve_cheb_value(d, t, small_values, table):
+        for y in _solve_cheb_value(d, t, small_values, index):
             if x in small and y in small:
                 ev.inside_points.add((x, y))
             else:

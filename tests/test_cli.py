@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,19 @@ def test_cut_orbit_tail_names_the_bit_cap(capsys):
     payload = json.loads(out)["payload"]
     assert set(payload["orbit_alpha"]) == set(payload["orbit_beta"]) == {
         "values", "cycled"}
+
+
+def test_orbit_skips_whole_periods_before_n(capsys):
+    # 0 -> -2 -> 2 -> 2 -> ...: once 2 repeats, the walk to step n jumps
+    # whole periods instead of taking a billion steps.
+    start = time.perf_counter()
+    code, out, _ = run(["orbit", "--alpha", "0", "--beta", "0",
+                        "--n", "1000000000", "--json"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    for tail in (payload["orbit_alpha"], payload["orbit_beta"]):
+        assert tail == {"values": [rat(2)], "cycled": True}
 
 
 def test_hasse_scan_and_cache(tmp_path, capsys):

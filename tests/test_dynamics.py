@@ -6,11 +6,11 @@ import pytest
 from symcurves import chebyshev, dynamics
 from symcurves.chebyshev import cheb_eval
 from symcurves.dynamics import (
+    OrbitTail,
     SMALL_SET,
     TAIL_BIT_CAP,
     PolyMap,
     X5_POINTS,
-    _integer_root,
     _x4_certificate,
     _solve_cheb_value,
     chebyshev_curve_points,
@@ -128,6 +128,54 @@ def test_orbit_tail_says_whether_it_was_cut():
     assert not orbit_tail(PM, 2, Fraction(3), 12).cut
     assert not orbit_tail(PM, 2, Fraction(0), 20).cut
     assert not orbit_tail(PM, 0, Fraction(3), 4).cut
+
+
+def _direct_tail(pm, n, start, horizon):
+    # Reference: every step of the walk up to n + horizon, no period skipped.
+    x = Fraction(start)
+    values, seen = [], set()
+    for step in range(n + horizon):
+        if x in seen:
+            return OrbitTail(values, True)
+        if max(x.numerator.bit_length(),
+               x.denominator.bit_length()) > TAIL_BIT_CAP:
+            return OrbitTail(values, False, cut=True)
+        if step >= n:
+            values.append(x)
+            seen.add(x)
+        x = pm.f(x)
+    return OrbitTail(values, x in seen)
+
+
+class _MemoPoly(IntPoly):
+    # Each value is mapped once, however many walks of the grid reach it.
+    __slots__ = ("memo",)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.memo = {}
+
+    def __call__(self, x):
+        key = x.numerator, x.denominator     # cheaper to hash than x
+        if key not in self.memo:
+            self.memo[key] = super().__call__(x)
+        return self.memo[key]
+
+
+def test_orbit_tail_matches_a_direct_walk():
+    # x^2 - 2, x^2 - 1, x^2, x^2 - 3, x^3 + x and -x^2 - 2: fixed points,
+    # 2-cycles, preperiodic starts and wandering orbits cut at the bit cap.
+    maps = [PolyMap(_MemoPoly(c)) for c in ([-2, 0, 1], [-1, 0, 1],
+                                            [0, 0, 1], [-3, 0, 1],
+                                            [0, 1, 0, 1], [-2, 0, -1])]
+    starts = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)]
+    for pm in maps:
+        for start in starts:
+            for n in range(30):
+                for horizon in (1, 2, 3, 5, 32):
+                    assert (orbit_tail(pm, n, start, horizon)
+                            == _direct_tail(pm, n, start, horizon)), (
+                        pm.f, start, n, horizon)
 
 
 def test_preperiodic_points():
@@ -317,6 +365,22 @@ def _cheb_table(d, bound):
     return table
 
 
+def _integer_root(t: int, d: int) -> int:
+    """Reference: floor(t^(1/d)) for t >= 0, fixed one binary digit at a
+    time from the top: the root is below 2^ceil(bits(t)/d)."""
+    r = 0
+    for k in reversed(range(-(-t.bit_length() // d))):
+        c = r | (1 << k)
+        if c ** d <= t:
+            r = c
+    return r
+
+
+def _index(table: dict) -> dict:
+    # {T_d(y): y} over the y >= 3 of a table y -> T_d(y).
+    return {v: y for y, v in table.items() if y >= 3}
+
+
 def test_integer_root():
     for d in range(1, 12):
         for t in range(0, 3000):
@@ -342,15 +406,18 @@ def test_solve_cheb_value_boundaries():
             bound = 2 ** -(-abs(t).bit_length() // d) + 3
             table = _cheb_table(d, bound)
             expected = {Fraction(y) for y, v in table.items() if v == t}
-            assert _solve_cheb_value(d, t, small_values, ()) == expected, (d, t)
+            assert (_solve_cheb_value(d, t, small_values, _index(table))
+                    == expected), (d, t)
         # T_d >= -2 on the reals for even d.
         if d % 2 == 0:
+            index = _index(_cheb_table(d, 42))
             for t in (-3, -t3, -41 ** d):
-                assert _solve_cheb_value(d, t, small_values, ()) == set()
+                assert _solve_cheb_value(d, t, small_values, index) == set()
     # Large roots are found exactly.
     d, y = 3, 10**9 + 7
     small_values = [(v, cheb_eval(d, v)) for v in SMALL_SET]
-    assert _solve_cheb_value(d, y ** 3 - 3 * y, small_values, ()) == {Fraction(y)}
+    t = y ** 3 - 3 * y
+    assert _solve_cheb_value(d, t, small_values, {t: y}) == {Fraction(y)}
 
 
 def test_conjecture_scan_matches_bruteforce():
@@ -399,14 +466,14 @@ def test_conjecture_scan_table_matches_reference(cap):
         ev = conjecture_scan(d, cap)
         assert (ev.inside_points, ev.exceptional) == _reference_scan(d, cap), d
     # X_d has no point with |y| >= 3 here, so solve values of T_d directly
-    # to read matches from the table and past its end.
+    # against an index over the window they come from.
     for d in range(3, 81, 7):
-        table = [cheb_eval(d, x) for x in range(cap + 2)]
+        index = {cheb_eval(d, y): y for y in range(3, cap + 4)}
         small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
         for y in range(cap + 4):
             v = cheb_eval(d, y)
             for t in (v, v - 1, v + 1, -v, -v + 1):
-                assert (_solve_cheb_value(d, t, small_values, table)
+                assert (_solve_cheb_value(d, t, small_values, index)
                         == _reference_solve(d, t, small_values)), (d, t)
 
 
