@@ -281,7 +281,6 @@ class ScanCache:
         self.path = None
         self.entries = {}
         if base:
-            os.makedirs(base, exist_ok=True)
             self.path = os.path.join(base, f"{family}.jsonl")
             self._load()
 
@@ -334,7 +333,12 @@ class ScanCache:
             return
         entry = {"key": key, "record": record,
                  "hash": self._digest(key, record)}
-        with open(self.path, "a") as fh:
+        try:
+            fh = open(self.path, "a")
+        except FileNotFoundError:       # the first put makes the directory
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            fh = open(self.path, "a")
+        with fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
             fh.flush()

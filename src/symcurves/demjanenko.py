@@ -14,12 +14,18 @@ Proof: x(R) is then an l-adic unit, so a phi_1-preimage (x, y) of R or of
 (+-y(R)/x - 4a')/8 would be one of those two residues mod l; the pair of
 residues is the same for R and -R and for either choice of t.
 
+Only the pairs still alive go on to the next prime, and each prime walks
+n*G mod l only up to the last live pair.  Inverses and square roots mod l
+are read from tables built once per process and kept for a bounded number
+of primes (FIELD_TABLE_CACHE).
+
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve and non-torsion but does not prove the rank bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +52,9 @@ VERIFIED_WINDOW_FLOOR = 40
 
 # The residue sieve works modulo this many odd primes of good reduction.
 SIEVE_PRIME_COUNT = 24
+
+# Inverse and square-root tables of F_l are kept for this many primes l.
+FIELD_TABLE_CACHE = 128
 
 
 @dataclass
@@ -197,8 +206,10 @@ def _reduce(P, ell: int):
     return rat_mod(P.x, ell), rat_mod(P.y, ell)
 
 
-def _add_mod(P, Q, a2: int, a4: int, ell: int):
-    # The chord-and-tangent law on E mod ell; None is the identity.
+def _add_mod(P, Q, a2: int, a4: int, ell: int, inv):
+    # The chord-and-tangent law on E mod ell; None is the identity and `inv`
+    # the inverse table of `_field_tables(ell)`.  Its entry 0 is never read:
+    # x1 != x2 mod ell, and a doubling with y1 = 0 returns the identity.
     if P is None:
         return Q
     if Q is None:
@@ -207,31 +218,39 @@ def _add_mod(P, Q, a2: int, a4: int, ell: int):
     if x1 == x2:
         if (y1 + y2) % ell == 0:
             return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, ell) % ell
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * inv[2 * y1 % ell] % ell
     else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+        lam = (y2 - y1) * inv[(x2 - x1) % ell] % ell
     x3 = (lam * lam - a2 - x1 - x2) % ell
     return (x3, (lam * (x1 - x3) - y1) % ell)
 
 
-def _square_roots_mod(ell: int) -> dict[int, int]:
-    """{v: t} with t^2 = v mod ell, for every square v mod ell (0 included)."""
-    return {t * t % ell: t for t in range(ell)}
+@functools.lru_cache(maxsize=FIELD_TABLE_CACHE)
+def _field_tables(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(inv, root) for the odd prime ell: inv[x] * x = 1 mod ell for x != 0
+    (inv[0] = 0), and root[v] is a square root of v mod ell, or -1 when v is
+    not a square.  Kept per process for the last FIELD_TABLE_CACHE primes."""
+    inv, root = [0, 1] + [0] * (ell - 2), [-1] * ell
+    for x in range(2, ell):
+        inv[x] = -(ell // x) * inv[ell % x] % ell
+    for t in range(ell):
+        root[t * t % ell] = t
+    return tuple(inv), tuple(root)
 
 
-def _no_preimage_mod(R, a: int, ell: int, roots: dict[int, int]) -> bool:
-    """True when R mod ell (a = a' mod ell, `roots` the table of
-    `_square_roots_mod(ell)`) proves that neither R nor -R has a rational
+def _no_preimage_mod(R, a: int, ell: int, inv, root) -> bool:
+    """True when R mod ell (a = a' mod ell, `inv` and `root` the tables of
+    `_field_tables(ell)`) proves that neither R nor -R has a rational
     phi_1-preimage; see the module docstring."""
     if R is None or R[0] == 0:
         return False
     X, Y = R
-    t = roots.get(-X * pow(4, -1, ell) % ell)
-    if t is None:
+    t = root[-X * inv[4 % ell] % ell]
+    if t < 0:
         return True                     # x^2 = -X/4 has no solution mod ell
-    yt, inv8 = Y * pow(t, -1, ell), pow(8, -1, ell)
+    yt, inv8 = Y * inv[t], inv[8 % ell]
     for v in ((yt - 4 * a) * inv8 % ell, (-yt - 4 * a) * inv8 % ell):
-        if v in roots:
+        if root[v] >= 0:
             return False                # y^2 = v is solvable mod ell
     return True
 
@@ -240,6 +259,12 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     """alive[n][i] is False when some l in `primes` proves that neither
     n*G + T_i nor its negative has a phi_1-preimage, for 0 <= n <= N.
 
+    Only the live pairs (n, i) go from one prime to the next, and each prime
+    walks n*G mod l only up to the last live pair, the largest live n, or
+    up to the order of G mod l when that comes first.  The F_l tables come
+    from `_field_tables`, kept per process for at most FIELD_TABLE_CACHE
+    primes.
+
     Raises ValueError unless E is the companion curve of F (so a6 = 0) and
     every l is an odd prime of good reduction for E."""
     E, F = inp.E, inp.F
@@ -247,21 +272,31 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
         raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
     den = math.lcm(E.a2.denominator, E.a4.denominator)
     disc = E.discriminant().numerator
-    alive = [[True] * len(inp.torsion) for _ in range(N + 1)]
+    live = [(n, i) for n in range(N + 1) for i in range(len(inp.torsion))]
     for ell in primes:
         if ell == 2 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
             raise ValueError(f"{ell} is not a prime > 2 of good reduction")
+        if not live:
+            continue
         a2, a4, a = rat_mod(E.a2, ell), rat_mod(E.a4, ell), rat_mod(F.a_eff, ell)
-        roots = _square_roots_mod(ell)
+        inv, root = _field_tables(ell)
         G = _reduce(inp.generator, ell)
         torsion = [_reduce(T, ell) for T in inp.torsion]
-        nG = None
-        for row in alive:
-            for i, T in enumerate(torsion):
-                if row[i] and _no_preimage_mod(_add_mod(nG, T, a2, a4, ell),
-                                               a, ell, roots):
-                    row[i] = False
-            nG = _add_mod(nG, G, a2, a4, ell)
+        # n*G mod ell for n up to the largest live n (live is sorted by n),
+        # or for n below the order of G mod ell when that is smaller.
+        multiples = [None]
+        for _ in range(live[-1][0]):
+            nG = _add_mod(multiples[-1], G, a2, a4, ell, inv)
+            if nG is None:
+                break
+            multiples.append(nG)
+        order = len(multiples)
+        live = [(n, i) for n, i in live if not _no_preimage_mod(
+            _add_mod(multiples[n % order], torsion[i], a2, a4, ell, inv),
+            a, ell, inv, root)]
+    alive = [[False] * len(inp.torsion) for _ in range(N + 1)]
+    for n, i in live:
+        alive[n][i] = True
     return alive
 
 

@@ -14,6 +14,7 @@ provided (`canonical_height_doubling`) as an independent, slower oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -418,39 +419,33 @@ class _HeightMachine:
                 e += 1
             prec = (n_steps + 2) * e + 4
             mod = ell**prec
-            w = (p0 % mod, q0 % mod)
+            w0, w1 = p0 % mod, q0 % mod
             weight = 1.0
             log_ell = math.log(ell)
             for _ in range(n_steps):
                 weight /= 4.0
-                a0 = _eval_homog(self.N.coeffs, w[0], w[1], mod)
-                a1 = _eval_homog(self.D.coeffs, w[0], w[1], mod)
-                delta = min(_val_capped(a0, ell, e), _val_capped(a1, ell, e))
+                w0, w1 = _eval_pair(self.N.coeffs, self.D.coeffs, w0, w1, mod)
+                delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
                 require(delta <= e, "duplication content exceeds its Bezout bound")
                 if delta:
                     fin += weight * delta * log_ell
                     mod //= ell**delta
-                    a0 = (a0 // ell**delta) % mod
-                    a1 = (a1 // ell**delta) % mod
-                else:
-                    a0 %= mod
-                    a1 %= mod
-                w = (a0, a1)
+                    w0 = (w0 // ell**delta) % mod
+                    w1 = (w1 // ell**delta) % mod
         return h + arch - fin
 
 
-def _eval_homog(coeffs, p, q, mod):
-    # sum coeffs[i] * p^i * q^(4-i) mod `mod`: a quartic coefficient list, or
-    # a cubic one homogenized to degree 4 by one extra factor of q.
-    powers_p = [1, p % mod]
-    powers_q = [1, q % mod]
-    for _ in range(3):
-        powers_p.append(powers_p[-1] * p % mod)
-        powers_q.append(powers_q[-1] * q % mod)
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc = (acc + c * powers_p[i] * powers_q[4 - i]) % mod
-    return acc
+def _eval_pair(n, d, p, q, mod):
+    # (N(p, q), D(p, q)) mod `mod`, with N(p, q) = sum n[i] * p^i * q^(4-i)
+    # for the quartic list n and D the same sum over the cubic list d, i.e.
+    # homogenized to degree 4 by one extra factor of q.  Both read one list
+    # of the monomials p^i * q^(4-i).
+    p1, q1 = p % mod, q % mod
+    p2, q2 = p1 * p1 % mod, q1 * q1 % mod
+    mono = (q2 * q2 % mod, p1 * q1 * q2 % mod, p2 * q2 % mod,
+            p1 * q1 * p2 % mod, p2 * p2 % mod)
+    return (sum(map(operator.mul, n, mono)) % mod,
+            sum(map(operator.mul, d, mono)) % mod)
 
 
 def _val_capped(a, ell, cap):

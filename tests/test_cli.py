@@ -493,6 +493,32 @@ def test_record_changed_by_a_caller_is_not_served_again(tmp_path, digests,
     assert digests == []
 
 
+def test_warm_load_makes_no_directory(tmp_path, monkeypatch, capsys):
+    # A load only reads; a directory is made by the first put, if at all.
+    _fill(tmp_path, 200, capsys)
+
+    def no_makedirs(*args, **kwargs):
+        raise AssertionError("a cache load made a directory")
+
+    monkeypatch.setattr(os, "makedirs", no_makedirs)
+    assert sorted(_load(tmp_path)) == sorted(map(_key, (73, 97, 193)))
+    assert _hasse_payload(str(tmp_path), capsys)["primes_scanned"] == 2
+    # With no directory at all, a load finds nothing and still makes none.
+    assert ScanCache(str(tmp_path / "absent"), "hasse-scan").entries == {}
+    assert not (tmp_path / "absent").exists()
+
+
+def test_first_put_makes_the_cache_directory(tmp_path, digests):
+    base = tmp_path / "new" / "cache"
+    cache = ScanCache(str(base), "hasse-scan")
+    assert not base.exists()
+    cache.put("k", {"p": 73})
+    cache.put("k2", {"p": 97})
+    digests.clear()
+    assert _load(base) == {"k": {"p": 73}, "k2": {"p": 97}}
+    assert sorted(digests) == ["k", "k2"]
+
+
 def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
     # A correctly hashed line under the key format before versioning is not
     # served: the verdict is computed again and stored under the new key.

@@ -1,7 +1,10 @@
+import ast
 import functools
+import inspect
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,14 +12,16 @@ from fractions import Fraction
 import pytest
 
 import symcurves
+from symcurves import demjanenko
 from symcurves.demjanenko import (
+    FIELD_TABLE_CACHE,
     SIEVE_PRIME_COUNT,
     VERIFIED_WINDOW_FLOOR,
     DemjanenkoInput,
+    _field_tables,
     _no_preimage_mod,
     _sieve_primes,
     _sieve_survivors,
-    _square_roots_mod,
     build_input,
     determine_points,
     enumerate_and_pull_back,
@@ -28,6 +33,7 @@ from symcurves.elliptic import INF, EllipticCurve, point
 from symcurves.exact import rational_sqrt
 from symcurves.quartic import SymQuartic, phi_preimages
 from test_quartic import qpoint
+from test_quartic_golden import CORPUS as GOLDEN_CORPUS
 
 X4 = SymQuartic(-4, -3, 1)
 G = point(4, -16)
@@ -335,11 +341,148 @@ def test_no_preimage_mod_is_the_lemma_at_every_small_prime(case):
                      for q in (E.a2, E.a4, F.a_eff))
         images = {(-4 * x * x % ell, x * (8 * y * y + 4 * a) % ell)
                   for x in range(1, ell) for y in range(ell)}
-        roots = _square_roots_mod(ell)
+        inv, root = _field_tables(ell)
         for X in range(ell):
             for Y in range(ell):
                 if (Y * Y - ((X + a2) * X + a4) * X) % ell:
                     continue
                 hit = (X, Y) in images or (X, -Y % ell) in images
-                rejected = _no_preimage_mod((X, Y), a, ell, roots)
+                rejected = _no_preimage_mod((X, Y), a, ell, inv, root)
                 assert rejected == (X != 0 and not hit), (ell, X, Y)
+
+
+def test_field_tables_match_brute_force():
+    # Every odd prime below 200: inv[x] inverts x, and root[v] is a square
+    # root of v exactly when v is a square mod l (-1 otherwise).
+    for ell in range(3, 200, 2):
+        if any(ell % q == 0 for q in range(2, ell)):
+            continue
+        inv, root = _field_tables(ell)
+        squares = {t * t % ell for t in range(ell)}
+        assert len(inv) == len(root) == ell
+        assert all(x * inv[x] % ell == 1 for x in range(1, ell)), ell
+        for v in range(ell):
+            if v in squares:
+                assert 0 <= root[v] < ell and root[v] ** 2 % ell == v, (ell, v)
+            else:
+                assert root[v] == -1, (ell, v)
+
+
+# ------------------------------------------------ reference row-by-row sieve
+
+def reference_add_mod(P, Q, a2, a4, ell):
+    # The group law mod l with an inverse computed for each addition.
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - a2 - x1 - x2) % ell
+    return (x3, (lam * (x1 - x3) - y1) % ell)
+
+
+def reference_no_preimage(R, a, ell, roots):
+    # The lemma of the demjanenko docstring, with a dict of square roots.
+    if R is None or R[0] == 0:
+        return False
+    X, Y = R
+    t = roots.get(-X * pow(4, -1, ell) % ell)
+    if t is None:
+        return True
+    yt, inv8 = Y * pow(t, -1, ell), pow(8, -1, ell)
+    return not any(v in roots for v in ((yt - 4 * a) * inv8 % ell,
+                                        (-yt - 4 * a) * inv8 % ell))
+
+
+def reference_survivors(inp, N, primes):
+    """The residue sieve as a full row walk: at every prime, n*G mod l for
+    all rows 0 <= n <= N, and every entry still alive tested."""
+    E, F = inp.E, inp.F
+
+    def reduce(P, ell):
+        if P is INF or P.x.denominator % ell == 0:
+            return None
+        return tuple(c.numerator * pow(c.denominator, -1, ell) % ell
+                     for c in (P.x, P.y))
+
+    alive = [[True] * len(inp.torsion) for _ in range(N + 1)]
+    for ell in primes:
+        a2, a4, a = (c.numerator * pow(c.denominator, -1, ell) % ell
+                     for c in (E.a2, E.a4, F.a_eff))
+        roots = {t * t % ell: t for t in range(ell)}
+        G = reduce(inp.generator, ell)
+        torsion = [reduce(T, ell) for T in inp.torsion]
+        nG = None
+        for row in alive:
+            for i, T in enumerate(torsion):
+                if row[i] and reference_no_preimage(
+                        reference_add_mod(nG, T, a2, a4, ell), a, ell, roots):
+                    row[i] = False
+            nG = reference_add_mod(nG, G, a2, a4, ell)
+    return alive
+
+
+def _random_back_solved_inputs(seed, count):
+    """Curves F_(a, b) with b back-solved from a seeded point P = (x, y) and
+    G = phi_1(P), as the benchmark corpus builds them; torsion G skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        x, y, a = (Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2)))
+                   for _ in range(3))
+        b = x**4 + a * x * x + a * y * y + y**4
+        if x == 0 or b * (a * a + 2 * b) * (a * a + 4 * b) == 0:
+            continue
+        G = point(-4 * x * x, x * (8 * y * y + 4 * a))
+        try:
+            out.append(build_input(SymQuartic(a, b, 1), G, 1))
+        except ValueError:              # G is torsion
+            continue
+    return out
+
+
+def _differential_inputs():
+    golden = [build_input(SymQuartic(Fraction(a), Fraction(b), 1),
+                          point(int(gx), int(gy)), 1)
+              for a, b, gx, gy in GOLDEN_CORPUS]
+    sieve = [_sieve_input(case) for case in range(len(SIEVE_CURVES))]
+    return golden + sieve + _random_back_solved_inputs(11, 40)
+
+
+def test_live_pair_sieve_matches_the_row_walk():
+    inputs = _differential_inputs()
+    assert len(inputs) == 30 + len(SIEVE_CURVES) + 40
+    for inp in inputs:
+        primes = _sieve_primes(inp.E)
+        for N, chosen in ((VERIFIED_WINDOW_FLOOR, primes), (55, primes),
+                          (7, primes[::-1]), (0, primes[:3]), (40, [])):
+            expected = reference_survivors(inp, N, chosen)
+            assert _sieve_survivors(inp, N, chosen) == expected, (inp.F, N)
+
+
+def test_certificate_from_cold_and_warm_field_tables():
+    # The tables are kept per process, in a cache of bounded size.
+    assert _field_tables.cache_info().maxsize == FIELD_TABLE_CACHE
+    assert isinstance(FIELD_TABLE_CACHE, int) and FIELD_TABLE_CACHE > 0
+    for case in range(len(SIEVE_CURVES)):
+        inp = _sieve_input(case)
+        warm = determine_points(inp.F, inp.generator, 1)
+        _field_tables.cache_clear()
+        cold = determine_points(inp.F, inp.generator, 1)
+        assert cold == warm
+        assert _field_tables.cache_info().currsize > 0
+
+
+def test_sieve_loop_computes_no_inverse():
+    # Inverses and square roots mod l come from `_field_tables` only.
+    for helper in (_sieve_survivors, demjanenko._add_mod, _no_preimage_mod):
+        tree = ast.parse(inspect.getsource(helper))
+        calls = [node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert "pow" not in calls, helper.__name__

@@ -22,7 +22,7 @@ from symcurves.elliptic import (
     EllipticCurve,
     _bezout_data,
     _duplication_forms,
-    _eval_homog,
+    _eval_pair,
     _integer_roots_monic_cubic,
     _machine_for,
     _square_divisors,
@@ -609,16 +609,21 @@ def test_bezout_data_matches_fraction_reference():
         assert got == reference_bezout_data(E), E
 
 
-def test_eval_homog_on_the_cubic_d():
-    # The duplication D is a cubic list, homogenized to degree 4 by one more
-    # factor of q; compared with the sum written out term by term.
+def test_eval_pair_matches_the_sums_written_out():
+    # N is a quartic list and D a cubic one, homogenized to degree 4 by one
+    # more factor of q; both are compared with the sum written out term by
+    # term, also modulo l^prec with prec as large as `height` takes it.
     rng = random.Random(3)
     for _ in range(2000):
-        coeffs = [rng.randint(-10**6, 10**6) for _ in range(4)]
+        n = [rng.randint(-10**6, 10**6) for _ in range(5)]
+        d = [rng.randint(-10**6, 10**6) for _ in range(4)]
         p, q = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
-        mod = rng.choice((2, 3, 7)) ** rng.randint(1, 40)
-        expected = sum(c * p**i * q**(4 - i) for i, c in enumerate(coeffs)) % mod
-        assert _eval_homog(coeffs, p, q, mod) == expected
+        if rng.random() < 0.2:
+            p, q = rng.randint(-10**400, 10**400), rng.randint(-10**400, 10**400)
+        mod = rng.choice((2, 3, 7, 13)) ** rng.choice((1, 2, 40, 160, 400))
+        expected = tuple(sum(c * p**i * q**(4 - i) for i, c in enumerate(cs)) % mod
+                         for cs in (n, d))
+        assert _eval_pair(n, d, p, q, mod) == expected
 
 
 def test_duplication_numerator_has_no_cubic_term():
