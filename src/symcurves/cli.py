@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .demjanenko import determine_points
@@ -140,8 +141,9 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
         raise ValueError("need 3 <= lo <= hi")
     cache = ScanCache(args.cache_dir, "hasse-scan")
     verdicts = []
-    for p in range(args.lo | 1, args.hi + 1, 2):
-        if p % 24 != 1 or not is_prime(p):
+    # The family primes are p = 1 mod 24: walk that class from lo on.
+    for p in range(args.lo + (1 - args.lo) % 24, args.hi + 1, 24):
+        if not is_prime(p):
             continue
         key = (f"hasse:v={__version__}:schema={HASSE_VERDICT_SCHEMA}"
                f":p={p}:parity={args.assume_parity}")
@@ -209,12 +211,19 @@ def cmd_descent(args) -> tuple[dict, int]:
     return env, EXIT_OK
 
 
+def _place(report) -> dict:
+    out = dataclasses.asdict(report)
+    if out["witness"] is not None:      # a tuple: written as a JSON list
+        out["witness"] = list(out["witness"])
+    return out
+
+
 def cmd_local(args) -> tuple[dict, int]:
     ok, reports = everywhere_locally_solvable(args.p)
     payload = {
         "p": args.p,
         "everywhere_locally_solvable": ok,
-        "places": [dataclasses.asdict(r) for r in reports],
+        "places": [_place(r) for r in reports],
     }
     env = envelope("local", f"p={args.p}", payload)
     code = EXIT_OK if ok else EXIT_UNDETERMINED
@@ -411,9 +420,83 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# `--json` output is byte-identical to json.dumps(env, indent=2,
+# sort_keys=True).  Given `indent`, `json` writes through its pure-Python
+# encoder (CPython before 3.13), so `_emit` writes through the C one: each
+# container that holds no dict, list or tuple is one call to the C encoder
+# made for its depth, whose item separator carries the newline and indent
+# of that depth, and `_emit` walks the containers above such leaves itself.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = (dict, list, tuple)
+
+
+class _Levels(dict):
+    """depth -> (C encoder for a leaf at that depth, the newline and indent
+    before its closing bracket, before a member, and before a later member
+    with its comma).  Built on first use; each is a function of the depth
+    alone, so no output depends on which depths a process has built."""
+
+    def __missing__(self, depth: int):
+        outer = "\n" + "  " * depth
+        level = self[depth] = (
+            c_make_encoder(None, json.JSONEncoder().default,
+                           encode_basestring_ascii, None, ": ",
+                           ",\n" + "  " * (depth + 1), True, False, True),
+            outer, outer + "  ", "," + outer + "  ")
+        return level
+
+
+_levels = _Levels()
+
+
+def _json_key(key) -> str:
+    # As `json` writes a key: a str as it is, an int, float, bool or None as
+    # its JSON text, either one as a JSON string.
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = "".join(_levels[0][0](key, 0))
+    return encode_basestring_ascii(key)
+
+
+def _emit(value, depth: int, out: list) -> None:
+    """Append the JSON text of the dict, list or tuple `value`, nested
+    `depth` deep, to `out`.  A tuple is written as a list, as `json` does."""
+    encode, outer, inner, sep = _levels[depth]
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = "".join(encode(value, 0))
+        if len(text) > 2:       # not empty: brackets on lines of their own
+            out += (text[0], inner, text[1:-1], outer, text[-1])
+        else:
+            out.append(text)
+        return
+    if is_dict:
+        out.append("{")
+        for i, (key, v) in enumerate(sorted(value.items())):
+            out += (sep if i else inner, _json_key(key), ": ")
+            if isinstance(v, _CONTAINERS):
+                _emit(v, depth + 1, out)
+            else:               # a scalar, or TypeError as from `json`
+                out.append("".join(encode(v, 0)))
+        out += (outer, "}")
+    else:
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append(sep if i else inner)
+            if isinstance(v, _CONTAINERS):
+                _emit(v, depth + 1, out)
+            else:
+                out.append("".join(encode(v, 0)))
+        out += (outer, "]")
+
+
 def _render(env: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(env, indent=2, sort_keys=True)
+        out = []
+        _emit(env, 0, out)
+        return "".join(out)
     lines = [f"{env['command']}  ({env['inputs']})"]
     payload = env["payload"]
     for key, value in payload.items():

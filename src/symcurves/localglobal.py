@@ -8,6 +8,7 @@ criterion.  Failed certificate checks raise `CheckFailed`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .exact import factorize, is_prime, rat_mod, require, sqrt_mod_pk
@@ -58,22 +59,29 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
 
     Counts all projective points and returns one at which some partial
     derivative is nonzero, hence liftable to Q_q by Hensel's lemma.
-    Rejects primes of (possibly) bad reduction.
-
-    The affine part is h(x) + h(y) = b with h(t) = t^4 + a*t^2, so the
-    count takes O(q) steps: the y in [0, q) are bucketed by h(y), and each
-    x adds the size of the bucket at b - h(x).  The witness is the first
-    affine point in (x, y) order with a nonzero partial derivative, or else
-    the first such point at infinity.
+    Rejects primes of (possibly) bad reduction.  The answer depends only on
+    (q, a' mod q, b' mod q); for q < WEIL_CUTOFF, the only fields the local
+    check counts, it is kept per process under that key (at most 3,354
+    keys), so a family that meets the same residues again counts nothing.
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if q in bad_primes(F):
         raise ValueError(f"q = {q} is a prime of bad reduction; use the "
                          "special place handling")
-    a = rat_mod(F.a_eff, q)
-    b = rat_mod(F.b_eff, q)
+    count = _count_small_field if q < WEIL_CUTOFF else _count_smooth_points
+    return count(q, rat_mod(F.a_eff, q), rat_mod(F.b_eff, q))
 
+
+def _count_smooth_points(q: int, a: int, b: int):
+    """(count, smooth_witness) of h(x) + h(y) = b over P^2(F_q), with
+    h(t) = t^4 + a*t^2.
+
+    The count takes O(q) steps: the y in [0, q) are bucketed by h(y), and
+    each x adds the size of the bucket at b - h(x).  The witness is the
+    first affine point in (x, y) order with a nonzero partial derivative,
+    or else the first such point at infinity.
+    """
     def partials(x, y, z):
         dx = (4 * pow(x, 3, q) + 2 * a * x * z * z) % q
         dy = (4 * pow(y, 3, q) + 2 * a * y * z * z) % q
@@ -99,6 +107,11 @@ def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
             if witness is None and any(partials(x, 1, 0)):
                 witness = (x, 1, 0)
     return count, witness
+
+
+# The table of `count_smooth_points_quartic_Fq` for q < WEIL_CUTOFF.  Its
+# values are (int, tuple or None), so no caller can change an entry.
+_count_small_field = functools.cache(_count_smooth_points)
 
 
 def special_place_checks(p: int) -> list[LocalReport]:

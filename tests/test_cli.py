@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -284,6 +286,134 @@ def test_hasse_scan_proves_primality_of_family_residues_only(monkeypatch, capsys
     assert tested == [p for p in range(3, 601) if p % 24 == 1]
     scanned = [v["p"] for v in json.loads(out)["payload"]["verdicts"]]
     assert scanned == [p for p in tested if is_prime(p)]
+
+
+def _trial_division_family(lo, hi):
+    """Reference: the family primes p = 1 mod 24 of [lo, hi], each integer
+    of the window tested, primality by trial division."""
+    return [n for n in range(lo, hi + 1) if n % 24 == 1
+            and all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def test_hasse_scan_windows_report_exactly_their_family_primes(monkeypatch,
+                                                               capsys):
+    # Windows that start and end just below, on and just above each family
+    # prime below 400, and one-value windows on values outside the family
+    # (25, 49 and 121 are 1 mod 24 but composite).
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    windows = [(lo, hi) for p in _trial_division_family(3, 399)
+               for lo in (p - 1, p, p + 1) for hi in (p - 1, p, p + 1)
+               if lo <= hi]
+    windows += [(n, n) for n in (3, 25, 49, 74, 96, 98, 121)]
+    for lo, hi in windows:
+        code, out, _ = run(["hasse-scan", str(lo), str(hi), "--json"], capsys)
+        assert code == EXIT_OK
+        verdicts = json.loads(out)["payload"]["verdicts"]
+        assert [v["p"] for v in verdicts] == _trial_division_family(lo, hi), \
+            (lo, hi)
+
+
+# ---------------------------------------------------------------- rendering
+
+
+def _reference_render(env) -> str:
+    return json.dumps(env, indent=2, sort_keys=True)
+
+
+def _golden_envelopes() -> list:
+    found = []
+
+    def collect(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "envelope":
+                    found.append(value)
+                else:
+                    collect(value)
+
+    paths = sorted((pathlib.Path(__file__).parent / "data").glob("*_golden.json"))
+    assert len(paths) == 5
+    for path in paths:
+        collect(json.loads(path.read_text()))
+    return found
+
+
+def test_render_matches_json_dumps_on_golden_envelopes():
+    envelopes = _golden_envelopes()
+    assert len(envelopes) > 100
+    for env in envelopes:
+        assert cli._render(env, True) == _reference_render(env), env["inputs"]
+
+
+def _plain(value) -> bool:
+    """Whether `value` is made of JSON values only: dicts with str keys,
+    lists, str, int, float, bool and None."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("argv", [
+    ["local", "73"],
+    ["descent", "73"],
+    ["heights", "--point=4,-16", "--", "-4", "-3", "1"],
+], ids=["local", "descent", "heights"])
+def test_render_matches_json_dumps_on_fresh_envelopes(argv):
+    args = cli._parser().parse_args(argv)
+    env, _ = args.func(args)
+    assert _plain(env)
+    assert cli._render(env, True) == _reference_render(env)
+
+
+_ODD_STRINGS = ["", "plain", "\u00e9 \u2603 \u2028 \U0001f600",
+                'quote " and \\ backslash', "new\nline\t[{]}", "\x00\x1f"]
+_ODD_SCALARS = [0, -7, 10**40, -10**40, 0.1, -0.0, 1e300, 5e-324,
+                float("nan"), float("inf"), float("-inf"), True, False, None]
+_KEY_SETS = [_ODD_STRINGS, [3, -1, 10**40], [2.5, -0.0, float("inf")],
+             [True, False], [None]]
+
+
+def _random_tree(rng, depth=0):
+    """A value of at most 7 levels: scalars from the lists above, and
+    dicts, lists and tuples of up to 3 members (empty ones included).  The
+    keys of one dict come from one of the key sets, so they sort."""
+    r = rng.random()
+    if depth > 5 or r < 0.35:
+        return rng.choice(_ODD_STRINGS + _ODD_SCALARS)
+    n = rng.randrange(4)
+    if r < 0.6:
+        keys = rng.choice(_KEY_SETS)
+        return {rng.choice(keys): _random_tree(rng, depth + 1)
+                for _ in range(n)}
+    members = [_random_tree(rng, depth + 1) for _ in range(n)]
+    return members if r < 0.8 else tuple(members)
+
+
+def test_render_matches_json_dumps_on_random_trees():
+    rng = random.Random(27)
+    for _ in range(3000):
+        env = {"payload": _random_tree(rng), "tuple": tuple(_random_tree(rng)
+                                                            for _ in range(2))}
+        assert cli._render(env, True) == _reference_render(env), env
+    # Nesting 100 levels deep, through dicts, lists and tuples in turn.
+    deep = {"leaf": [1.5, "x"], "empty": {}}
+    for i in range(100):
+        deep = ([deep, "x"], {"k": deep, "n": i}, (deep, None, []))[i % 3]
+    env = {"payload": deep}
+    assert cli._render(env, True) == _reference_render(env)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), {1, 2}], ids=["Fraction", "set"])
+def test_render_rejects_what_json_dumps_rejects(bad):
+    for env in ({"payload": bad}, {"payload": [1, bad]},
+                {"payload": {"a": [bad], "b": []}}):
+        with pytest.raises(TypeError) as want:
+            _reference_render(env)
+        with pytest.raises(TypeError) as got:
+            cli._render(env, True)
+        assert str(got.value) == str(want.value)
 
 
 def test_determinism_modulo_timestamp(capsys):

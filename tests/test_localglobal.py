@@ -214,6 +214,52 @@ def test_count_matches_quadratic_reference_on_random_twists():
                 reference_count_smooth_points(F, q), (F, q)
 
 
+def direct_counts(q, a):
+    """Oracle for every b at once: (count, smooth witness) of the closure of
+    h(x) + h(y) = b, h(t) = t^4 + a*t^2, over F_q, by one pass over all of
+    F_q^2 in (x, y) order and then the line at infinity."""
+    counts, witnesses = [0] * q, [None] * q
+    for x in range(q):
+        for y in range(q):
+            b = (x**4 + a * x * x + y**4 + a * y * y) % q
+            counts[b] += 1
+            smooth = ((4 * x**3 + 2 * a * x) % q, (4 * y**3 + 2 * a * y) % q,
+                      (2 * a * (x * x + y * y) - 4 * b) % q)
+            if witnesses[b] is None and any(smooth):
+                witnesses[b] = (x, y, 1)
+    for x in range(q):
+        if (x**4 + 1) % q == 0:     # [x : 1 : 0], where dF/dy = 4 != 0
+            for b in range(q):
+                counts[b] += 1
+                if witnesses[b] is None:
+                    witnesses[b] = (x, 1, 0)
+    return list(zip(counts, witnesses))
+
+
+def test_small_field_table_matches_direct_count_for_every_residue_pair():
+    # Each (a', b') mod q of good reduction, for every q the table keeps,
+    # from two quartics with those residues: the second is served from the
+    # table.  Larger q are counted and not kept.
+    small = [q for q in range(3, WEIL_CUTOFF) if is_prime(q)]
+    for q in small:
+        for a in range(q):
+            want = direct_counts(q, a)
+            for b in range(q):
+                if b * (a * a + 2 * b) * (a * a + 4 * b) % q == 0:
+                    continue        # bad reduction: rejected before the table
+                for F in (SymQuartic(a, b), SymQuartic(a + q, b - 2 * q)):
+                    assert count_smooth_points_quartic_Fq(F, q) == want[b], \
+                        (q, a, b)
+    kept = localglobal._count_small_field.cache_info().currsize
+    assert kept <= sum(q * q for q in small)
+    F = SymQuartic(1, 1)
+    for q in (WEIL_CUTOFF, 41, 101):
+        if is_prime(q):
+            assert count_smooth_points_quartic_Fq(F, q) == \
+                reference_count_smooth_points(F, q)
+    assert localglobal._count_small_field.cache_info().currsize == kept
+
+
 def test_bad_primes_computed_once_per_quartic():
     F = family_curve(97)
     first = bad_primes(F)
