@@ -56,7 +56,7 @@ CACHE_ENV = "DEMJANENKO_CACHE"
 # Part of every hasse-scan cache key, with the toolkit version: bump it
 # whenever the computation of a verdict changes, so that no line written by
 # an older algorithm is served.
-HASSE_VERDICT_SCHEMA = 1
+HASSE_VERDICT_SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2

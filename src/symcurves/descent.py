@@ -7,11 +7,13 @@ violation verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .exact import (
     IntPoly,
+    _roots_fp,
     factorize,
     is_prime,
     legendre_symbol,
@@ -37,13 +39,18 @@ class HomSpace:
     c2: int
     c4: int
 
-    def multiplied_quartic(self) -> IntPoly:
-        # y^2 = d * (d^2 + c2 z^2 + c4 z^4) with y = d*w.
-        return IntPoly([self.d**3, 0, self.d * self.c2, 0, self.d * self.c4])
-
     def discriminant(self) -> int:
-        # Of the biquadratic A z^4 + B z^2 + C: 16 A C (B^2 - 4 A C)^2.
+        # Of the multiplied quartic A z^4 + B z^2 + C below:
+        # 16 A C (B^2 - 4 A C)^2.
         return 16 * self.d**8 * self.c4 * (self.c2**2 - 4 * self.d**2 * self.c4)**2
+
+    @functools.cached_property
+    def charts(self) -> tuple:
+        """`_charts` of the multiplied quartic y^2 = d * (d^2 + c2 z^2 +
+        c4 z^4), y = d*w: the data of the Q_ell kernel, built at the first
+        prime place and kept on the space for the others."""
+        d = self.d
+        return _charts((d**3, 0, d * self.c2, 0, d * self.c4), self.discriminant())
 
 
 def isogeny_spaces(a: int, b: int) -> list[HomSpace]:
@@ -82,19 +89,48 @@ def _is_square_ql(n: int, ell: int) -> bool:
 def _square_class(n: int, ell: int) -> int:
     """The representative ell^e * u of the class of the nonzero integer n in
     Q_ell*/Q_ell*^2: e = v_ell(n) mod 2, and u is the unit part of n mod ell
-    (mod 8 at ell = 2), which fixes its class by Hensel's lemma."""
+    (mod 8 at ell = 2), which fixes its class by Hensel's lemma.  At ell = 2
+    the valuation is the index of the lowest set bit; n = 0 has none, and
+    every caller tests for 0 first."""
+    if ell == 2:
+        v = (n & -n).bit_length() - 1
+        return (2 if v & 1 else 1) * ((n >> v) & 7)
     v = 0
     while n % ell == 0:
         n //= ell
         v += 1
-    return ell ** (v % 2) * (n % (8 if ell == 2 else ell))
+    return ell ** (v % 2) * (n % ell)
 
 
-def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
-    """Whether y^2 = c * f(z) has a solution with z in Z_ell (f primitive,
-    and c a unit at ell or exactly divisible by it).  The answer depends on
-    c only through its class in Q_ell*/Q_ell*^2, so c is carried as the
-    class representative ell^e * u of `_square_class`.
+def _horner(f: tuple, z: int) -> int:
+    # f(z) for the coefficient tuple f, constant term first.
+    acc = 0
+    for x in reversed(f):
+        acc = acc * z + x
+    return acc
+
+
+def _shift_scale(f: tuple, r: int, s: int) -> list:
+    """The coefficients of f(r + s*t) in t: a Taylor shift by r in place,
+    then t -> s*t."""
+    a = list(f)
+    n = len(a)
+    if r:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a[j] += r * a[j + 1]
+    m = 1
+    for i in range(1, n):
+        m *= s
+        a[i] *= m
+    return a
+
+
+def _zl_solvable(c: int, f: tuple, ell: int, depth: int, cap: int) -> bool:
+    """Whether y^2 = c * f(z) has a solution with z in Z_ell (f a primitive
+    coefficient tuple, and c a unit at ell or exactly divisible by it).  The
+    answer depends on c only through its class in Q_ell*/Q_ell*^2, so c is
+    carried as the class representative ell^e * u of `_square_class`.
 
     Level scan: a value c*f(z0) that is 0 or an ell-adic square certifies a
     point; otherwise only roots z0 of f mod ell can carry deeper solutions,
@@ -115,47 +151,59 @@ def _zl_solvable(c: int, f: IntPoly, ell: int, depth: int, cap: int) -> bool:
             "discriminant depth bound")
     if ell == 2:
         for z0 in range(8):
-            val = c * f(z0)
-            if val == 0 or _is_square_ql(val, ell):
+            val = 0
+            for x in reversed(f):
+                val = val * z0 + x
+            val *= c
+            if val == 0:
                 return True
-        roots = [z0 for z0 in range(ell) if f.eval_mod(z0, ell) == 0]
+            # A square in Q_2: even valuation, odd part 1 mod 8.
+            v = (val & -val).bit_length() - 1
+            if not v & 1 and (val >> v) & 7 == 1:
+                return True
+        roots = [z0 for z0, val in ((0, f[0]), (1, sum(f))) if val & 1 == 0]
     else:
-        if c % ell and _unit_value_is_residue(c, f, ell):
+        # f is primitive, so its residues mod ell are not all 0.
+        fbar = [x % ell for x in f]
+        while fbar[-1] == 0:
+            fbar.pop()
+        if c % ell and _unit_value_is_residue(c, fbar, ell):
             return True
-        roots = sorted(roots_mod_p(f, ell))
+        roots = sorted(_roots_fp(fbar, ell))
         for z0 in roots:
-            val = c * f(z0)
+            val = c * _horner(f, z0)
             if val == 0 or _is_square_ql(val, ell):
                 return True
     for z0 in roots:
-        f1 = f.shift_scale(z0, ell)
-        cont = f1.content()
-        f1 = IntPoly([x // cont for x in f1.coeffs])
+        f1 = _shift_scale(f, z0, ell)
+        cont = math.gcd(*f1)
+        f1 = tuple(x // cont for x in f1)
         if _zl_solvable(_square_class(c * cont, ell), f1, ell, depth + 1, cap):
             return True
     return False
 
 
-def _unit_value_is_residue(c: int, f: IntPoly, ell: int) -> bool:
+def _unit_value_is_residue(c: int, fbar: list, ell: int) -> bool:
     """Whether c*f(z0) is a nonzero square mod ell for some z0 (ell odd and
-    prime to c)."""
+    prime to c; fbar the trimmed residues of f mod ell)."""
     half = (ell - 1) // 2
-    u = _square_class_mod(f, ell)
+    u = _square_class_mod(fbar, ell)
     if u is not None:
         return pow(c * u, half, ell) == 1
     for z0 in range(ell):
-        r = c * f.eval_mod(z0, ell) % ell
+        acc = 0
+        for x in reversed(fbar):
+            acc = (acc * z0 + x) % ell
+        r = c * acc % ell
         if r and pow(r, half, ell) == 1:
             return True
     return False
 
 
-def _square_class_mod(f: IntPoly, ell: int):
+def _square_class_mod(fbar: list, ell: int):
     """The unit u with f = u*g^2 in F_ell[z] (ell odd), or None when f mod
-    ell is not of that form or has degree above 4."""
-    fbar = [x % ell for x in f.coeffs]
-    while len(fbar) > 1 and fbar[-1] == 0:
-        fbar.pop()
+    ell is not of that form or has degree above 4; fbar is the list of the
+    residues of f mod ell, trimmed and not all 0."""
     n, u = len(fbar) - 1, fbar[-1]
     if n == 0:
         return u
@@ -173,26 +221,33 @@ def _square_class_mod(f: IntPoly, ell: int):
     return None
 
 
-def _ql_solvable(G: IntPoly, ell: int, disc: int) -> bool:
-    """Whether y^2 = G(z) has a Q_ell-point (z integral or not); disc is the
-    discriminant of the quartic G, whose valuation caps the recursion."""
+def _charts(G: tuple, disc: int) -> tuple:
+    """(|disc|, cont, G0, Gr) for y^2 = G(z), G the five coefficients of a
+    quartic with discriminant disc: G = cont * G0 with G0 primitive, and
+    Gr = z^4 * G0(1/z), the chart at z = infinity.  Gr has the coefficients
+    of G0, so it is primitive too, and both charts carry the class of cont."""
     if disc == 0:
         raise ValueError("homogeneous space quartic must be squarefree")
-    v = 0
-    d = abs(disc)
-    while d % ell == 0:
-        d //= ell
-        v += 1
+    cont = math.gcd(*G)
+    G0 = tuple(x // cont for x in G)
+    return abs(disc), cont, G0, G0[::-1]
+
+
+def _ql_solvable(charts: tuple, ell: int) -> bool:
+    """Whether y^2 = G(z) has a Q_ell-point (z integral or not), for the
+    charts of G from `_charts`; the valuation of the discriminant caps the
+    recursion."""
+    disc, cont, G0, Gr = charts
+    if ell == 2:
+        v = (disc & -disc).bit_length() - 1
+    else:
+        v = 0
+        while disc % ell == 0:
+            disc //= ell
+            v += 1
     cap = v + 12
-    cont = G.content()
-    G0 = IntPoly([x // cont for x in G.coeffs])
     c = _square_class(cont, ell)
-    if _zl_solvable(c, G0, ell, 0, cap):
-        return True
-    Gr = G0.reverse(4)
-    contr = Gr.content()
-    Gr = IntPoly([x // contr for x in Gr.coeffs])
-    return _zl_solvable(_square_class(c * contr, ell), Gr, ell, 0, cap)
+    return _zl_solvable(c, G0, ell, 0, cap) or _zl_solvable(c, Gr, ell, 0, cap)
 
 
 def _real_solvable_space(C: HomSpace) -> bool:
@@ -218,7 +273,7 @@ def homspace_locally_solvable(C: HomSpace, place) -> bool:
         return _real_solvable_space(C)
     if not is_prime(place):
         raise ValueError(f"place {place} is neither 'real' nor a prime")
-    return _ql_solvable(C.multiplied_quartic(), place, C.discriminant())
+    return _ql_solvable(C.charts, place)
 
 
 def _relevant_places(spaces: list[HomSpace]) -> list:
@@ -267,10 +322,10 @@ def selmer_rank_bound(p: int) -> int:
     a, b = 4 * p, 2 * p * p
     s_set = selmer_candidate_set(isogeny_spaces(a, b))
     s_dual = selmer_candidate_set(dual_isogeny_spaces(a, b))
-    s = int(math.log2(len(s_set)))
-    sp = int(math.log2(len(s_dual)))
-    require(2**s == len(s_set) and 2**sp == len(s_dual),
+    n, n_dual = len(s_set), len(s_dual)
+    require(n and n_dual and not n & (n - 1) and not n_dual & (n_dual - 1),
             "Selmer candidate sets must be groups of 2-power order")
+    s, sp = n.bit_length() - 1, n_dual.bit_length() - 1
     return s + sp - 2
 
 
@@ -297,10 +352,11 @@ class RootNumberReport:
 def root_number(p: int) -> RootNumberReport:
     """Global root number of the companion curve of the twist by p.
 
-    W_p is the quadratic character of -1 (the curve has type I0* at p), and
-    W_2 = +1 exactly when 6p + 5 = +-1 mod 8 (type III at 2, decided by the
-    standard 2-adic table through c4 and c6; the displayed criterion is the
-    one consistent with W = -1 for every odd prime).
+    W_p is the quadratic character of -1 (the curve has type I0* at p).
+    W_2 = +1 exactly when 6p + 5 = +-1 mod 8.  That rule was chosen to agree
+    with W = -1 for every odd prime; it is not derived here by Tate's
+    algorithm or the 2-adic tables, and the Kodaira types "I0*" at p and
+    "III" at 2 are literals, not computed.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")

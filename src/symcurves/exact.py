@@ -11,6 +11,7 @@ closed forms where it can.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,9 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_LARGE = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Primes p whose Tonelli-Shanks constants `_sqrt_mod_p` keeps per process.
+TONELLI_SHANKS_CACHE = 128
 
 
 class CheckFailed(Exception):
@@ -254,14 +258,8 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     # Tonelli-Shanks; a is a nonzero QR mod p.
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    q, m, c = _tonelli_shanks_constants(p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -271,6 +269,21 @@ def _sqrt_mod_p(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+@functools.lru_cache(maxsize=TONELLI_SHANKS_CACHE)
+def _tonelli_shanks_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q mod p) for the prime p = 1 mod 4: p - 1 = q * 2^s with q
+    odd, and z the least non-residue mod p.  A function of p alone, kept
+    per process for the last TONELLI_SHANKS_CACHE primes."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion
+        z += 1
+    return q, s, pow(z, q, p)
 
 
 def log_abs(n) -> float:
@@ -360,18 +373,8 @@ class IntPoly:
                 r[i + j] -= c * bc
         return lb**k, IntPoly(q), IntPoly(r[:db] or [0])
 
-    def compose(self, other: "IntPoly") -> "IntPoly":
-        acc = IntPoly([0])
-        for c in reversed(self.coeffs):
-            acc = acc * other + IntPoly([c])
-        return acc
-
     def content(self) -> int:
         return math.gcd(*self.coeffs) if len(self.coeffs) > 1 else abs(self.coeffs[0])
-
-    def shift_scale(self, r: int, s: int) -> "IntPoly":
-        """The polynomial f(r + s*t) in t."""
-        return self.compose(IntPoly([r, s]))
 
     def reverse(self, deg: int) -> "IntPoly":
         """t^deg * f(1/t); deg must be >= degree of f."""

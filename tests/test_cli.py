@@ -675,6 +675,36 @@ def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
     assert keys == [old_key, _key(73), _key(97)]
 
 
+def test_cache_line_of_an_older_schema_is_recomputed(tmp_path, monkeypatch,
+                                                     capsys):
+    # A correctly hashed line under the schema=1 key, written before the
+    # Q_ell kernel moved to coefficient tuples, is not served: the verdict
+    # is computed again and stored under the current schema's key.
+    assert cli.HASSE_VERDICT_SCHEMA == 2
+    old_key = f"hasse:v={symcurves.__version__}:schema=1:p=73:parity=False"
+    stale = dict(_hasse_payload(str(tmp_path / "fresh"), capsys)["verdicts"][0],
+                 conclusion="stale")
+    path = tmp_path / "cache" / "hasse-scan.jsonl"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"key": old_key, "record": stale, "hash":
+                                ScanCache(None, "x")._digest(old_key, stale)})
+                    + "\n")
+    assert ScanCache(str(path.parent), "hasse-scan").get(old_key) == stale
+    computed = []
+    real = cli.hasse_candidate_verdict
+
+    def spy(p, parity):
+        computed.append(p)
+        return real(p, parity)
+
+    monkeypatch.setattr(cli, "hasse_candidate_verdict", spy)
+    verdicts = _hasse_payload(str(tmp_path / "cache"), capsys)["verdicts"]
+    assert computed == [73, 97]
+    assert verdicts[0]["conclusion"] != "stale"
+    keys = [json.loads(x)["key"] for x in path.read_text().splitlines()]
+    assert keys == [old_key, _key(73), _key(97)]
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # The benchmark's tracer looks up private functions and methods of the
     # package by name (cli._render, the ScanCache methods, the counted

@@ -12,10 +12,12 @@ from symcurves import descent, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
 from symcurves.descent import (
     HomSpace,
+    _charts,
     _is_square_ql,
     _ql_solvable,
     _real_solvable_space,
     _relevant_places,
+    _shift_scale,
     _square_class,
     _square_class_mod,
     _zl_solvable,
@@ -33,6 +35,7 @@ from symcurves.exact import (
     IntPoly,
     factorize,
     is_prime,
+    roots_mod_p,
 )
 from test_exact import derivative
 
@@ -44,6 +47,12 @@ def primes(lo, hi):
 def family_space(d: int, p: int) -> HomSpace:
     """The family's space d*w^2 = d^2 - 8pd*z^2 + 8p^2*z^4."""
     return HomSpace(d, -8 * p * d, 8 * p * p)
+
+
+def multiplied_quartic(C: HomSpace) -> IntPoly:
+    """y^2 = d * (d^2 + c2 z^2 + c4 z^4), y = d*w: the quartic whose charts
+    the Q_ell kernel of `homspace_locally_solvable` searches."""
+    return IntPoly([C.d**3, 0, C.d * C.c2, 0, C.d * C.c4])
 
 
 def squarefree_part(n: int) -> int:
@@ -321,6 +330,27 @@ def test_hasse_verdict_gates():
 # scans it replaced, kept here as the reference.
 
 
+def shift_scale(f: IntPoly, r: int, s: int) -> IntPoly:
+    """Reference: f(r + s*t) in t, by composing with r + s*t through Horner
+    in IntPoly arithmetic."""
+    acc, lin = IntPoly([0]), IntPoly([r, s])
+    for c in reversed(f.coeffs):
+        acc = acc * lin + IntPoly([c])
+    return acc
+
+
+def test_shift_scale_matches_composition():
+    f = IntPoly([2, 0, -4, 0, 1])
+    assert IntPoly(_shift_scale(f.coeffs, 1, 2))(0) == f(1)
+    assert IntPoly(_shift_scale(f.coeffs, 1, 2))(1) == f(3)
+    rng = random.Random(16)
+    for _ in range(500):
+        co = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 6))]
+        r, s = rng.randint(-50, 50), rng.choice((2, 3, 401, rng.randint(-9, 9)))
+        got = _shift_scale(tuple(co), r, s)
+        assert IntPoly(got) == shift_scale(IntPoly(co), r, s), (co, r, s)
+
+
 def reference_zl_solvable(c, f, ell, depth, cap):
     if depth > cap:
         raise RuntimeError("depth cap")
@@ -343,7 +373,7 @@ def reference_zl_solvable(c, f, ell, depth, cap):
     for z0 in range(ell):
         if f.eval_mod(z0, ell) != 0:
             continue
-        f1 = f.shift_scale(z0, ell)
+        f1 = shift_scale(f, z0, ell)
         cont = f1.content()
         f1 = IntPoly([x // cont for x in f1.coeffs])
         if reference_zl_solvable(squarefree_part(c * cont), f1, ell,
@@ -392,7 +422,7 @@ def _nonresidue(ell):
 
 
 def _assert_zl_matches(c, f, ell, cap=6):
-    got = _outcome(_zl_solvable, c, f, ell, 0, cap)
+    got = _outcome(_zl_solvable, c, f.coeffs, ell, 0, cap)
     ref = _outcome(reference_zl_solvable, c, f, ell, 0, cap)
     assert got == ref, (c, f, ell)
     return got
@@ -407,8 +437,16 @@ def test_ql_solvable_matches_residue_scans_on_random_quartics():
             co[4] = co[4] or rng.choice((1, -3, ell))
             G = IntPoly(co)
             disc = int_poly_disc(G).numerator
-            assert (_outcome(_ql_solvable, G, ell, disc)
-                    == _outcome(reference_ql_solvable, G, ell)), (G, ell)
+            got = _outcome(lambda: _ql_solvable(_charts(G.coeffs, disc), ell))
+            assert got == _outcome(reference_ql_solvable, G, ell), (G, ell)
+
+
+def residues(f: IntPoly, ell: int) -> list:
+    """The residues of f mod ell, trimmed, as `_square_class_mod` takes them."""
+    fbar = [x % ell for x in f.coeffs]
+    while len(fbar) > 1 and fbar[-1] == 0:
+        fbar.pop()
+    return fbar
 
 
 def test_square_class_mod_against_enumeration():
@@ -431,10 +469,10 @@ def test_square_class_mod_against_enumeration():
             u = co[-1] % ell
             monic = tuple(x * pow(u, -1, ell) % ell for x in co)
             expected = u if deg == 0 or monic in squares else None
-            assert _square_class_mod(f, ell) == expected, (f, ell)
+            assert _square_class_mod(residues(f, ell), ell) == expected, (f, ell)
             # f + ell*h reduces to the same polynomial mod ell
             lifted = f + IntPoly([ell * rng.randint(-3, 3) for _ in range(6)])
-            assert _square_class_mod(lifted, ell) == expected
+            assert _square_class_mod(residues(lifted, ell), ell) == expected
 
 
 def test_square_class_has_the_class_of_the_squarefree_part():
@@ -558,12 +596,12 @@ def test_zl_branch_constant_times_square():
                 f = g * g * u + noise
                 if f.content() % ell == 0:
                     continue
-                assert _square_class_mod(f, ell) == u
+                assert _square_class_mod(residues(f, ell), ell) == u
                 for c in (1, -1, _nonresidue(ell)):
                     _assert_zl_matches(c, f, ell)
             lin = IntPoly([rng.randrange(ell), 1])
             f = lin * lin * u + IntPoly([ell, 0, ell])
-            assert _square_class_mod(f, ell) == u
+            assert _square_class_mod(residues(f, ell), ell) == u
             _assert_zl_matches(1, f, ell)
 
 
@@ -610,8 +648,9 @@ def test_zl_recursion_through_double_roots():
                     assert max(depths) == m
                     _assert_zl_matches(n, f, ell, cap=8)
                     _assert_zl_matches(ell, f, ell, cap=8)
+                f = quartic + IntPoly([n * ell**12])
                 with pytest.raises(CheckFailed):
-                    _zl_solvable(1, quartic + IntPoly([n * ell**12]), ell, 0, 2)
+                    _zl_solvable(1, f.coeffs, ell, 0, 2)
     finally:
         descent._zl_solvable = original
 
@@ -622,7 +661,140 @@ def test_homspace_solvability_matches_residue_scans():
         for C in isogeny_spaces(a, b) + dual_isogeny_spaces(a, b):
             for place in (2, 3, 5, p):
                 got = homspace_locally_solvable(C, place)
-                assert got == reference_ql_solvable(C.multiplied_quartic(), place)
+                assert got == reference_ql_solvable(multiplied_quartic(C), place)
+
+
+# ---------------------------------------------------------------------------
+# The Q_ell kernel on IntPoly, as the package ran it before it moved to
+# coefficient tuples with per-space charts, kept here as the reference: it
+# rebuilds the quartic, the content-divided and reversed quartics and the
+# discriminant valuation at every place, and shifts by IntPoly composition.
+
+
+def intpoly_square_class(n, ell):
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return ell ** (v % 2) * (n % (8 if ell == 2 else ell))
+
+
+def intpoly_is_square_ql(n, ell):
+    c = intpoly_square_class(n, ell)
+    if ell == 2:
+        return c == 1
+    return c % ell != 0 and pow(c, (ell - 1) // 2, ell) == 1
+
+
+def intpoly_square_class_mod(f, ell):
+    fbar = [x % ell for x in f.coeffs]
+    while len(fbar) > 1 and fbar[-1] == 0:
+        fbar.pop()
+    n, u = len(fbar) - 1, fbar[-1]
+    if n == 0:
+        return u
+    inv = pow(u, -1, ell)
+    h = [x * inv % ell for x in fbar]
+    if n == 2:
+        return u if (h[1] * h[1] - 4 * h[0]) % ell == 0 else None
+    if n == 4:
+        half = (ell + 1) // 2
+        s = h[3] * half % ell
+        t = (h[2] - s * s) * half % ell
+        if (2 * s * t - h[1]) % ell == 0 and (t * t - h[0]) % ell == 0:
+            return u
+    return None
+
+
+def intpoly_unit_value_is_residue(c, f, ell):
+    half = (ell - 1) // 2
+    u = intpoly_square_class_mod(f, ell)
+    if u is not None:
+        return pow(c * u, half, ell) == 1
+    for z0 in range(ell):
+        r = c * f.eval_mod(z0, ell) % ell
+        if r and pow(r, half, ell) == 1:
+            return True
+    return False
+
+
+def intpoly_zl_solvable(c, f, ell, depth, cap):
+    exact.require(depth <= cap, "local solvability recursion exceeded the "
+                  "discriminant depth bound")
+    if ell == 2:
+        for z0 in range(8):
+            val = c * f(z0)
+            if val == 0 or intpoly_is_square_ql(val, ell):
+                return True
+        roots = [z0 for z0 in range(ell) if f.eval_mod(z0, ell) == 0]
+    else:
+        if c % ell and intpoly_unit_value_is_residue(c, f, ell):
+            return True
+        roots = sorted(roots_mod_p(f, ell))
+        for z0 in roots:
+            val = c * f(z0)
+            if val == 0 or intpoly_is_square_ql(val, ell):
+                return True
+    for z0 in roots:
+        f1 = shift_scale(f, z0, ell)
+        cont = f1.content()
+        f1 = IntPoly([x // cont for x in f1.coeffs])
+        if intpoly_zl_solvable(intpoly_square_class(c * cont, ell), f1, ell,
+                               depth + 1, cap):
+            return True
+    return False
+
+
+def intpoly_ql_solvable(G, ell, disc):
+    if disc == 0:
+        raise ValueError("homogeneous space quartic must be squarefree")
+    v = 0
+    d = abs(disc)
+    while d % ell == 0:
+        d //= ell
+        v += 1
+    cap = v + 12
+    cont = G.content()
+    G0 = IntPoly([x // cont for x in G.coeffs])
+    c = intpoly_square_class(cont, ell)
+    if intpoly_zl_solvable(c, G0, ell, 0, cap):
+        return True
+    Gr = G0.reverse(4)
+    contr = Gr.content()
+    Gr = IntPoly([x // contr for x in Gr.coeffs])
+    return intpoly_zl_solvable(intpoly_square_class(c * contr, ell), Gr, ell,
+                               0, cap)
+
+
+def kernel_mismatches(odd_primes, pairs, seed):
+    """(cases, mismatches): the tuple kernel against the IntPoly reference on
+    the isogeny and dual spaces at every relevant prime place, for the
+    family curve of each odd prime p (a = 4p, b = 2p^2) and for `pairs`
+    seeded curves y^2 = x(x^2 + ax + b) with |a|, |b| <= 10^4."""
+    curves = [(4 * p, 2 * p * p) for p in odd_primes]
+    rng = random.Random(seed)
+    while len(curves) < len(odd_primes) + pairs:
+        a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+        if b and a * a != 4 * b:
+            curves.append((a, b))
+    cases, bad = 0, []
+    for a, b in curves:
+        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
+            for place in _relevant_places(spaces)[1:]:
+                for C in spaces:
+                    got = _outcome(homspace_locally_solvable, C, place)
+                    want = _outcome(intpoly_ql_solvable, multiplied_quartic(C),
+                                    place, C.discriminant())
+                    cases += 1
+                    if got != want:
+                        bad.append((a, b, C, place, got, want))
+    return cases, bad
+
+
+def test_kernel_matches_the_intpoly_reference():
+    cases, bad = kernel_mismatches(primes(3, 5000), 200, seed=28)
+    assert bad == []
+    assert cases > 30_000
 
 
 def test_descent_never_reaches_the_root_scan(monkeypatch):
@@ -655,10 +827,10 @@ def test_homspace_discriminant_closed_form():
         c2 = rng.randint(-500, 500)
         c4 = rng.choice((1, -1)) * rng.randint(1, 500)
         C = HomSpace(d, c2, c4)
-        assert C.discriminant() == int_poly_disc(C.multiplied_quartic())
+        assert C.discriminant() == int_poly_disc(multiplied_quartic(C))
     for p in (5, 73, 10007):
         for C in isogeny_spaces(4 * p, 2 * p * p):
-            assert C.discriminant() == int_poly_disc(C.multiplied_quartic())
+            assert C.discriminant() == int_poly_disc(multiplied_quartic(C))
 
 
 def test_singular_space_is_refused():
@@ -673,15 +845,21 @@ def test_singular_space_is_refused():
 FORCE_SELMER = (
     "from symcurves import descent\n"
     "descent.selmer_candidate_set = lambda spaces: [1, 2, 3]\n")
+FORCE_EMPTY = (
+    "from symcurves import descent\n"
+    "descent.selmer_candidate_set = lambda spaces: []\n")
 FORCE_DEPTH = (
     "from symcurves import descent\n"
     "_zl = descent._zl_solvable\n"
     "descent._zl_solvable = (lambda c, f, ell, depth, cap:\n"
     "                        _zl(c, f, ell, depth + 100, cap))\n")
+# The message of the check each forced case trips.
+FORCED_MESSAGE = {FORCE_SELMER: "2-power order", FORCE_EMPTY: "2-power order",
+                  FORCE_DEPTH: "depth bound"}
 
 
-@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH],
-                         ids=["selmer-2-power", "depth-cap"])
+@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH, FORCE_EMPTY],
+                         ids=["selmer-2-power", "depth-cap", "selmer-empty"])
 def test_forced_check_failure_exits_4(force, capsys, monkeypatch):
     with monkeypatch.context() as m:
         # Record the originals, so that what `force` patches is restored.
@@ -695,10 +873,11 @@ def test_forced_check_failure_exits_4(force, capsys, monkeypatch):
     assert code == EXIT_CHECK_FAILED == 4
     assert out.out == ""
     assert out.err.startswith("error: check failed: ")
+    assert FORCED_MESSAGE[force] in out.err
 
 
-@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH],
-                         ids=["selmer-2-power", "depth-cap"])
+@pytest.mark.parametrize("force", [FORCE_SELMER, FORCE_DEPTH, FORCE_EMPTY],
+                         ids=["selmer-2-power", "depth-cap", "selmer-empty"])
 def test_forced_check_failure_exits_4_under_python_O(force):
     script = ("import sys\n"
               "assert False, 'asserts must be off'\n"
@@ -711,4 +890,5 @@ def test_forced_check_failure_exits_4_under_python_O(force):
                            env=dict(os.environ, PYTHONPATH=src))
     assert child.returncode == 4, child.stderr
     assert child.stderr.startswith("error: check failed: ")
+    assert FORCED_MESSAGE[force] in child.stderr
     assert "Traceback" not in child.stderr

