@@ -264,8 +264,11 @@ _last_verified = None
 
 
 def _json_copy(value):
-    """A deep copy of a value parsed from JSON."""
+    """A deep copy of a value parsed from JSON.  A dict of scalars, as every
+    cached verdict record is, is copied in one `dict` call."""
     if type(value) is dict:
+        if _SCALARS.issuperset(map(type, value.values())):
+            return dict(value)
         return {k: _json_copy(v) for k, v in value.items()}
     if type(value) is list:
         return [_json_copy(v) for v in value]

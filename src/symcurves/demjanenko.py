@@ -14,13 +14,23 @@ Proof: x(R) is then an l-adic unit, so a phi_1-preimage (x, y) of R or of
 (+-y(R)/x - 4a')/8 would be one of those two residues mod l; the pair of
 residues is the same for R and -R and for either choice of t.
 
+The sieve runs SIEVE_PRIME_COUNT = 48 primes, so that in practice only
+rows that carry points reach the exact walk.  An odd multiple n*G lies in
+the class of G in E(Q)/2E(Q), so -x(R)/4 is a square at every prime and
+only the y-condition can reject such a row; a false row survives each
+prime with probability about 0.8.  Fewer primes (24, say) let through a
+few odd n >= 3 per curve with no preimage, each costing an exact n*G and
+two big square roots.
+
 Only the pairs still alive go on to the next prime, and each prime walks
-n*G mod l only up to the last live pair.  Inverses and square roots mod l
-are read from tables built once per process and kept for a bounded number
-of primes (FIELD_TABLE_CACHE).
+n*G mod l only up to the last live pair.  The rationals the sieve reduces
+are split into numerator and denominator once per call; inverses and
+square roots mod l are read from tables built once per process and kept
+for a bounded number of primes (FIELD_TABLE_CACHE).
 
 Rank data is an external certificate: the engine verifies the supplied
-generator is on the curve and non-torsion but does not prove the rank bound.
+generator is on the curve, and non-torsion for a rank-1 claim or torsion
+for a rank-0 one, but does not prove the rank bound.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import is_prime, rat_mod, rational_sqrt, require
+from .exact import is_prime, rational_sqrt, require
 from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
 
 # Externally certified per-side |hhat - h| budget for this family; our own
@@ -51,7 +61,7 @@ CERTIFIED_GAP_FLOOR = 9.62
 VERIFIED_WINDOW_FLOOR = 40
 
 # The residue sieve works modulo this many odd primes of good reduction.
-SIEVE_PRIME_COUNT = 24
+SIEVE_PRIME_COUNT = 48
 
 # Inverse and square-root tables of F_l are kept for this many primes l.
 FIELD_TABLE_CACHE = 128
@@ -86,7 +96,9 @@ class PointCertificate:
 def build_input(F: SymQuartic, generator, rank_claim: int,
                 tol: float = 1e-8) -> DemjanenkoInput:
     """Assemble the enumeration input from a quartic, an externally
-    certified rank claim, and (for rank 1) a generator of the free part."""
+    certified rank claim, and (for rank 1) a generator of the free part.
+    A generator given with a rank-0 claim is checked too: it must be on the
+    companion curve and of finite order."""
     _require_tol(tol)
     if rank_claim not in (0, 1):
         raise ValueError("rank claim must be 0 or 1 for this method")
@@ -97,12 +109,16 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
     gap_up, gap_low = height_gap_bounds(E)
     gap_up = max(gap_up, CERTIFIED_GAP_FLOOR)
     gap_low = max(gap_low, CERTIFIED_GAP_FLOOR)
-    if rank_claim == 0:
-        return DemjanenkoInput(F, E, INF, torsion, 0, 0.0, gap_up, gap_low, phi_gap)
-    if generator is INF or generator is None:
-        raise ValueError("rank 1 requires a generator point")
-    if not E.contains(generator):
+    given = generator is not INF and generator is not None
+    if given and not E.contains(generator):
         raise ValueError("generator is not on the companion curve")
+    if rank_claim == 0:
+        if given and not is_torsion(E, generator):
+            raise ValueError("generator has infinite order; "
+                             "rank-0 claim inconsistent")
+        return DemjanenkoInput(F, E, INF, torsion, 0, 0.0, gap_up, gap_low, phi_gap)
+    if not given:
+        raise ValueError("rank 1 requires a generator point")
     if is_torsion(E, generator):
         raise ValueError("generator is torsion; rank-1 claim inconsistent")
     # Both checks of canonical_height were just made; do not repeat them.
@@ -198,14 +214,6 @@ def _sieve_primes(E: EllipticCurve) -> list[int]:
     return primes
 
 
-def _reduce(P, ell: int):
-    """P mod ell as a residue pair, or None for the identity (P = O or ell
-    in the denominator of x(P)); E must have good reduction at ell."""
-    if P is INF or P.x.denominator % ell == 0:
-        return None
-    return rat_mod(P.x, ell), rat_mod(P.y, ell)
-
-
 def _add_mod(P, Q, a2: int, a4: int, ell: int, inv):
     # The chord-and-tangent law on E mod ell; None is the identity and `inv`
     # the inverse table of `_field_tables(ell)`.  Its entry 0 is never read:
@@ -261,9 +269,10 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
 
     Only the live pairs (n, i) go from one prime to the next, and each prime
     walks n*G mod l only up to the last live pair, the largest live n, or
-    up to the order of G mod l when that comes first.  The F_l tables come
-    from `_field_tables`, kept per process for at most FIELD_TABLE_CACHE
-    primes.
+    up to the order of G mod l when that comes first.  Each rational is
+    reduced from its numerator and denominator, taken once per call, with
+    the inverse table of `_field_tables`, kept per process for at most
+    FIELD_TABLE_CACHE primes.
 
     Raises ValueError unless E is the companion curve of F (so a6 = 0) and
     every l is an odd prime of good reduction for E."""
@@ -272,16 +281,26 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
         raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
     den = math.lcm(E.a2.denominator, E.a4.denominator)
     disc = E.discriminant().numerator
+    # Every rational the sieve reduces, as (numerator, denominator) once per
+    # call: a2, a4 and a', then x and y of G and of each torsion point.  At
+    # l it is num * inv[den % l] % l.  A point whose x has l in its
+    # denominator is the identity mod l; otherwise l divides neither
+    # denominator, as a2 and a4 are l-integral.
+    coeffs = [(c.numerator, c.denominator) for c in (E.a2, E.a4, F.a_eff)]
+    points = [None if P is INF else
+              (P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator)
+              for P in (inp.generator, *inp.torsion)]
     live = [(n, i) for n in range(N + 1) for i in range(len(inp.torsion))]
     for ell in primes:
         if ell == 2 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
             raise ValueError(f"{ell} is not a prime > 2 of good reduction")
         if not live:
             continue
-        a2, a4, a = rat_mod(E.a2, ell), rat_mod(E.a4, ell), rat_mod(F.a_eff, ell)
         inv, root = _field_tables(ell)
-        G = _reduce(inp.generator, ell)
-        torsion = [_reduce(T, ell) for T in inp.torsion]
+        a2, a4, a = (num * inv[d % ell] % ell for num, d in coeffs)
+        G, *torsion = [None if P is None or P[1] % ell == 0 else
+                       (P[0] * inv[P[1] % ell] % ell, P[2] * inv[P[3] % ell] % ell)
+                       for P in points]
         # n*G mod ell for n up to the largest live n (live is sorted by n),
         # or for n below the order of G mod ell when that is smaller.
         multiples = [None]

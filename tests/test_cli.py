@@ -76,6 +76,19 @@ def test_quartic_off_curve_generator(capsys):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("gen, message", [
+    ("4,-16", "error: generator has infinite order; rank-0 claim inconsistent\n"),
+    ("3,1", "error: generator is not on the companion curve\n"),
+])
+def test_quartic_rank0_checks_the_generator(gen, message, capsys):
+    # X_4 has rank 1: a rank-0 claim given with a point of infinite order
+    # is refused, not certified from the torsion alone.
+    code, out, err = run(["quartic", "--rank", "0", f"--generator={gen}",
+                          "--", "-4", "-3", "1"], capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == message
+
+
 def test_quartic_torsion_generator(capsys):
     code, _, err = run(["quartic", "-4", "-3", "1", "--generator", "0,0"],
                        capsys)
@@ -621,6 +634,29 @@ def test_record_changed_by_a_caller_is_not_served_again(tmp_path, digests,
     digests.clear()
     assert all(r["selmer_bound"] != 99 for r in _load(tmp_path).values())
     assert digests == []
+
+
+def test_nested_record_changed_by_a_caller_is_not_served_again(tmp_path):
+    # The same for a correctly hashed line whose record nests a dict and a
+    # list: a change at any depth of what get() returned stays the caller's,
+    # on the load that verifies the line and on the one that reuses it.
+    record = {"p": 73, "local": {"places": [2, 73], "ok": True},
+              "witness": [[1, 2], {"x": 3}]}
+    key = "nested"
+    line = json.dumps({"key": key, "record": record,
+                       "hash": ScanCache(None, "x")._digest(key, record)})
+    (tmp_path / "hasse-scan.jsonl").write_text(line + "\n")
+    for load in ("verified", "reused"):
+        cache = ScanCache(str(tmp_path), "hasse-scan")
+        got = cache.get(key)
+        assert got == record
+        got["local"]["places"].append(5)
+        got["local"]["ok"] = False
+        got["witness"][0][0] = 99
+        got["witness"][1]["x"] = 99
+        got["p"] = 0
+        assert cache.get(key) == record
+        assert ScanCache(str(tmp_path), "hasse-scan").get(key) == record, load
 
 
 def test_warm_load_makes_no_directory(tmp_path, monkeypatch, capsys):

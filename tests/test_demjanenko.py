@@ -109,6 +109,22 @@ def test_build_input_validates_generator():
         build_input(X4, G, 2)
 
 
+def test_rank_zero_claim_checks_a_given_generator():
+    # G = (4, -16) is on the companion curve of X_4 and has infinite order,
+    # so it refutes a rank-0 claim; off the curve it is rejected as for
+    # rank 1.  A torsion point, INF or no generator leave the claim standing.
+    with pytest.raises(ValueError,
+                       match="generator has infinite order; rank-0 claim inconsistent"):
+        build_input(X4, G, 0)
+    with pytest.raises(ValueError, match="generator is not on the companion curve"):
+        build_input(X4, point(3, 1), 0)
+    for gen in (None, INF, point(0, 0)):
+        inp = build_input(X4, gen, 0)
+        assert (inp.rank_claim, inp.generator) == (0, INF)
+    assert determine_points(X4, point(0, 0), 0).points == frozenset(
+        {qpoint(0, 1), qpoint(0, -1), qpoint(1, 0), qpoint(-1, 0)})
+
+
 def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
     from symcurves import demjanenko, elliptic
 
@@ -428,13 +444,14 @@ def reference_survivors(inp, N, primes):
     return alive
 
 
-def _random_back_solved_inputs(seed, count):
+def _random_back_solved_inputs(seed, count, dens=(1, 1, 2)):
     """Curves F_(a, b) with b back-solved from a seeded point P = (x, y) and
-    G = phi_1(P), as the benchmark corpus builds them; torsion G skipped."""
+    G = phi_1(P), as the benchmark corpus builds them; torsion G skipped.
+    x, y and a are n/d with |n| <= 9 and d drawn from `dens`."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        x, y, a = (Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2)))
+        x, y, a = (Fraction(rng.randint(-9, 9), rng.choice(dens))
                    for _ in range(3))
         b = x**4 + a * x * x + a * y * y + y**4
         if x == 0 or b * (a * a + 2 * b) * (a * a + 4 * b) == 0:
@@ -466,6 +483,37 @@ def test_live_pair_sieve_matches_the_row_walk():
             assert _sieve_survivors(inp, N, chosen) == expected, (inp.F, N)
 
 
+def test_sieve_reduces_rationals_with_odd_denominators():
+    # In the corpus above every point is integral, so no denominator of x or
+    # y is inverted mod l.  Here x, y and a have denominators 3 and 5, and
+    # G = phi_1(P) has x(G) with denominator d^2 and y(G) with d^3.  Then
+    # kG on curves with torsion of order 4, whose x has sieve primes in its
+    # denominator (5; 29 and 89; 3; 3; 5 and 11): kG is the identity mod
+    # those l, which are also sieved alone, where no other prime hides a
+    # wrong residue (inv[0] = 0 would read kG as (0, 0), which changes the
+    # result on F_(-8, -23) at 5).
+    inputs = _random_back_solved_inputs(5, 12, dens=(1, 3, 5))
+    dens = {inp.generator.x.denominator for inp in inputs}
+    assert dens & {9, 25} and any(
+        inp.generator.y.denominator not in (1, inp.generator.x.denominator)
+        for inp in inputs)
+    for case, k in ((1, 2), (1, 3), (3, 2), (4, 2), (2, 4)):
+        base = _sieve_input(case)
+        inp = build_input(base.F, base.E.scalar_mul(k, base.generator), 1)
+        assert len(inp.torsion) == 4 and any(
+            inp.generator.x.denominator % ell == 0
+            for ell in _sieve_primes(inp.E))
+        inputs.append(inp)
+    for inp in inputs:
+        primes = _sieve_primes(inp.E)
+        at_infinity = [ell for ell in primes
+                       if inp.generator.x.denominator % ell == 0]
+        for N, chosen in ((VERIFIED_WINDOW_FLOOR, primes), (7, primes[::-1]),
+                          (VERIFIED_WINDOW_FLOOR, at_infinity)):
+            expected = reference_survivors(inp, N, chosen)
+            assert _sieve_survivors(inp, N, chosen) == expected, (inp.F, N)
+
+
 def test_certificate_from_cold_and_warm_field_tables():
     # The tables are kept per process, in a cache of bounded size.
     assert _field_tables.cache_info().maxsize == FIELD_TABLE_CACHE
@@ -480,9 +528,38 @@ def test_certificate_from_cold_and_warm_field_tables():
 
 
 def test_sieve_loop_computes_no_inverse():
-    # Inverses and square roots mod l come from `_field_tables` only.
+    # Inverses and square roots mod l come from `_field_tables` only, and
+    # the sieve reduces its rationals from their numerators and denominators
+    # with that table, not through `rat_mod`.
     for helper in (_sieve_survivors, demjanenko._add_mod, _no_preimage_mod):
         tree = ast.parse(inspect.getsource(helper))
         calls = [node.func.id for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
         assert "pow" not in calls, helper.__name__
+        if helper is _sieve_survivors:
+            assert "rat_mod" not in calls
+
+
+def test_sieve_leaves_no_false_multiple():
+    # On every curve of the differential corpus, each pair (n, i) with
+    # n >= 2 that the sieve leaves alive in the certificate's window pulls
+    # back to a point of F at R = n*G + T_i or at -R: the exact walk sees
+    # only rows that carry points.
+    checked = 0
+    for inp in _differential_inputs():
+        E, F = inp.E, inp.F
+        N = max(n_window(index_bound(inp)), VERIFIED_WINDOW_FLOOR)
+        alive = _sieve_survivors(inp, N, _sieve_primes(E))
+        for n, row in enumerate(alive):
+            if n < 2 or not any(row):
+                continue
+            nG = E.scalar_mul(n, inp.generator)
+            for T, survives in zip(inp.torsion, row):
+                if survives:
+                    R = E.add(nG, T)
+                    found = set()
+                    for Q in {R, E.neg(R)} - {INF}:
+                        found |= phi_preimages(1, Q, F)
+                    assert found, (F, n, T)
+                    checked += 1
+    assert checked  # the corpus has genuine points beyond n = 1
