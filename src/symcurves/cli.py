@@ -48,7 +48,13 @@ from .elliptic import (
     point,
     torsion_subgroup,
 )
-from .exact import CheckFailed, IntPoly, is_prime
+from .exact import (
+    PROBABLE_PRIME_BOUND,
+    PROBABLE_PRIME_NOTE,
+    CheckFailed,
+    IntPoly,
+    is_prime,
+)
 from .localglobal import everywhere_locally_solvable
 from .quartic import SymQuartic, companion_curve
 
@@ -78,6 +84,11 @@ def envelope(command: str, inputs: str, payload, assumptions=()) -> dict:
         "toolkit_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
+
+
+def _primality_assumptions(top: int) -> list:
+    """The probable-prime note when a prime up to `top` may be one."""
+    return [PROBABLE_PRIME_NOTE] if top >= PROBABLE_PRIME_BOUND else []
 
 
 def _point_list(cert) -> list:
@@ -166,6 +177,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
     payload = {"primes_scanned": len(verdicts), "verdicts": verdicts}
     assumptions = (["parity assumption enabled"] if args.assume_parity else
                    ["parity not assumed: conclusions unconditional-unavailable"])
+    assumptions += _primality_assumptions(args.hi)
     env = envelope("hasse-scan", f"lo={args.lo} hi={args.hi} "
                    f"parity={args.assume_parity}", payload, assumptions)
     return env, EXIT_OK
@@ -207,7 +219,7 @@ def cmd_descent(args) -> tuple[dict, int]:
         "quartic_residue": quartic_residue_criterion(p),
         "p_mod_16": p % 16,
     }
-    env = envelope("descent", f"p={p}", payload)
+    env = envelope("descent", f"p={p}", payload, _primality_assumptions(p))
     return env, EXIT_OK
 
 
@@ -225,7 +237,8 @@ def cmd_local(args) -> tuple[dict, int]:
         "everywhere_locally_solvable": ok,
         "places": [_place(r) for r in reports],
     }
-    env = envelope("local", f"p={args.p}", payload)
+    env = envelope("local", f"p={args.p}", payload,
+                   _primality_assumptions(args.p))
     code = EXIT_OK if ok else EXIT_UNDETERMINED
     return env, code
 

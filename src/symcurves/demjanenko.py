@@ -35,7 +35,6 @@ for a rank-0 one, but does not prove the rank bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,7 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import is_prime, rational_sqrt, require
+from .exact import _field_tables, is_prime, rational_sqrt, require
 from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
 
 # Externally certified per-side |hhat - h| budget for this family; our own
@@ -62,9 +61,6 @@ VERIFIED_WINDOW_FLOOR = 40
 
 # The residue sieve works modulo this many odd primes of good reduction.
 SIEVE_PRIME_COUNT = 48
-
-# Inverse and square-root tables of F_l are kept for this many primes l.
-FIELD_TABLE_CACHE = 128
 
 
 @dataclass
@@ -214,55 +210,6 @@ def _sieve_primes(E: EllipticCurve) -> list[int]:
     return primes
 
 
-def _add_mod(P, Q, a2: int, a4: int, ell: int, inv):
-    # The chord-and-tangent law on E mod ell; None is the identity and `inv`
-    # the inverse table of `_field_tables(ell)`.  Its entry 0 is never read:
-    # x1 != x2 mod ell, and a doubling with y1 = 0 returns the identity.
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    (x1, y1), (x2, y2) = P, Q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * inv[2 * y1 % ell] % ell
-    else:
-        lam = (y2 - y1) * inv[(x2 - x1) % ell] % ell
-    x3 = (lam * lam - a2 - x1 - x2) % ell
-    return (x3, (lam * (x1 - x3) - y1) % ell)
-
-
-@functools.lru_cache(maxsize=FIELD_TABLE_CACHE)
-def _field_tables(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(inv, root) for the odd prime ell: inv[x] * x = 1 mod ell for x != 0
-    (inv[0] = 0), and root[v] is a square root of v mod ell, or -1 when v is
-    not a square.  Kept per process for the last FIELD_TABLE_CACHE primes."""
-    inv, root = [0, 1] + [0] * (ell - 2), [-1] * ell
-    for x in range(2, ell):
-        inv[x] = -(ell // x) * inv[ell % x] % ell
-    for t in range(ell):
-        root[t * t % ell] = t
-    return tuple(inv), tuple(root)
-
-
-def _no_preimage_mod(R, a: int, ell: int, inv, root) -> bool:
-    """True when R mod ell (a = a' mod ell, `inv` and `root` the tables of
-    `_field_tables(ell)`) proves that neither R nor -R has a rational
-    phi_1-preimage; see the module docstring."""
-    if R is None or R[0] == 0:
-        return False
-    X, Y = R
-    t = root[-X * inv[4 % ell] % ell]
-    if t < 0:
-        return True                     # x^2 = -X/4 has no solution mod ell
-    yt, inv8 = Y * inv[t], inv[8 % ell]
-    for v in ((yt - 4 * a) * inv8 % ell, (-yt - 4 * a) * inv8 % ell):
-        if root[v] >= 0:
-            return False                # y^2 = v is solvable mod ell
-    return True
-
-
 def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     """alive[n][i] is False when some l in `primes` proves that neither
     n*G + T_i nor its negative has a phi_1-preimage, for 0 <= n <= N.
@@ -302,17 +249,53 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
                        (P[0] * inv[P[1] % ell] % ell, P[2] * inv[P[3] % ell] % ell)
                        for P in points]
         # n*G mod ell for n up to the largest live n (live is sorted by n),
-        # or for n below the order of G mod ell when that is smaller.
+        # or for n below the order of G mod ell when that is smaller.  The
+        # chord-and-tangent law below and in the filter reads `inv` at a
+        # nonzero entry only: x1 != x2, or a doubling with y1 != 0.
         multiples = [None]
-        for _ in range(live[-1][0]):
-            nG = _add_mod(multiples[-1], G, a2, a4, ell, inv)
-            if nG is None:
-                break
-            multiples.append(nG)
+        if G is not None and live[-1][0]:
+            multiples.append(G)
+            (gx, gy), (x1, y1) = G, G
+            for _ in range(live[-1][0] - 1):
+                if x1 != gx:
+                    lam = (gy - y1) * inv[(gx - x1) % ell] % ell
+                elif (y1 + gy) % ell:
+                    lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * inv[2 * y1 % ell] % ell
+                else:
+                    break                   # (n + 1)*G is the identity
+                x3 = (lam * lam - a2 - x1 - gx) % ell
+                x1, y1 = x3, (lam * (x1 - x3) - y1) % ell
+                multiples.append((x1, y1))
         order = len(multiples)
-        live = [(n, i) for n, i in live if not _no_preimage_mod(
-            _add_mod(multiples[n % order], torsion[i], a2, a4, ell, inv),
-            a, ell, inv, root)]
+        # Keep (n, i) unless R = n*G + T_i passes the lemma of the module
+        # docstring: R affine with X = x(R) != 0, and either -X/4 a
+        # non-square, or both (+-Y/t - 4a')/8 non-squares, t = root(-X/4).
+        quarter, eighth = inv[4 % ell], inv[8 % ell]
+        kept = []
+        for n, i in live:
+            P, T = multiples[n % order], torsion[i]
+            if P is None or T is None:
+                R = T if P is None else P
+            elif P[0] == T[0] and (P[1] + T[1]) % ell == 0:
+                R = None
+            else:
+                (x1, y1), (x2, y2) = P, T
+                if x1 != x2:
+                    lam = (y2 - y1) * inv[(x2 - x1) % ell] % ell
+                else:
+                    lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * inv[2 * y1 % ell] % ell
+                x3 = (lam * lam - a2 - x1 - x2) % ell
+                R = (x3, (lam * (x1 - x3) - y1) % ell)
+            if R is None or R[0] == 0:
+                kept.append((n, i))
+                continue
+            t = root[-R[0] * quarter % ell]
+            if t >= 0:
+                yt = R[1] * inv[t]
+                if (root[(yt - 4 * a) * eighth % ell] >= 0
+                        or root[(-yt - 4 * a) * eighth % ell] >= 0):
+                    kept.append((n, i))
+        live = kept
     alive = [[False] * len(inp.torsion) for _ in range(N + 1)]
     for n, i in live:
         alive[n][i] = True

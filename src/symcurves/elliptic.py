@@ -18,7 +18,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import IntPoly, bezout, factorize, is_prime, log_abs, require
+from .exact import (
+    IntPoly,
+    _field_tables,
+    bezout,
+    factorize,
+    integer_root,
+    is_prime,
+    log_abs,
+    require,
+)
 
 MAZUR_ORDER_CAP = 12
 
@@ -164,7 +173,8 @@ class EllipticCurve:
 
 
 def count_points_mod_p(E: EllipticCurve, p: int) -> int:
-    """#E(F_p) including infinity, by character sums; p odd, good reduction."""
+    """#E(F_p) including infinity, by character sums read from the square
+    roots of `_field_tables(p)`; p odd, good reduction."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     Ei, u = E.integral_model()
@@ -174,12 +184,13 @@ def count_points_mod_p(E: EllipticCurve, p: int) -> int:
     if disc.numerator % p == 0:
         raise ValueError(f"p = {p} is a prime of bad reduction")
     a2, a4, a6 = int(Ei.a2) % p, int(Ei.a4) % p, int(Ei.a6) % p
+    root = _field_tables(p)[1]
     count = 1  # infinity
     for x in range(p):
         fx = (((x + a2) * x + a4) * x + a6) % p
         if fx == 0:
             count += 1
-        elif pow(fx, (p - 1) // 2, p) == 1:  # Euler: fx is a nonzero square
+        elif root[fx] >= 0:  # fx is a nonzero square
             count += 2
     return count
 
@@ -206,7 +217,9 @@ def _torsion_multiple_bound(E: EllipticCurve) -> int:
 def _integer_roots_monic_cubic(a2: int, a4: int, a6: int) -> list[int]:
     """The integer roots of f(x) = x^3 + a2 x^2 + a4 x + a6, sorted.
 
-    Every real root lies in [-M, M] with M = 1 + max|a_i| (Cauchy).  The
+    Every complex root has modulus at most Fujiwara's bound
+    2 max(|a2|, |a4|^(1/2), |a6/2|^(1/3)), so every real root lies in
+    [-M, M] with M that bound, each term rounded up to an integer.  The
     critical points c- <= c+ of f are (-a2 -+ sqrt(s))/3 with
     s = a2^2 - 3 a4.  For s > 0, f is strictly increasing on the integers
     up to floor(c-), strictly decreasing from floor(c-) + 1 to floor(c+)
@@ -216,7 +229,12 @@ def _integer_roots_monic_cubic(a2: int, a4: int, a6: int) -> list[int]:
     def f(x):
         return ((x + a2) * x + a4) * x + a6
 
-    M = 1 + max(abs(a2), abs(a4), abs(a6))
+    def root_up(n, k):
+        # The least integer r >= 0 with r^k >= n, for an int n >= 0.
+        r = integer_root(n, k)
+        return r if r**k == n else r + 1
+
+    M = 2 * max(abs(a2), root_up(abs(a4), 2), root_up(-(-abs(a6) // 2), 3))
     s = a2 * a2 - 3 * a4
     if s > 0:
         k = math.isqrt(s)
@@ -390,6 +408,18 @@ class _HeightMachine:
         return w0 / m, w1 / m, math.log(m)
 
     def height(self, p0: int, q0: int, tol: float) -> float:
+        """hhat of the point with x = p0/q0 to within tol: h(x), plus the
+        archimedean series over n_steps normalized doublings, minus the
+        content removed at each bad prime ell, sum_k 4^-k delta_k log ell.
+
+        The deltas at ell are read in two passes.  With e = v_ell(content
+        bound), each delta_k <= e, and reading one needs e + 1 digits.  The
+        first pass carries 2e + 2 digits, enough for every row whose
+        contents stay small; if a step would start with e digits or fewer
+        left, it is dropped and ell is run again at (n_steps + 2)e + 4
+        digits, which no n_steps deltas of at most e each can use up.
+        Either pass reads exact valuations, so both give the same deltas,
+        and only the pass that finished adds its terms."""
         total_const = self.step_bound + (math.log(self.content_bound)
                                          if self.content_bound > 1 else 0.0)
         n_steps = max(3, math.ceil(math.log(total_const / (1.5 * tol)) / math.log(4)))
@@ -417,22 +447,40 @@ class _HeightMachine:
             while cb % ell == 0:
                 cb //= ell
                 e += 1
-            prec = (n_steps + 2) * e + 4
-            mod = ell**prec
-            w0, w1 = p0 % mod, q0 % mod
+            deltas = self._content_deltas(p0, q0, ell, e, 2 * e + 2, n_steps)
+            if deltas is None:
+                deltas = self._content_deltas(p0, q0, ell, e,
+                                              (n_steps + 2) * e + 4, n_steps)
             weight = 1.0
             log_ell = math.log(ell)
-            for _ in range(n_steps):
+            for delta in deltas:
                 weight /= 4.0
-                w0, w1 = _eval_pair(self.N.coeffs, self.D.coeffs, w0, w1, mod)
-                delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
-                require(delta <= e, "duplication content exceeds its Bezout bound")
                 if delta:
                     fin += weight * delta * log_ell
-                    mod //= ell**delta
-                    w0 = (w0 // ell**delta) % mod
-                    w1 = (w1 // ell**delta) % mod
         return h + arch - fin
+
+    def _content_deltas(self, p0, q0, ell, e, prec, n_steps):
+        """The valuations at ell of the contents removed at each of n_steps
+        doublings of x = p0/q0, read from residues mod ell^prec, or None
+        when a step would start with e digits or fewer left: each step reads
+        a valuation up to e + 1 (e = v_ell of the content bound), and then
+        drops that many digits."""
+        mod = ell**prec
+        w0, w1 = p0 % mod, q0 % mod
+        deltas = []
+        for _ in range(n_steps):
+            if prec <= e:
+                return None
+            w0, w1 = _eval_pair(self.N.coeffs, self.D.coeffs, w0, w1, mod)
+            delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
+            require(delta <= e, "duplication content exceeds its Bezout bound")
+            deltas.append(delta)
+            if delta:
+                prec -= delta
+                mod //= ell**delta
+                w0 = (w0 // ell**delta) % mod
+                w1 = (w1 // ell**delta) % mod
+        return deltas
 
 
 def _eval_pair(n, d, p, q, mod):

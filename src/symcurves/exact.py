@@ -21,10 +21,19 @@ from fractions import Fraction
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_LARGE = 40
 
+# From this bound on, `is_prime` is Miller-Rabin with _MR_ROUNDS_LARGE random
+# bases seeded by n: what it calls prime is a probable prime.
+PROBABLE_PRIME_BOUND = 2**64
+PROBABLE_PRIME_NOTE = (f"primes >= 2^64 are probable primes (Miller-Rabin, "
+                       f"{_MR_ROUNDS_LARGE} seeded random bases)")
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Primes p whose Tonelli-Shanks constants `_sqrt_mod_p` keeps per process.
 TONELLI_SHANKS_CACHE = 128
+
+# Inverse and square-root tables of F_l are kept for this many primes l.
+FIELD_TABLE_CACHE = 128
 
 
 class CheckFailed(Exception):
@@ -42,7 +51,8 @@ def require(cond, msg: str) -> None:
 def is_prime(n: int) -> bool:
     """Whether the int n is prime.  n below 10,000 (the trial-division bound
     of `factorize`) is answered from the sieve table; from there on by
-    Miller-Rabin, deterministic below 2^64.  Any other type raises TypeError."""
+    Miller-Rabin, deterministic below PROBABLE_PRIME_BOUND = 2^64 and a
+    probable-prime test above it.  Any other type raises TypeError."""
     if not isinstance(n, int):
         raise TypeError(f"is_prime needs an int, not {type(n).__name__}")
     if n < _SIEVE_LIMIT:
@@ -74,7 +84,7 @@ def _miller_rabin(n: int) -> bool:
                 return False
         return True
 
-    if n < 2**64:
+    if n < PROBABLE_PRIME_BOUND:
         bases = _MR_BASES_64
     else:
         # Probabilistic beyond 64 bits; seeded by n so results are stable.
@@ -151,6 +161,10 @@ def factorize(n: int) -> dict[int, int]:
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
+            power = _perfect_power(m)
+            if power:
+                stack.extend([power[0]] * power[1])
+                continue
             d = _pollard_rho(m)
             stack.extend([d, m // d])
         return out
@@ -171,6 +185,35 @@ def factorize(n: int) -> dict[int, int]:
     out[q] = 1
     out[n // q] = 1
     return out
+
+
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for an int n >= 0 and k >= 1, exactly: Newton's
+    iteration from 2^ceil(bits/k), which lies above the root and descends
+    to its floor."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int):
+    """(r, k) with r^k = m for the least prime k that has one, or None.
+    For a cofactor m of `factorize`, which has no prime factor below
+    _SIEVE_LIMIT, a k-th root exceeds _SIEVE_LIMIT, so only the prime
+    k <= log m / log _SIEVE_LIMIT are tried.  Pollard rho on m = r^k would
+    take time like sqrt(r)."""
+    for k in _TRIAL_PRIMES:
+        if _SIEVE_LIMIT ** k > m:
+            return None
+        r = integer_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
 
 
 def is_squarefree(n: int) -> bool:
@@ -284,6 +327,19 @@ def _tonelli_shanks_constants(p: int) -> tuple[int, int, int]:
     while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion
         z += 1
     return q, s, pow(z, q, p)
+
+
+@functools.lru_cache(maxsize=FIELD_TABLE_CACHE)
+def _field_tables(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(inv, root) for the odd prime ell: inv[x] * x = 1 mod ell for x != 0
+    (inv[0] = 0), and root[v] is a square root of v mod ell, or -1 when v is
+    not a square.  Kept per process for the last FIELD_TABLE_CACHE primes."""
+    inv, root = [0, 1] + [0] * (ell - 2), [-1] * ell
+    for x in range(2, ell):
+        inv[x] = -(ell // x) * inv[ell % x] % ell
+    for t in range(ell):
+        root[t * t % ell] = t
+    return tuple(inv), tuple(root)
 
 
 def log_abs(n) -> float:

@@ -14,12 +14,9 @@ import pytest
 import symcurves
 from symcurves import demjanenko
 from symcurves.demjanenko import (
-    FIELD_TABLE_CACHE,
     SIEVE_PRIME_COUNT,
     VERIFIED_WINDOW_FLOOR,
     DemjanenkoInput,
-    _field_tables,
-    _no_preimage_mod,
     _sieve_primes,
     _sieve_survivors,
     build_input,
@@ -29,9 +26,15 @@ from symcurves.demjanenko import (
     index_bound,
     n_window,
 )
-from symcurves.elliptic import INF, EllipticCurve, point
-from symcurves.exact import rational_sqrt
-from symcurves.quartic import SymQuartic, phi_preimages
+from symcurves.elliptic import (
+    INF,
+    EllipticCurve,
+    canonical_height,
+    height_gap_bounds,
+    point,
+)
+from symcurves.exact import FIELD_TABLE_CACHE, _field_tables, rational_sqrt
+from symcurves.quartic import SymQuartic, kappa, phi, phi_preimages
 from test_quartic import qpoint
 from test_quartic_golden import CORPUS as GOLDEN_CORPUS
 
@@ -194,6 +197,26 @@ def test_equal_index_points_hasse_twists():
     assert qpoint(1, 1) in pts1 and qpoint(-1, 1) in pts1
 
 
+def test_equal_index_points_translated_class():
+    # phi_1 +- phi_2 = (0, 0) with xy != 0: any x, y with
+    # a = -2(x^2 + xy + y^2) gives one, since then (xy)^2 = -(b + a^2/4).
+    # Against the brute-force search, the three classes together are all
+    # the points with x = +-y, with xy = 0, or with (xy)^2 = -(b + a^2/4).
+    # (1, 2) lies on (a, b) = (-14, -53).
+    for x, y in [(1, 2), (1, -2), (1, 3), (2, 3), (Fraction(1, 2), 1), (2, -5)]:
+        x, y = Fraction(x), Fraction(y)
+        a = -2 * (x * x + x * y + y * y)
+        b = x**4 + a * x * x + a * y * y + y**4
+        F = SymQuartic(a, b, 1)
+        target = -(b + a * a / 4)
+        assert (x * y) ** 2 == target
+        found = brute_force_points(F, 30, 4)
+        assert qpoint(x, y) in found
+        degenerate = {P for P in found if P.x in (P.y, -P.y)
+                      or P.x * P.y == 0 or (P.x * P.y) ** 2 == target}
+        assert equal_index_points(F) == degenerate, (x, y)
+
+
 def test_hasse_twist_rank0_empty():
     cert = determine_points(SymQuartic(-4, -6, 5), None, rank_claim=0)
     assert cert.points == frozenset()
@@ -340,30 +363,39 @@ def test_sieve_preconditions_survive_python_O():
     assert child.stdout.startswith("refused: 7 is not a prime")
 
 
+def _small_good_primes(inp):
+    # The odd primes l < 60 of good reduction for the companion curve.
+    E = inp.E
+    den = math.lcm(E.a2.denominator, E.a4.denominator)
+    disc = E.discriminant().numerator
+    return [ell for ell in range(3, 60, 2)
+            if all(ell % q for q in range(2, ell)) and den % ell and disc % ell]
+
+
 @pytest.mark.parametrize("case", [0, 1, 6])
 def test_no_preimage_mod_is_the_lemma_at_every_small_prime(case):
     # For every odd good l < 60, of both classes mod 4, and every affine
-    # point (X, Y) of E(F_l): the test rejects exactly when X != 0 and no
+    # point (X, Y) of E(F_l): the lemma rejects exactly when X != 0 and no
     # (x, y) in F_l^2 with x != 0 has -4x^2 = X and x(8y^2 + 4a') = +-Y.
+    # `reference_no_preimage` is the lemma as the sieve's reference walk
+    # applies it; test_live_pair_sieve_matches_the_row_walk holds the
+    # sieve to that walk at each of these primes alone.
     inp = _sieve_input(case)
     E, F = inp.E, inp.F
-    den = math.lcm(E.a2.denominator, E.a4.denominator)
-    disc = E.discriminant().numerator
-    primes = [ell for ell in range(3, 60, 2)
-              if all(ell % q for q in range(2, ell)) and den % ell and disc % ell]
+    primes = _small_good_primes(inp)
     assert {ell % 4 for ell in primes} == {1, 3}
     for ell in primes:
         a2, a4, a = (q.numerator * pow(q.denominator, -1, ell) % ell
                      for q in (E.a2, E.a4, F.a_eff))
         images = {(-4 * x * x % ell, x * (8 * y * y + 4 * a) % ell)
                   for x in range(1, ell) for y in range(ell)}
-        inv, root = _field_tables(ell)
+        roots = {t * t % ell: t for t in range(ell)}
         for X in range(ell):
             for Y in range(ell):
                 if (Y * Y - ((X + a2) * X + a4) * X) % ell:
                     continue
                 hit = (X, Y) in images or (X, -Y % ell) in images
-                rejected = _no_preimage_mod((X, Y), a, ell, inv, root)
+                rejected = reference_no_preimage((X, Y), a, ell, roots)
                 assert rejected == (X != 0 and not hit), (ell, X, Y)
 
 
@@ -472,15 +504,76 @@ def _differential_inputs():
     return golden + sieve + _random_back_solved_inputs(11, 40)
 
 
+def test_index_bound_holds_on_every_certified_point(monkeypatch):
+    # If phi_1(P) = +-n1*G + T and phi_2(P) = +-n2*G + T' with n1, n2 >= 0
+    # and T, T' torsion, the proof needs |n1^2 - n2^2| <= B.  B is held to
+    # the bound recomputed here from the three terms it rests on, phi_gap,
+    # sup(hhat - h) and sup(h - hhat), with the height-gap and window floors
+    # patched out so that neither can hide a term that is missing.  On these
+    # curves G = phi_1(P0) need not generate E(Q) mod torsion, so a point
+    # whose images lie outside <G> + E(Q)_tors is not indexed; the corpus
+    # still has points with n1 != n2.
+    monkeypatch.setattr(demjanenko, "CERTIFIED_GAP_FLOOR", 0.0)
+    monkeypatch.setattr(demjanenko, "VERIFIED_WINDOW_FLOOR", 0)
+    unequal = 0
+    for inp in _random_back_solved_inputs(11, 40):
+        E, F, G = inp.E, inp.F, inp.generator
+        up, low = height_gap_bounds(E)
+        phi_gap = math.log(24 * 12 * kappa(F.a_eff, F.b_eff))
+        B = index_bound(inp)
+        assert B >= math.floor((phi_gap + up + low) / canonical_height(E, G))
+        cert = determine_points(F, G, 1)
+        assert cert.index_bound == B and cert.n_window == n_window(B)
+        # Each +-(n*G + T) indexed by the least n >= 0, well past the window.
+        index, nG = {}, INF
+        for n in range(2 * cert.n_window + 8):
+            for T in inp.torsion:
+                R = E.add(nG, T)
+                for Q in (R, E.neg(R)):
+                    index.setdefault(Q, n)
+            nG = E.add(nG, G)
+        for P in cert.points:
+            n1, n2 = index.get(phi(1, P, F)), index.get(phi(2, P, F))
+            if n1 is None or n2 is None:
+                continue
+            assert abs(n1 * n1 - n2 * n2) <= B, (F, P, n1, n2)
+            unequal += n1 != n2
+    assert unequal
+
+
 def test_live_pair_sieve_matches_the_row_walk():
+    # Each good prime l < 60 is also sieved alone, where no other prime
+    # hides a wrong residue: these are the primes at which the lemma test
+    # checks `reference_no_preimage` against every point of E(F_l).
     inputs = _differential_inputs()
     assert len(inputs) == 30 + len(SIEVE_CURVES) + 40
     for inp in inputs:
         primes = _sieve_primes(inp.E)
+        alone = [(VERIFIED_WINDOW_FLOOR, [ell]) for ell in _small_good_primes(inp)]
         for N, chosen in ((VERIFIED_WINDOW_FLOOR, primes), (55, primes),
-                          (7, primes[::-1]), (0, primes[:3]), (40, [])):
+                          (7, primes[::-1]), (0, primes[:3]), (40, []), *alone):
             expected = reference_survivors(inp, N, chosen)
-            assert _sieve_survivors(inp, N, chosen) == expected, (inp.F, N)
+            assert _sieve_survivors(inp, N, chosen) == expected, (inp.F, N, chosen)
+
+
+def test_sieve_doubles_where_a_multiple_meets_a_torsion_point():
+    # With a torsion point T as the generator, n*G + T_i meets the doubling
+    # T + T at n = 1 and T_i = T, mod every prime, in the filter as well as
+    # in the walk; the corpora above rarely have n*G = T_i mod l.  The
+    # sieve needs no infinite order, only points of E, so each torsion
+    # point of curves with torsion Z/6, Z/2 x Z/4 and Z/4 serves, against
+    # the row walk at all the sieve primes and at each good prime < 60 alone.
+    for a, b in ((-6, -6), (-2, 2), (-8, -23), (-12, Fraction(-527, 16))):
+        F = SymQuartic(a, b, 1)
+        base = build_input(F, None, 0)
+        assert len(base.torsion) in (4, 6, 8)
+        primes = _sieve_primes(base.E)
+        for T in base.torsion[1:]:
+            inp = DemjanenkoInput(F, base.E, T, base.torsion, 1,
+                                  1.0, 1.0, 1.0, 1.0)
+            for chosen in [primes] + [[ell] for ell in _small_good_primes(inp)]:
+                expected = reference_survivors(inp, 12, chosen)
+                assert _sieve_survivors(inp, 12, chosen) == expected, (a, b, T, chosen)
 
 
 def test_sieve_reduces_rationals_with_odd_denominators():
@@ -531,13 +624,10 @@ def test_sieve_loop_computes_no_inverse():
     # Inverses and square roots mod l come from `_field_tables` only, and
     # the sieve reduces its rationals from their numerators and denominators
     # with that table, not through `rat_mod`.
-    for helper in (_sieve_survivors, demjanenko._add_mod, _no_preimage_mod):
-        tree = ast.parse(inspect.getsource(helper))
-        calls = [node.func.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-        assert "pow" not in calls, helper.__name__
-        if helper is _sieve_survivors:
-            assert "rat_mod" not in calls
+    tree = ast.parse(inspect.getsource(_sieve_survivors))
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "pow" not in calls and "rat_mod" not in calls
 
 
 def test_sieve_leaves_no_false_multiple():

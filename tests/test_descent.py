@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import random
@@ -323,6 +324,64 @@ def test_hasse_verdict_gates():
     assert v.congruence_gate is False
     v = hasse_candidate_verdict(73, assume_parity=False)
     assert "unconditional conclusion unavailable" in v.conclusion
+
+
+def _first_family_prime_above(n):
+    # The least prime p = 25 (mod 48) with p > n.
+    p = n + 1 + (25 - n - 1) % 48
+    while not is_prime(p):
+        p += 48
+    return p
+
+
+def test_hasse_verdict_above_the_explicit_threshold():
+    # The parity-conditional conclusion is reached only past
+    # EXPLICIT_PARITY_THRESHOLD = 3 * 10^74, where p is a probable prime.
+    p = _first_family_prime_above(descent.EXPLICIT_PARITY_THRESHOLD)
+    assert p == descent.EXPLICIT_PARITY_THRESHOLD + 3961
+    v = hasse_candidate_verdict(p, assume_parity=True)
+    assert v.conclusion == ("no rational points; local-global principle "
+                            "fails (conditional on parity)")
+    assert v.locally_solvable is True
+    assert v.root_number == -1
+    assert v.selmer_bound <= 2
+    assert v.conditional_rank == 1
+
+
+# p = 10^30 + 57 = 25 (mod 48): factoring 8p^2 used to send p^2 to Pollard
+# rho, which never finished.
+LARGE_FAMILY_PRIME = 10**30 + 57
+
+
+def test_descent_at_a_large_prime_finishes_in_a_fresh_process():
+    assert LARGE_FAMILY_PRIME % 48 == 25 and is_prime(LARGE_FAMILY_PRIME)
+    src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "symcurves.cli", "descent",
+         str(LARGE_FAMILY_PRIME), "--json"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 0, child.stderr
+    env = json.loads(child.stdout)
+    assert env["payload"]["selmer_rank_bound"] == 1
+    assert env["assumptions"] == [exact.PROBABLE_PRIME_NOTE]
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["descent", str(LARGE_FAMILY_PRIME)], True),
+    (["local", str(LARGE_FAMILY_PRIME)], True),
+    (["hasse-scan", str(2**64), str(2**64 + 500)], True),
+    (["hasse-scan", str(2**64 - 500), str(2**64 - 1)], False),
+    (["descent", "73"], False),
+    (["local", str(2**64 - 279)], False),    # the largest family prime < 2^64
+])
+def test_probable_prime_assumption_is_listed_from_2_64_on(argv, listed,
+                                                         tmp_path, capsys):
+    if argv[0] == "hasse-scan":
+        argv = [*argv, "--cache-dir", str(tmp_path)]
+    assert main([*argv, "--json"]) == 0
+    assumptions = json.loads(capsys.readouterr().out)["assumptions"]
+    assert (exact.PROBABLE_PRIME_NOTE in assumptions) is listed
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from symcurves.elliptic import (
     _integer_roots_monic_cubic,
     _machine_for,
     _square_divisors,
+    _val_capped,
     canonical_height,
     canonical_height_doubling,
     count_points_mod_p,
@@ -167,8 +168,8 @@ def test_count_points_bad_prime_rejected():
 
 def test_count_points_validates_p_once(monkeypatch):
     # The entry checks prove p prime once per call; the loop decides each
-    # residue by Euler's criterion, not by the Legendre symbol.  The counts
-    # equal the double loop's.
+    # residue from the square-root table of F_p, not by the Legendre symbol.
+    # The counts equal the double loop's.
     calls = []
 
     def counting_is_prime(n):
@@ -284,6 +285,18 @@ def test_integer_roots_known_factorizations():
         assert _integer_roots_monic_cubic(a2, a4, big) == brute_integer_roots(a2, a4, big)
     assert _integer_roots_monic_cubic(0, 0, big) == []
     assert _integer_roots_monic_cubic(0, 0, -(144**3)) == [144]
+    # Large coefficients, where every real root must lie inside Fujiwara's
+    # bracket: three integer roots up to 10^12, then one root r times
+    # x^2 + c with c > 0 (no other real root), and x^3 - r^3.
+    rng = random.Random(11)
+    for _ in range(1000):
+        roots = [rng.randint(-10**12, 10**12) for _ in range(3)]
+        r1, r2, r3 = roots
+        a2, a4, a6 = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        assert _integer_roots_monic_cubic(a2, a4, a6) == sorted(set(roots)), roots
+        r, c = r1, rng.randint(1, 10**rng.randint(1, 26))
+        assert _integer_roots_monic_cubic(-r, c, -r * c) == [r], (r, c)
+        assert _integer_roots_monic_cubic(0, 0, -r**3) == [r], r
 
 
 def test_integer_roots_random_against_brute_force():
@@ -624,6 +637,58 @@ def test_eval_pair_matches_the_sums_written_out():
         expected = tuple(sum(c * p**i * q**(4 - i) for i, c in enumerate(cs)) % mod
                          for cs in (n, d))
         assert _eval_pair(n, d, p, q, mod) == expected
+
+
+def reference_content_deltas(machine, p0, q0, ell, e, n_steps):
+    """The content valuations at ell of `height`'s finite part, all read in
+    one pass at (n_steps + 2)e + 4 digits, as before the two-pass rule."""
+    mod = ell ** ((n_steps + 2) * e + 4)
+    w0, w1 = p0 % mod, q0 % mod
+    out = []
+    for _ in range(n_steps):
+        w0, w1 = _eval_pair(machine.N.coeffs, machine.D.coeffs, w0, w1, mod)
+        delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
+        assert delta <= e
+        out.append(delta)
+        if delta:
+            mod //= ell**delta
+            w0, w1 = (w0 // ell**delta) % mod, (w1 // ell**delta) % mod
+    return out
+
+
+def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
+    # On the golden curves and the seeded back-solved ones, every delta
+    # sequence `height` uses equals the one-pass full-precision reference,
+    # and the short pass gives up, so that the second runs, on some rows.
+    from test_demjanenko import _random_back_solved_inputs
+    from test_heights_golden import CORPUS
+
+    rows = []
+    content_deltas = elliptic._HeightMachine._content_deltas
+
+    def recording(machine, p0, q0, ell, e, prec, n_steps):
+        deltas = content_deltas(machine, p0, q0, ell, e, prec, n_steps)
+        rows.append((machine, p0, q0, ell, e, prec, n_steps, deltas))
+        return deltas
+
+    monkeypatch.setattr(elliptic._HeightMachine, "_content_deltas", recording)
+    for a, b, alpha, gen in CORPUS:
+        if gen is not None:
+            F = SymQuartic(Fraction(a), Fraction(b), int(alpha))
+            canonical_height(companion_curve(F), point(*map(Fraction, gen.split(","))))
+    for inp in _random_back_solved_inputs(11, 40):
+        canonical_height(inp.E, inp.generator, 1e-8)
+    short = second = 0
+    for machine, p0, q0, ell, e, prec, n_steps, deltas in rows:
+        if prec == 2 * e + 2:
+            short += 1
+            second += deltas is None
+        else:
+            assert prec == (n_steps + 2) * e + 4 and deltas is not None
+        if deltas is not None:
+            assert deltas == reference_content_deltas(machine, p0, q0, ell, e,
+                                                      n_steps), (ell, p0, q0)
+    assert short > 100 and 0 < second == len(rows) - short
 
 
 def test_duplication_numerator_has_no_cubic_term():

@@ -13,6 +13,7 @@ from symcurves.exact import (
     _tonelli_shanks_constants,
     bezout,
     factorize,
+    integer_root,
     is_prime,
     is_squarefree,
     legendre_symbol,
@@ -286,6 +287,54 @@ def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
         calls.clear()
         factorize(n)
         assert len(calls) == len(set(calls)) <= 1, (n, calls)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_integer_root_is_the_floor_of_the_real_root():
+    rng = random.Random(3)
+    for _ in range(300):
+        k = rng.randrange(1, 8)
+        r = rng.randrange(0, 2**rng.randrange(1, 90))
+        for n in (r**k, r**k + 1, max(r**k - 1, 0), (r + 1)**k - 1):
+            root = integer_root(n, k)
+            assert root**k <= n < (root + 1)**k, (n, k)
+
+
+def test_factorize_splits_perfect_powers_without_rho(monkeypatch):
+    # Powers of primes above 2^64, or just above the trial-division bound
+    # 10^4, factor through the exact k-th root test; Pollard rho on r^k
+    # would take time like sqrt(r).  p^2 * q needs rho once, to split off
+    # the smaller prime; a rho step on the other factor with both above
+    # 2^64 would take about 2^32 steps, so each product pairs one prime of
+    # each kind.
+    big = [_next_prime(2**64), _next_prime(2**64 + 10**6), _next_prime(10**30)]
+    small = [10007, 10009]
+    for p in big + small:
+        for k in (2, 3, 5):
+            assert factorize(p**k) == {p: k}
+    rho_calls = []
+
+    def counting_rho(n):
+        rho_calls.append(n)
+        return _pollard_rho(n)
+
+    monkeypatch.setattr(exact, "_pollard_rho", counting_rho)
+    for p in big:
+        for k in (2, 3, 5):
+            assert factorize(8 * p**k) == {2: 3, p: k}
+    assert rho_calls == []
+    for p, q in [(big[0], 10007), (big[2], 10009), (10007, big[1]),
+                 (10009, big[2])]:
+        for n, want in ((p * p * q, {p: 2, q: 1}), (8 * p * p * q, {2: 3, p: 2, q: 1}),
+                        (p**3 * q**2, {p: 3, q: 2})):
+            got = factorize(n)
+            assert math.prod(r**e for r, e in got.items()) == n
+            assert got == want, n
 
 
 def _brute_roots_all(f, p):

@@ -85,6 +85,17 @@ def test_weil_bound_small_good_primes():
             assert witness is not None
 
 
+def test_weil_cutoff_is_where_the_genus_3_bound_turns_positive():
+    # Every place q >= WEIL_CUTOFF is claimed solvable by the Weil bound
+    # q + 1 - 6 sqrt(q) > 0, that is (q + 1)^2 > 36q in integers.  It holds
+    # at every prime from the cutoff to 10^4 and fails at q = 31, the last
+    # prime below it, whose F_q count the scan therefore makes.
+    assert all((q + 1) ** 2 > 36 * q
+               for q in range(WEIL_CUTOFF, 10**4) if is_prime(q))
+    assert (31 + 1) ** 2 <= 36 * 31
+    assert max(q for q in range(WEIL_CUTOFF) if is_prime(q)) == 31
+
+
 def test_special_place_checks():
     for p in (73, 97):
         reports = special_place_checks(p)
