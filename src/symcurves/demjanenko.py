@@ -25,8 +25,10 @@ two big square roots.
 Only the pairs still alive go on to the next prime, and each prime walks
 n*G mod l only up to the last live pair.  The rationals the sieve reduces
 are split into numerator and denominator once per call; inverses and
-square roots mod l are read from tables built once per process and kept
-for a bounded number of primes (FIELD_TABLE_CACHE).
+square roots mod l are read from the tables of `exact._field_tables`,
+built once per process and kept for a bounded number of primes
+(`exact.FIELD_TABLE_CACHE`), and the group law and the test above run on
+plain ints with no call per pair.
 
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve, and non-torsion for a rank-1 claim or torsion
@@ -218,8 +220,8 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     walks n*G mod l only up to the last live pair, the largest live n, or
     up to the order of G mod l when that comes first.  Each rational is
     reduced from its numerator and denominator, taken once per call, with
-    the inverse table of `_field_tables`, kept per process for at most
-    FIELD_TABLE_CACHE primes.
+    the inverse table of `exact._field_tables`, kept per process for at most
+    `exact.FIELD_TABLE_CACHE` primes.
 
     Raises ValueError unless E is the companion curve of F (so a6 = 0) and
     every l is an odd prime of good reduction for E."""
