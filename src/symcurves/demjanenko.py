@@ -51,7 +51,14 @@ from .elliptic import (
     torsion_subgroup,
 )
 from .exact import _field_tables, is_prime, rational_sqrt, require
-from .quartic import QuarticPoint, SymQuartic, companion_curve, kappa, phi_preimages
+from .quartic import (
+    QuarticPoint,
+    SymQuartic,
+    biquadratic_roots,
+    companion_curve,
+    kappa,
+    phi_preimages,
+)
 
 # Externally certified per-side |hhat - h| budget for this family; our own
 # rigorous bounds are floored at it so the enumeration window always contains
@@ -161,22 +168,12 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
     out: set[QuarticPoint] = set()
 
     # x = +-y branch: 2x^4 + 2a x^2 - b = 0.
-    s = rational_sqrt(a * a + 2 * b)
-    if s is not None:
-        for t in {(-a + s) / 2, (-a - s) / 2}:
-            r = rational_sqrt(t)
-            if r is not None:
-                for x in {r, -r}:
-                    out |= {QuarticPoint(x, x), QuarticPoint(x, -x)}
+    for x in biquadratic_roots(a, -b / 2):
+        out |= {QuarticPoint(x, x), QuarticPoint(x, -x)}
 
     # xy = 0 branch: y^4 + a y^2 - b = 0 and its mirror.
-    s = rational_sqrt(a * a + 4 * b)
-    if s is not None:
-        for t in {(-a + s) / 2, (-a - s) / 2}:
-            r = rational_sqrt(t)
-            if r is not None:
-                for y in {r, -r}:
-                    out |= {QuarticPoint(Fraction(0), y), QuarticPoint(y, Fraction(0))}
+    for y in biquadratic_roots(a, -b):
+        out |= {QuarticPoint(Fraction(0), y), QuarticPoint(y, Fraction(0))}
 
     # phi_1 +- phi_2 = (0,0), xy != 0: (xy)^2 = -(b + a^2/4).
     target = -(b + a * a / 4)

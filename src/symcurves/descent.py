@@ -53,31 +53,6 @@ class HomSpace:
         return _charts((d**3, 0, d * self.c2, 0, d * self.c4), self.discriminant())
 
 
-def isogeny_spaces(a: int, b: int) -> list[HomSpace]:
-    """Homogeneous spaces d*w^2 = d^2 - 2ad*z^2 + (a^2-4b)*z^4 for the
-    standard degree-2 isogeny on y^2 = x(x^2 + ax + b), over squarefree
-    d | a^2 - 4b (both signs)."""
-    disc = a * a - 4 * b
-    if disc == 0 or b == 0:
-        raise ValueError("curve must be nonsingular with full 2-isogeny data")
-    divisors = _squarefree_divisors(disc)
-    return [HomSpace(d, -2 * a * d, disc) for d in divisors]
-
-
-def dual_isogeny_spaces(a: int, b: int) -> list[HomSpace]:
-    """Spaces for the dual isogeny: the same construction applied to the
-    isogenous curve y^2 = x(x^2 - 2ax + (a^2 - 4b))."""
-    return isogeny_spaces(-2 * a, a * a - 4 * b)
-
-
-def _squarefree_divisors(n: int) -> list[int]:
-    primes = sorted(factorize(abs(n)))
-    divs = [1]
-    for p in primes:
-        divs += [d * p for d in divs]
-    return sorted([d for d in divs] + [-d for d in divs], key=abs)
-
-
 def _is_square_ql(n: int, ell: int) -> bool:
     """Whether a nonzero integer is a square in Q_ell (ell prime)."""
     c = _square_class(n, ell)
@@ -276,42 +251,38 @@ def homspace_locally_solvable(C: HomSpace, place) -> bool:
     return _ql_solvable(C.charts, place)
 
 
-def _relevant_places(spaces: list[HomSpace]) -> list:
-    """All places where some space could fail: the real place, 2, and the
-    odd primes of bad reduction.  The quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4
-    has discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime
-    away from it the space is a smooth genus-1 curve, hence solvable.
+def selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
+    """The Selmer candidate sets (phi_set, dual_set) of the standard 2-isogeny
+    on y^2 = x(x^2 + ax + b) and of its dual: the square classes d whose
+    homogeneous space is solvable at every place that can fail.
 
-    The values |c4|, |d| and |c2^2 - 4 d^2 c4| share most of their primes.
-    Taken in increasing order, each value is divided by every prime already
-    found before it is factored: its primes are the primes of the cofactor
-    together with known ones, so the union is the same for any list of
-    spaces, and only a cofactor other than 1 is factored."""
-    values = set()
-    for C in spaces:
-        tail = C.c2 * C.c2 - 4 * C.d * C.d * C.c4
-        values |= {abs(C.c4), abs(C.d)} | ({abs(tail)} if tail else set())
-    primes = {2}
-    for n in sorted(values):
-        if n:   # a zero value goes on to factorize, which rejects it
-            for q in primes:
-                while n % q == 0:
-                    n //= q
-        if n != 1:
-            primes |= set(factorize(n))
-    return ["real"] + sorted(primes)
+    With D = a^2 - 4b, the phi side has the spaces d*w^2 = d^2 - 2ad*z^2 +
+    D*z^4 over squarefree d | D, and the dual side, the same construction
+    on the isogenous curve y^2 = x(x^2 - 2ax + D), has d*w^2 = d^2 + 4ad*z^2
+    + 16b*z^4 over squarefree d | 16b; both signs of d are taken.  D and b
+    are factored once each.
 
-
-def selmer_candidate_set(spaces: list[HomSpace]) -> list[int]:
-    """Square classes whose space is solvable at every relevant place (all
-    other places are automatically solvable by smoothness and the
-    Hasse-Weil bound)."""
-    places = _relevant_places(spaces)
-    out = []
-    for C in spaces:
-        if all(homspace_locally_solvable(C, v) for v in places):
-            out.append(C.d)
-    return out
+    The multiplied quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4 of a space has
+    discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime away
+    from it the space is a smooth genus-1 curve, hence solvable.  On the
+    phi side c4 = D and c2^2 - 4 d^2 c4 = 16b*d^2; on the dual side c4 = 16b
+    and it is 16D*d^2.  As d divides c4, every space is tested at the real
+    place and at the primes of 2bD, and nowhere else."""
+    disc = a * a - 4 * b
+    if disc == 0 or b == 0:
+        raise ValueError("curve must be nonsingular with full 2-isogeny data")
+    disc_primes, b_primes = set(factorize(disc)), set(factorize(b)) | {2}
+    places = ["real"] + sorted(disc_primes | b_primes)
+    sets = []
+    for primes, c2, c4 in ((disc_primes, -2 * a, disc), (b_primes, 4 * a, 16 * b)):
+        divisors = [1]
+        for q in sorted(primes):
+            divisors += [d * q for d in divisors]
+        spaces = [HomSpace(e * d, e * d * c2, c4)
+                  for d in sorted(divisors) for e in (1, -1)]
+        sets.append([C.d for C in spaces
+                     if all(homspace_locally_solvable(C, v) for v in places)])
+    return sets[0], sets[1]
 
 
 def selmer_rank_bound(p: int) -> int:
@@ -319,9 +290,7 @@ def selmer_rank_bound(p: int) -> int:
     companion model y^2 = x(x^2 + 4px + 2p^2) and its dual."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    a, b = 4 * p, 2 * p * p
-    s_set = selmer_candidate_set(isogeny_spaces(a, b))
-    s_dual = selmer_candidate_set(dual_isogeny_spaces(a, b))
+    s_set, s_dual = selmer_sets(4 * p, 2 * p * p)
     n, n_dual = len(s_set), len(s_dual)
     require(n and n_dual and not n & (n - 1) and not n_dual & (n_dual - 1),
             "Selmer candidate sets must be groups of 2-power order")

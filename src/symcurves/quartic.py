@@ -99,20 +99,19 @@ def phi(i: int, P: QuarticPoint, F: SymQuartic) -> ECPoint:
     return img
 
 
-def _y_candidates_on_vertical(F: SymQuartic, x0: Fraction) -> list[Fraction]:
-    # Solve y^4 + a'y^2 + (x0^4 + a'x0^2 - b') = 0 exactly over Q.
-    a = F.a_eff
-    c = x0**4 + a * x0 * x0 - F.b_eff
-    disc = a * a - 4 * c
-    s = rational_sqrt(disc)
+def biquadratic_roots(a, c) -> list[Fraction]:
+    """The rational r with r^4 + a*r^2 + c = 0, in increasing order: r^2 is
+    a root (-a +- s)/2 of t^2 + a*t + c, s a rational square root of
+    a^2 - 4c, and r a rational square root of it."""
+    s = rational_sqrt(a * a - 4 * c)
     if s is None:
         return []
-    out = []
+    out = set()
     for t in {(-a + s) / 2, (-a - s) / 2}:
         r = rational_sqrt(t)
         if r is not None:
-            out.extend({r, -r})
-    return sorted(set(out))
+            out |= {r, -r}
+    return sorted(out)
 
 
 def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
@@ -133,7 +132,7 @@ def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
     pts: set[QuarticPoint] = set()
     if Q.x == 0:
         # phi_1 sends the x = 0 slice to the 2-torsion point (0, 0).
-        for y in _y_candidates_on_vertical(F, Fraction(0)):
+        for y in biquadratic_roots(a, -F.b_eff):
             pts.add(QuarticPoint(Fraction(0), y))
     else:
         t = rational_sqrt(-Q.x / 4)

@@ -713,11 +713,12 @@ def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
 
 def test_cache_line_of_an_older_schema_is_recomputed(tmp_path, monkeypatch,
                                                      capsys):
-    # A correctly hashed line under the schema=1 key, written before the
-    # Q_ell kernel moved to coefficient tuples, is not served: the verdict
-    # is computed again and stored under the current schema's key.
-    assert cli.HASSE_VERDICT_SCHEMA == 2
-    old_key = f"hasse:v={symcurves.__version__}:schema=1:p=73:parity=False"
+    # A correctly hashed line under the schema=2 key, written before the
+    # Selmer sets read their places from the factorizations of b and
+    # a^2 - 4b, is not served: the verdict is computed again and stored
+    # under the current schema's key.
+    assert cli.HASSE_VERDICT_SCHEMA == 3
+    old_key = f"hasse:v={symcurves.__version__}:schema=2:p=73:parity=False"
     stale = dict(_hasse_payload(str(tmp_path / "fresh"), capsys)["verdicts"][0],
                  conclusion="stale")
     path = tmp_path / "cache" / "hasse-scan.jsonl"

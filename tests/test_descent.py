@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -17,19 +18,16 @@ from symcurves.descent import (
     _is_square_ql,
     _ql_solvable,
     _real_solvable_space,
-    _relevant_places,
     _shift_scale,
     _square_class,
     _square_class_mod,
     _zl_solvable,
-    dual_isogeny_spaces,
     hasse_candidate_verdict,
     homspace_locally_solvable,
-    isogeny_spaces,
     quartic_residue_criterion,
     root_number,
-    selmer_candidate_set,
     selmer_rank_bound,
+    selmer_sets,
 )
 from symcurves.exact import (
     CheckFailed,
@@ -273,15 +271,14 @@ def test_recursive_solver_vs_bounded_bruteforce():
 
 
 def test_selmer_candidate_set_is_group():
-    from symcurves.descent import selmer_candidate_set
-
     for p in (5, 7, 11, 29, 73):
-        sols = selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p))
-        assert 1 in sols
+        sols, dual = selmer_sets(4 * p, 2 * p * p)
         assert all(d > 0 for d in sols)  # d < 0 fails at the real place
-        for d1 in sols:
-            for d2 in sols:
-                assert squarefree_part(d1 * d2) in sols
+        for group in (sols, dual):
+            assert 1 in group
+            for d1 in group:
+                for d2 in group:
+                    assert squarefree_part(d1 * d2) in group
 
 
 def test_selmer_rank_bound_examples():
@@ -553,80 +550,166 @@ def test_square_class_has_the_class_of_the_squarefree_part():
 def test_local_search_needs_no_legendre_symbol(monkeypatch):
     # Quadratic characters inside the l-adic search use Euler's criterion;
     # p is proved prime at the public entry points only.
-    expected = {p: [selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p)),
-                    selmer_candidate_set(dual_isogeny_spaces(4 * p, 2 * p * p))]
-                for p in (73, 401, 3001)}
+    expected = {p: selmer_sets(4 * p, 2 * p * p) for p in (73, 401, 3001)}
 
     def refuse(*args):
         raise AssertionError("legendre_symbol called")
 
     monkeypatch.setattr(descent, "legendre_symbol", refuse)
     for p, sets in expected.items():
-        assert [selmer_candidate_set(isogeny_spaces(4 * p, 2 * p * p)),
-                selmer_candidate_set(dual_isogeny_spaces(4 * p, 2 * p * p))] \
-            == sets
+        assert selmer_sets(4 * p, 2 * p * p) == sets
 
 
-def test_relevant_places_factors_each_value_once(monkeypatch):
-    factored = []
-    factorize = descent.factorize
-
-    def recording(n):
-        factored.append(n)
-        return factorize(n)
-
-    monkeypatch.setattr(descent, "factorize", recording)
-    for p in (73, 5881):
-        a, b = 4 * p, 2 * p * p
-        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
-            factored.clear()
-            assert _relevant_places(spaces) == ["real", 2, p]
-            # Values are stripped of known primes in increasing order: |d| = p
-            # is the only one left with a cofactor > 1.
-            assert len(factored) == len(set(factored)) == 1
+# ---------------------------------------------------------------------------
+# The 2-isogeny descent as the package ran it before `selmer_sets`, kept here
+# as the reference: each side's spaces from its own factorization of a^2 - 4b
+# or 16b, then each side's places factored again from the values |c4|, |d|
+# and |c2^2 - 4 d^2 c4| of its spaces.
 
 
-def _reference_places(spaces):
-    # {2} and the primes of every value |c4|, |d|, |c2^2 - 4 d^2 c4| != 0,
-    # each factored on its own.
-    primes = {2}
+def isogeny_spaces(a: int, b: int) -> list[HomSpace]:
+    """Homogeneous spaces d*w^2 = d^2 - 2ad*z^2 + (a^2-4b)*z^4 for the
+    standard degree-2 isogeny on y^2 = x(x^2 + ax + b), over squarefree
+    d | a^2 - 4b (both signs)."""
+    disc = a * a - 4 * b
+    if disc == 0 or b == 0:
+        raise ValueError("curve must be nonsingular with full 2-isogeny data")
+    divisors = _squarefree_divisors(disc)
+    return [HomSpace(d, -2 * a * d, disc) for d in divisors]
+
+
+def dual_isogeny_spaces(a: int, b: int) -> list[HomSpace]:
+    """Spaces for the dual isogeny: the same construction applied to the
+    isogenous curve y^2 = x(x^2 - 2ax + (a^2 - 4b))."""
+    return isogeny_spaces(-2 * a, a * a - 4 * b)
+
+
+def _squarefree_divisors(n: int) -> list[int]:
+    primes = sorted(factorize(abs(n)))
+    divs = [1]
+    for p in primes:
+        divs += [d * p for d in divs]
+    return sorted([d for d in divs] + [-d for d in divs], key=abs)
+
+
+def _relevant_places(spaces: list[HomSpace]) -> list:
+    """All places where some space could fail: the real place, 2, and the
+    odd primes of bad reduction.  The quartic y^2 = d^3 + d*c2 z^2 + d*c4 z^4
+    has discriminant 16 d^8 c4 (c2^2 - 4 d^2 c4)^2, and at any odd prime
+    away from it the space is a smooth genus-1 curve, hence solvable.
+
+    The values |c4|, |d| and |c2^2 - 4 d^2 c4| share most of their primes.
+    Taken in increasing order, each value is divided by every prime already
+    found before it is factored: its primes are the primes of the cofactor
+    together with known ones, so the union is the same for any list of
+    spaces, and only a cofactor other than 1 is factored."""
+    values = set()
     for C in spaces:
         tail = C.c2 * C.c2 - 4 * C.d * C.d * C.c4
-        for n in (C.c4, C.d) + ((tail,) if tail else ()):
+        values |= {abs(C.c4), abs(C.d)} | ({abs(tail)} if tail else set())
+    primes = {2}
+    for n in sorted(values):
+        if n:   # a zero value goes on to factorize, which rejects it
+            for q in primes:
+                while n % q == 0:
+                    n //= q
+        if n != 1:
             primes |= set(factorize(n))
     return ["real"] + sorted(primes)
 
 
-def test_relevant_places_match_per_value_factoring():
-    rng = random.Random(13)
-    pairs = 0
-    while pairs < 320:
+def selmer_candidate_set(spaces: list[HomSpace]) -> list[int]:
+    """Square classes whose space is solvable at every relevant place (all
+    other places are automatically solvable by smoothness and the
+    Hasse-Weil bound)."""
+    places = _relevant_places(spaces)
+    out = []
+    for C in spaces:
+        if all(homspace_locally_solvable(C, v) for v in places):
+            out.append(C.d)
+    return out
+
+
+def reference_selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
+    return (selmer_candidate_set(isogeny_spaces(a, b)),
+            selmer_candidate_set(dual_isogeny_spaces(a, b)))
+
+
+@functools.lru_cache(maxsize=None)
+def selmer_corpus() -> tuple:
+    """The family curves a = 4p, b = 2p^2 for every odd prime p < 5000, then
+    3000 seeded curves y^2 = x(x^2 + ax + b) with |a|, |b| <= 10^4."""
+    curves = [(4 * p, 2 * p * p) for p in primes(3, 5000)]
+    rng = random.Random(32)
+    seeded = 0
+    while seeded < 3000:
         a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
-        if b * (a * a - 4 * b) == 0:
-            continue
-        pairs += 1
-        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
-            assert _relevant_places(spaces) == _reference_places(spaces), (a, b)
-    # Lists of unrelated random spaces, in either order, and a hand-built
-    # mix of family, non-family and single spaces.
-    rng = random.Random(14)
-    for _ in range(200):
-        spaces = [HomSpace(rng.choice([-1, 1]) * rng.randint(1, 3000),
-                           rng.randint(-10**6, 10**6),
-                           rng.choice([-1, 1]) * rng.randint(1, 10**7))
-                  for _ in range(rng.randint(1, 5))]
-        assert _relevant_places(spaces) == _reference_places(spaces)
-        assert _relevant_places(spaces[::-1]) == _reference_places(spaces)
-    mixed = (isogeny_spaces(4 * 73, 2 * 73 * 73) + dual_isogeny_spaces(7, 3)
-             + [HomSpace(1, 0, 10007 * 65537), HomSpace(-3, 2, 9973**2),
-                HomSpace(1, 2, 1)])     # tail 2^2 - 4 = 0 is left out
-    assert _relevant_places(mixed) == _reference_places(mixed)
+        if b and a * a != 4 * b:
+            curves.append((a, b))
+            seeded += 1
+    return tuple(curves)
 
 
-def test_relevant_places_reject_a_zero_value():
-    for C in (HomSpace(0, 3, 5), HomSpace(3, 1, 0)):
-        with pytest.raises(ValueError, match="cannot factor 0"):
-            _relevant_places(isogeny_spaces(20, 50) + [C])
+def test_selmer_sets_match_the_reference_chain():
+    for a, b in selmer_corpus():
+        assert selmer_sets(a, b) == reference_selmer_sets(a, b), (a, b)
+
+
+def test_selmer_sets_visit_the_reference_places(monkeypatch):
+    # Every space of the reference, in its order, is tested at the real
+    # place first and then at an initial run of the reference's places for
+    # its side.  The space d = 1 has the point (z, w) = (0, 1) everywhere,
+    # so it is tested at all of them.
+    visits = []
+    real = descent.homspace_locally_solvable
+
+    def recording(C, place):
+        visits.append((C, place))
+        return real(C, place)
+
+    monkeypatch.setattr(descent, "homspace_locally_solvable", recording)
+    for a, b in selmer_corpus():
+        visits.clear()
+        selmer_sets(a, b)
+        seen = {}
+        for C, place in visits:
+            seen.setdefault(C, []).append(place)
+        sides = (isogeny_spaces(a, b), dual_isogeny_spaces(a, b))
+        assert list(seen) == sides[0] + sides[1], (a, b)
+        for spaces in sides:
+            places = _relevant_places(spaces)
+            assert seen[spaces[0]] == places, (a, b)
+            for C in spaces:
+                assert seen[C] == places[:len(seen[C])], (a, b, C)
+
+
+def test_selmer_rank_bound_factors_twice(monkeypatch):
+    # a^2 - 4b and b once each, and nothing else.
+    factored = []
+    real = descent.factorize
+
+    def recording(n):
+        factored.append(n)
+        return real(n)
+
+    monkeypatch.setattr(descent, "factorize", recording)
+    for p in primes(3, 5000):
+        factored.clear()
+        selmer_rank_bound(p)
+        assert factored == [8 * p * p, 2 * p * p]
+    # On the seeded curves the spaces are built but not searched: the count
+    # does not depend on the answers of the local kernel.
+    monkeypatch.setattr(descent, "homspace_locally_solvable", lambda C, v: True)
+    for a, b in selmer_corpus():
+        factored.clear()
+        selmer_sets(a, b)
+        assert factored == [a * a - 4 * b, b]
+
+
+def test_selmer_sets_reject_a_singular_curve():
+    for a, b in ((4, 0), (0, 0), (4, 4), (-6, 9)):
+        with pytest.raises(ValueError, match="full 2-isogeny data"):
+            selmer_sets(a, b)
 
 
 def test_zl_branch_ell_divides_c():
@@ -874,8 +957,7 @@ def test_descent_never_reaches_the_root_scan(monkeypatch):
         a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
         if b == 0 or a * a == 4 * b:
             continue
-        selmer_candidate_set(isogeny_spaces(a, b))
-        selmer_candidate_set(dual_isogeny_spaces(a, b))
+        selmer_sets(a, b)
         pairs += 1
 
 
@@ -903,10 +985,10 @@ def test_singular_space_is_refused():
 
 FORCE_SELMER = (
     "from symcurves import descent\n"
-    "descent.selmer_candidate_set = lambda spaces: [1, 2, 3]\n")
+    "descent.selmer_sets = lambda a, b: ([1, 2, 3], [1])\n")
 FORCE_EMPTY = (
     "from symcurves import descent\n"
-    "descent.selmer_candidate_set = lambda spaces: []\n")
+    "descent.selmer_sets = lambda a, b: ([], [])\n")
 FORCE_DEPTH = (
     "from symcurves import descent\n"
     "_zl = descent._zl_solvable\n"
@@ -922,7 +1004,7 @@ FORCED_MESSAGE = {FORCE_SELMER: "2-power order", FORCE_EMPTY: "2-power order",
 def test_forced_check_failure_exits_4(force, capsys, monkeypatch):
     with monkeypatch.context() as m:
         # Record the originals, so that what `force` patches is restored.
-        m.setattr(descent, "selmer_candidate_set", descent.selmer_candidate_set)
+        m.setattr(descent, "selmer_sets", descent.selmer_sets)
         m.setattr(descent, "_zl_solvable", descent._zl_solvable)
         exec(force, {})
         with pytest.raises(CheckFailed):

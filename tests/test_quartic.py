@@ -8,6 +8,7 @@ from symcurves.elliptic import INF, EllipticCurve, point
 from symcurves.quartic import (
     QuarticPoint,
     SymQuartic,
+    biquadratic_roots,
     companion_curve,
     kappa,
     phi,
@@ -211,6 +212,25 @@ def test_phi_preimages_of_two_torsion():
     pre = phi_preimages(1, point(0, 0), X4)
     assert pre == {qpoint(0, 1), qpoint(0, -1)}
     assert phi_preimages(2, point(0, 0), X4) == {qpoint(1, 0), qpoint(-1, 0)}
+
+
+def test_biquadratic_roots_against_a_rational_scan():
+    # Every rational root n/d with |n| <= 40, d <= 12 of r^4 + a r^2 + c,
+    # on biquadratics built from rational roots r1^2, r2^2 and on random ones.
+    scan = sorted({Fraction(n, d) for n in range(-40, 41) for d in range(1, 13)})
+    rng = random.Random(32)
+    for _ in range(150):
+        if rng.random() < 0.6:
+            u, v = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) ** 2
+                    * rng.choice((1, 1, -1)) for _ in range(2))
+            a, c = -(u + v), u * v
+        else:
+            a = Fraction(rng.randint(-30, 30), rng.randint(1, 3))
+            c = Fraction(rng.randint(-30, 30), rng.randint(1, 3))
+        got = biquadratic_roots(a, c)
+        assert got == sorted(set(got))
+        assert all(r**4 + a * r * r + c == 0 for r in got), (a, c)
+        assert [r for r in scan if r**4 + a * r * r + c == 0] == got, (a, c)
 
 
 def test_kappa_values():
