@@ -62,7 +62,7 @@ CACHE_ENV = "DEMJANENKO_CACHE"
 # Part of every hasse-scan cache key, with the toolkit version: bump it
 # whenever the computation of a verdict changes, so that no line written by
 # an older algorithm is served.
-HASSE_VERDICT_SCHEMA = 3
+HASSE_VERDICT_SCHEMA = 4
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -152,28 +152,31 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
         raise ValueError("need 3 <= lo <= hi")
     cache = ScanCache(args.cache_dir, "hasse-scan")
     verdicts = []
-    # The family primes are p = 1 mod 24: walk that class from lo on.
-    for p in range(args.lo + (1 - args.lo) % 24, args.hi + 1, 24):
-        if not is_prime(p):
-            continue
-        key = (f"hasse:v={__version__}:schema={HASSE_VERDICT_SCHEMA}"
-               f":p={p}:parity={args.assume_parity}")
-        cached = cache.get(key)
-        if cached is not None:
-            verdicts.append(cached)
-            continue
-        v = hasse_candidate_verdict(p, args.assume_parity)
-        record = {
-            "p": p,
-            "congruence_gate": v.congruence_gate,
-            "locally_solvable": v.locally_solvable,
-            "root_number": v.root_number,
-            "selmer_bound": v.selmer_bound,
-            "conditional_rank": v.conditional_rank,
-            "conclusion": v.conclusion,
-        }
-        cache.put(key, record)
-        verdicts.append(record)
+    try:
+        # The family primes are p = 1 mod 24: walk that class from lo on.
+        for p in range(args.lo + (1 - args.lo) % 24, args.hi + 1, 24):
+            if not is_prime(p):
+                continue
+            key = (f"hasse:v={__version__}:schema={HASSE_VERDICT_SCHEMA}"
+                   f":p={p}:parity={args.assume_parity}")
+            cached = cache.get(key)
+            if cached is not None:
+                verdicts.append(cached)
+                continue
+            v = hasse_candidate_verdict(p, args.assume_parity)
+            record = {
+                "p": p,
+                "congruence_gate": v.congruence_gate,
+                "locally_solvable": v.locally_solvable,
+                "root_number": v.root_number,
+                "selmer_bound": v.selmer_bound,
+                "conditional_rank": v.conditional_rank,
+                "conclusion": v.conclusion,
+            }
+            cache.put(key, record)
+            verdicts.append(record)
+    finally:
+        cache.close()
     payload = {"primes_scanned": len(verdicts), "verdicts": verdicts}
     assumptions = (["parity assumption enabled"] if args.assume_parity else
                    ["parity not assumed: conclusions unconditional-unavailable"])
@@ -305,6 +308,7 @@ class ScanCache:
         base = cache_dir or os.environ.get(CACHE_ENV)
         self.path = None
         self.entries = {}
+        self._fh = None                 # opened by the first put
         if base:
             self.path = os.path.join(base, f"{family}.jsonl")
             self._load()
@@ -353,21 +357,32 @@ class ScanCache:
         return _json_copy(self.entries.get(key))
 
     def put(self, key: str, record):
+        """Keep the record and append its line to the file, written and
+        flushed under LOCK_EX before put returns.  The first put opens the
+        file for append, making the directory if need be, and the later
+        ones write to the same handle until `close`."""
         self.entries[key] = record
         if not self.path:
             return
         entry = {"key": key, "record": record,
                  "hash": self._digest(key, record)}
-        try:
-            fh = open(self.path, "a")
-        except FileNotFoundError:       # the first put makes the directory
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            fh = open(self.path, "a")
-        with fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            fcntl.flock(fh, fcntl.LOCK_UN)
+        fh = self._fh
+        if fh is None:
+            try:
+                fh = open(self.path, "a")
+            except FileNotFoundError:   # the first put makes the directory
+                os.makedirs(os.path.dirname(self.path), exist_ok=True)
+                fh = open(self.path, "a")
+            self._fh = fh
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.flush()
+        fcntl.flock(fh, fcntl.LOCK_UN)
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 # ---------------------------------------------------------------- driver

@@ -37,6 +37,7 @@ for a rank-0 one, but does not prove the rank bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,14 @@ from .elliptic import (
     is_torsion,
     torsion_subgroup,
 )
-from .exact import _field_tables, is_prime, rational_sqrt, require
+from .exact import (
+    _SIEVE_LIMIT,
+    _TRIAL_PRIMES,
+    _field_tables,
+    is_prime,
+    rational_sqrt,
+    require,
+)
 from .quartic import (
     QuarticPoint,
     SymQuartic,
@@ -201,12 +209,15 @@ def _sieve_primes(E: EllipticCurve) -> list[int]:
     denominator of E (a6 = 0) nor the numerator of its discriminant."""
     den = math.lcm(E.a2.denominator, E.a4.denominator)
     disc = E.discriminant().numerator
-    primes, ell = [], 3
-    while len(primes) < SIEVE_PRIME_COUNT:
-        if den % ell and disc % ell and is_prime(ell):
+    # The odd primes of `exact`'s sieve table, then any beyond it.
+    odd_primes = itertools.chain(
+        _TRIAL_PRIMES[1:], filter(is_prime, itertools.count(_SIEVE_LIMIT + 1, 2)))
+    primes = []
+    for ell in odd_primes:
+        if den % ell and disc % ell:
             primes.append(ell)
-        ell += 2
-    return primes
+            if len(primes) == SIEVE_PRIME_COUNT:
+                return primes
 
 
 def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:

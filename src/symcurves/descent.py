@@ -7,7 +7,6 @@ violation verdict.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +43,11 @@ class HomSpace:
         # 16 A C (B^2 - 4 A C)^2.
         return 16 * self.d**8 * self.c4 * (self.c2**2 - 4 * self.d**2 * self.c4)**2
 
-    @functools.cached_property
+    @property
     def charts(self) -> tuple:
         """`_charts` of the multiplied quartic y^2 = d * (d^2 + c2 z^2 +
-        c4 z^4), y = d*w: the data of the Q_ell kernel, built at the first
-        prime place and kept on the space for the others."""
+        c4 z^4), y = d*w: the data of the Q_ell kernel, built on each
+        access, so once per prime place at which the space is tested."""
         d = self.d
         return _charts((d**3, 0, d * self.c2, 0, d * self.c4), self.discriminant())
 
@@ -75,6 +74,24 @@ def _square_class(n: int, ell: int) -> int:
         n //= ell
         v += 1
     return ell ** (v % 2) * (n % ell)
+
+
+def _local_class(d: int, place):
+    """A key of the class of the nonzero integer d in Q_v*/Q_v*^2, equal
+    for two integers exactly when their classes are: the sign at the real
+    place, `_square_class` at 2, and at an odd prime ell the parity of
+    v_ell(d) with the Euler symbol of the unit part.  (The representative
+    of `_square_class` is not canonical at odd ell: 1 and 2 get different
+    ones even when 2 is a square mod ell.)"""
+    if place == "real":
+        return d > 0
+    if place == 2:
+        return _square_class(d, 2)
+    v = 0
+    while d % place == 0:
+        d //= place
+        v += 1
+    return v & 1, pow(d, (place - 1) // 2, place) == 1
 
 
 def _horner(f: tuple, z: int) -> int:
@@ -267,7 +284,19 @@ def selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
     from it the space is a smooth genus-1 curve, hence solvable.  On the
     phi side c4 = D and c2^2 - 4 d^2 c4 = 16b*d^2; on the dual side c4 = 16b
     and it is 16D*d^2.  As d divides c4, every space is tested at the real
-    place and at the primes of 2bD, and nowhere else."""
+    place and at the primes of 2bD, and nowhere else.
+
+    On either side the space of d is d*w^2 = d^2 + c2'*d*z^2 + c4*z^4 with
+    c2' and c4 fixed.  Put d*u^2 for d and (u*z, u*w) for (z, w): the
+    equation of d comes back, times u^4.  So whether the space of d is
+    solvable over Q_v depends only on the class of d in Q_v*/Q_v*^2, and
+    each side asks the kernel once per place and `_local_class` key, in
+    the order spaces and places are listed, and reads every later d of
+    that class from the answer.  For squarefree d, equal classes at ell
+    also mean equal v_ell(d); the discriminant 16 d^12 c4 (c2'^2 - 4c4)^2
+    then has equal valuation too, so the kernel's recursion cap is the
+    same for every d of a class.  A space is built only when one of its
+    classes has no answer yet."""
     disc = a * a - 4 * b
     if disc == 0 or b == 0:
         raise ValueError("curve must be nonsingular with full 2-isogeny data")
@@ -278,10 +307,21 @@ def selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
         divisors = [1]
         for q in sorted(primes):
             divisors += [d * q for d in divisors]
-        spaces = [HomSpace(e * d, e * d * c2, c4)
-                  for d in sorted(divisors) for e in (1, -1)]
-        sets.append([C.d for C in spaces
-                     if all(homspace_locally_solvable(C, v) for v in places)])
+        verdicts, solvable = {}, []
+        for d in [e * n for n in sorted(divisors) for e in (1, -1)]:
+            C = None
+            for v in places:
+                key = (v, _local_class(d, v))
+                ok = verdicts.get(key)
+                if ok is None:
+                    if C is None:
+                        C = HomSpace(d, d * c2, c4)
+                    ok = verdicts[key] = homspace_locally_solvable(C, v)
+                if not ok:
+                    break
+            else:
+                solvable.append(d)
+        sets.append(solvable)
     return sets[0], sets[1]
 
 

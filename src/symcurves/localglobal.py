@@ -15,6 +15,8 @@ from .exact import factorize, is_prime, rat_mod, require, sqrt_mod_pk
 from .quartic import SymQuartic
 
 WEIL_CUTOFF = 37  # genus 3: q + 1 - 6*sqrt(q) > 0 for all q >= 37
+# The odd primes below it, the fields `everywhere_locally_solvable` counts.
+_COUNTED_PRIMES = tuple(q for q in range(3, WEIL_CUTOFF) if is_prime(q))
 
 
 @dataclass
@@ -190,7 +192,7 @@ def everywhere_locally_solvable(p: int):
             reports.append(LocalReport(q, "undetermined", "bad-reduction"))
             handled.add(q)
 
-    for q in (x for x in range(3, WEIL_CUTOFF) if is_prime(x)):
+    for q in _COUNTED_PRIMES:
         if q in handled or q in bad:
             continue
         count, witness = count_smooth_points_quartic_Fq(F, q)

@@ -39,7 +39,9 @@ class SymQuartic:
         if alpha == 0 or not is_squarefree(alpha):
             raise ValueError("twist parameter must be a squarefree nonzero integer")
         self.alpha = alpha
-        if self.disc() == 0:
+        a, b = self.a, self.b
+        self._disc = b * (a * a + 2 * b) * (a * a + 4 * b)
+        if self._disc == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
         # a' and b', computed once: a, b and alpha are never reassigned.
         self.a_eff = alpha * self.a
@@ -53,8 +55,8 @@ class SymQuartic:
         self._bad_primes = None     # and by localglobal.bad_primes
 
     def disc(self) -> Fraction:
-        a, b = self.a, self.b
-        return b * (a * a + 2 * b) * (a * a + 4 * b)
+        """b*(a^2 + 2b)*(a^2 + 4b), computed once by __init__."""
+        return self._disc
 
     def contains(self, P: QuarticPoint) -> bool:
         """x^4 + a'x^2 + a'y^2 + y^4 = b' tested in integers: with x = p/q

@@ -14,6 +14,7 @@ import pytest
 import symcurves
 from symcurves import cli
 from symcurves.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_UNDETERMINED,
@@ -24,7 +25,7 @@ from symcurves.cli import (
 )
 from symcurves.dynamics import TAIL_BIT_CAP
 from symcurves.elliptic import point
-from symcurves.exact import is_prime
+from symcurves.exact import CheckFailed, is_prime
 from fractions import Fraction
 
 
@@ -685,6 +686,49 @@ def test_first_put_makes_the_cache_directory(tmp_path, digests):
     assert sorted(digests) == ["k", "k2"]
 
 
+def test_scan_opens_the_cache_file_once(tmp_path, monkeypatch, capsys):
+    # A scan appends all its verdicts through one handle, closed when the
+    # scan ends, also when a verdict raises; each line is on disk before
+    # the next verdict is computed.
+    appends = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "a" in mode:
+            appends.append(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    code, out, _ = run(["hasse-scan", "3", "600", "--cache-dir", str(tmp_path),
+                        "--json"], capsys)
+    k = json.loads(out)["payload"]["primes_scanned"]
+    assert code == EXIT_OK and k == 10
+    assert len(appends) == 1 and appends[0].closed
+    assert len(_load(tmp_path)) == k
+    # Served from the cache, the same scan opens nothing for append.
+    run(["hasse-scan", "3", "600", "--cache-dir", str(tmp_path)], capsys)
+    assert len(appends) == 1
+
+    path = tmp_path / "raises" / "hasse-scan.jsonl"
+    lines_before = []
+    real_verdict = cli.hasse_candidate_verdict
+
+    def verdict(p, parity):
+        lines_before.append(len(path.read_bytes().splitlines())
+                            if path.exists() else 0)
+        if p > 200:
+            raise CheckFailed("forced")
+        return real_verdict(p, parity)
+
+    monkeypatch.setattr(cli, "hasse_candidate_verdict", verdict)
+    code, _, _ = run(["hasse-scan", "3", "600", "--cache-dir",
+                      str(path.parent)], capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert lines_before == [0, 1, 2, 3]     # p = 73, 97, 193, then 241 raises
+    assert len(appends) == 2 and appends[1].closed
+
+
 def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
     # A correctly hashed line under the key format before versioning is not
     # served: the verdict is computed again and stored under the new key.
@@ -713,12 +757,12 @@ def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
 
 def test_cache_line_of_an_older_schema_is_recomputed(tmp_path, monkeypatch,
                                                      capsys):
-    # A correctly hashed line under the schema=2 key, written before the
-    # Selmer sets read their places from the factorizations of b and
-    # a^2 - 4b, is not served: the verdict is computed again and stored
-    # under the current schema's key.
-    assert cli.HASSE_VERDICT_SCHEMA == 3
-    old_key = f"hasse:v={symcurves.__version__}:schema=2:p=73:parity=False"
+    # A correctly hashed line under the schema=3 key, written before the
+    # Selmer sets asked the local kernel once per square class, is not
+    # served: the verdict is computed again and stored under the current
+    # schema's key.
+    assert cli.HASSE_VERDICT_SCHEMA == 4
+    old_key = f"hasse:v={symcurves.__version__}:schema=3:p=73:parity=False"
     stale = dict(_hasse_payload(str(tmp_path / "fresh"), capsys)["verdicts"][0],
                  conclusion="stale")
     path = tmp_path / "cache" / "hasse-scan.jsonl"

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,12 @@ from symcurves.elliptic import (
     height_gap_bounds,
     point,
 )
-from symcurves.exact import FIELD_TABLE_CACHE, _field_tables, rational_sqrt
+from symcurves.exact import (
+    FIELD_TABLE_CACHE,
+    _SIEVE_LIMIT,
+    _field_tables,
+    rational_sqrt,
+)
 from symcurves.quartic import SymQuartic, kappa, phi, phi_preimages
 from test_quartic import qpoint
 from test_quartic_golden import CORPUS as GOLDEN_CORPUS
@@ -322,6 +328,31 @@ def test_sieve_primes_are_the_first_good_primes():
                     if all(ell % q for q in range(2, ell))
                     and all(d % ell for d in dens) and disc.numerator % ell]
         assert _sieve_primes(E) == expected[:SIEVE_PRIME_COUNT]
+
+
+def test_sieve_primes_read_the_sieve_table(monkeypatch):
+    # Below exact's sieve limit no odd l is tested for primality.  Past it,
+    # for a discriminant with all but 10 of the table's odd primes, the
+    # list goes on with the primes above the limit.
+    proved = []
+    real = demjanenko.is_prime
+
+    def recording(n):
+        proved.append(n)
+        return real(n)
+
+    monkeypatch.setattr(demjanenko, "is_prime", recording)
+    for case in range(len(SIEVE_CURVES)):
+        _sieve_primes(_sieve_input(case).E)
+    assert proved == []
+    table = [ell for ell in range(3, _SIEVE_LIMIT, 2) if real(ell)]
+    big = types.SimpleNamespace(a2=Fraction(1), a4=Fraction(1),
+                                discriminant=lambda: Fraction(math.prod(table[:-10])))
+    beyond = [ell for ell in range(_SIEVE_LIMIT + 1, _SIEVE_LIMIT + 400, 2)
+              if real(ell)]
+    expected = (table[-10:] + beyond)[:SIEVE_PRIME_COUNT]
+    assert _sieve_primes(big) == expected
+    assert proved and max(proved) == expected[-1]
 
 
 def test_sieve_preconditions_raise():

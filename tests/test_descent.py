@@ -16,6 +16,7 @@ from symcurves.descent import (
     HomSpace,
     _charts,
     _is_square_ql,
+    _local_class,
     _ql_solvable,
     _real_solvable_space,
     _shift_scale,
@@ -655,11 +656,17 @@ def test_selmer_sets_match_the_reference_chain():
         assert selmer_sets(a, b) == reference_selmer_sets(a, b), (a, b)
 
 
-def test_selmer_sets_visit_the_reference_places(monkeypatch):
-    # Every space of the reference, in its order, is tested at the real
-    # place first and then at an initial run of the reference's places for
-    # its side.  The space d = 1 has the point (z, w) = (0, 1) everywhere,
-    # so it is tested at all of them.
+def same_local_class(d, e, place) -> bool:
+    """Reference: whether d and e are in one class of Q_v*/Q_v*^2, from
+    the sign of d*e at the real place and `_is_square_ql` of d*e at ell."""
+    return d * e > 0 if place == "real" else _is_square_ql(d * e, place)
+
+
+def test_selmer_sets_ask_once_per_local_class(monkeypatch):
+    # On each side the kernel is asked in the reference's order (its
+    # spaces, and for each space its places), never twice at one place for
+    # two d of one class, and at every place for d = 1, the first space:
+    # it has the point (z, w) = (0, 1) everywhere.
     visits = []
     real = descent.homspace_locally_solvable
 
@@ -671,16 +678,64 @@ def test_selmer_sets_visit_the_reference_places(monkeypatch):
     for a, b in selmer_corpus():
         visits.clear()
         selmer_sets(a, b)
-        seen = {}
-        for C, place in visits:
-            seen.setdefault(C, []).append(place)
         sides = (isogeny_spaces(a, b), dual_isogeny_spaces(a, b))
-        assert list(seen) == sides[0] + sides[1], (a, b)
-        for spaces in sides:
+        order = {}
+        for side, spaces in enumerate(sides):
             places = _relevant_places(spaces)
-            assert seen[spaces[0]] == places, (a, b)
-            for C in spaces:
-                assert seen[C] == places[:len(seen[C])], (a, b, C)
+            assert [v for C, v in visits if C == spaces[0]] == places, (a, b)
+            for i, C in enumerate(spaces):
+                for j, v in enumerate(places):
+                    order[C, v] = (side, i, j)
+        steps = [order[visit] for visit in visits]
+        assert steps == sorted(set(steps)), (a, b)
+        asked = {}
+        for (C, v), (side, _, _) in zip(visits, steps):
+            for d in asked.setdefault((side, v), []):
+                assert not same_local_class(d, C.d, v), (a, b, d, C.d, v)
+            asked[side, v].append(C.d)
+
+
+def test_local_class_fixes_local_solvability():
+    # The space d*w^2 = d^2 + c2'*d*z^2 + c4*z^4 of d*u^2 is that of d under
+    # (z, w) -> (u*z, u*w), so two squarefree d with equal `_local_class`
+    # at a place are solvable there together.  Two distinct squarefree
+    # integers never differ by a rational square, so every pair below is
+    # one that only the place identifies, like 1 and 2 at 7 and at 17.
+    rng = random.Random(33)
+    squarefree = [n for n in range(-150, 151) if n and exact.is_squarefree(n)]
+    for ell in (7, 17):
+        assert _local_class(1, ell) == _local_class(2, ell)
+    places, outcomes = ("real", 2, 3, 5, 7, 11, 13, 17), set()
+    for place in places:
+        classes = {}
+        for d in squarefree:
+            classes.setdefault(_local_class(d, place), []).append(d)
+        # The key is the class: equal keys exactly for d*e a local square.
+        for d in squarefree[::7]:
+            for e in squarefree:
+                assert ((_local_class(d, place) == _local_class(e, place))
+                        == same_local_class(d, e, place)), (d, e, place)
+        pairs = [(1, 2)] if place in (7, 17) else []
+        while len(pairs) < 100:
+            cls = rng.choice([c for c in classes.values() if len(c) > 1])
+            pairs.append(tuple(rng.sample(cls, 2)))
+        for d, e in pairs:
+            while True:
+                c2, c4 = rng.randint(-40, 40), rng.choice((1, -1)) * rng.randint(1, 300)
+                c4 *= rng.choice((1, 1, place if place != "real" else 1))
+                if c2 * c2 != 4 * c4:
+                    break
+            got = []
+            for n in (d, e):
+                C = HomSpace(n, n * c2, c4)
+                got.append(_outcome(homspace_locally_solvable, C, place))
+                want = (reference_real_solvable_space(C) if place == "real"
+                        else _outcome(reference_ql_solvable,
+                                      multiplied_quartic(C), place))
+                assert got[-1] == want, (C, place)
+            assert got[0] == got[1], (d, e, c2, c4, place)
+            outcomes.add((place, got[0]))
+    assert outcomes == {(v, ok) for v in places for ok in (True, False)}
 
 
 def test_selmer_rank_bound_factors_twice(monkeypatch):
