@@ -17,6 +17,7 @@ from .exact import (
     is_prime,
     legendre_symbol,
     require,
+    require_odd_prime,
     roots_mod_p,
 )
 from .localglobal import everywhere_locally_solvable
@@ -328,8 +329,7 @@ def selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
 def selmer_rank_bound(p: int) -> int:
     """Rank bound s + s' - 2 from the 2-isogeny descent on the minimal
     companion model y^2 = x(x^2 + 4px + 2p^2) and its dual."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     s_set, s_dual = selmer_sets(4 * p, 2 * p * p)
     n, n_dual = len(s_set), len(s_dual)
     require(n and n_dual and not n & (n - 1) and not n_dual & (n_dual - 1),
@@ -341,8 +341,7 @@ def selmer_rank_bound(p: int) -> int:
 def quartic_residue_criterion(p: int) -> bool:
     """Whether x^4 - 4x^2 + 2 has a root mod p (equivalent to
     p = +-1 mod 16; the splitting criterion used at the place p)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     return bool(roots_mod_p(QUARTIC_RESIDUE_POLY, p))
 
 
@@ -367,8 +366,7 @@ def root_number(p: int) -> RootNumberReport:
     algorithm or the 2-adic tables, and the Kodaira types "I0*" at p and
     "III" at 2 are literals, not computed.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     wp = legendre_symbol(-1, p)
     w2 = 1 if (6 * p + 5) % 8 in (1, 7) else -1
     # Invariants of the minimal model y^2 = x^3 + 4p x^2 + 2p^2 x.
@@ -398,8 +396,7 @@ def hasse_candidate_verdict(p: int, assume_parity: bool) -> HasseVerdict:
     """Full verdict for one prime: congruence gate p = 25 mod 48, local
     solvability at every place, root number, Selmer rank bound, and the
     parity-conditional conclusion (explicit-threshold aware)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     v = HasseVerdict(p=p, assume_parity=assume_parity,
                      congruence_gate=(p % 48 == 25))
     if p % 24 != 1:

@@ -60,6 +60,13 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n)
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime: the precondition of every
+    per-prime command of the Hasse family, an input error (exit code 2)."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+
+
 def _miller_rabin(n: int) -> bool:
     # Trial division by _SMALL_PRIMES, then Miller-Rabin: answers any int,
     # deterministically below 2^64.
@@ -263,11 +270,6 @@ def rational_sqrt(q):
     if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
-
-
-def rat_mod(q: Fraction, m: int) -> int:
-    """The residue mod m of a rational whose denominator is prime to m."""
-    return q.numerator * pow(q.denominator, -1, m) % m
 
 
 def sqrt_mod_pk(a: int, p: int, k: int):

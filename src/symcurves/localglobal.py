@@ -1,9 +1,10 @@
 """Everywhere-local solvability for the twisted family
-x^4 - 4p x^2 - 4p y^2 + y^4 = -6p^2: projective point counting over small
-prime fields with smooth (Hensel-liftable) witnesses, in O(q) steps per
-field, constructive square / root-of-unity certificates at the bad places
-2, 3, p, a Weil-bound shortcut for q >= 37, and an exact real-place
-criterion.  Failed certificate checks raise `CheckFailed`.
+x^4 - 4p x^2 - 4p y^2 + y^4 = -6p^2, worked on its integer coefficients
+a' = -4p and b' = -6p^2: projective point counting over small prime fields
+with smooth (Hensel-liftable) witnesses, in O(q) steps per field,
+constructive square / root-of-unity certificates at the bad places 2, 3, p,
+a Weil-bound shortcut for q >= 37, and an exact real-place criterion.
+Failed certificate checks raise `CheckFailed`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .exact import factorize, is_prime, rat_mod, require, sqrt_mod_pk
-from .quartic import SymQuartic
+from .exact import is_prime, require, require_odd_prime, sqrt_mod_pk
 
 WEIL_CUTOFF = 37  # genus 3: q + 1 - 6*sqrt(q) > 0 for all q >= 37
 # The odd primes below it, the fields `everywhere_locally_solvable` counts.
@@ -28,53 +28,33 @@ class LocalReport:
     detail: dict = field(default_factory=dict)
 
 
-def family_curve(p: int) -> SymQuartic:
-    """The twist of the (a, b) = (-4, -6) quartic by the prime p."""
-    return SymQuartic(-4, -6, p)
+def real_solvable(a: int, b: int) -> bool:
+    """Exact real-place test for x^4 + a x^2 + a y^2 + y^4 = b: the form
+    attains its global minimum -a^2/2 (a < 0) or 0 (a >= 0) on the
+    diagonal, so the real points exist iff b is at least that minimum."""
+    return 2 * b >= -a * a if a < 0 else b >= 0
 
 
-def real_solvable(F: SymQuartic) -> bool:
-    """Exact real-place test: the quartic form attains its global minimum on
-    the diagonal, so F(R) is nonempty iff that minimum is <= b'."""
-    a, b = F.a_eff, F.b_eff
-    minimum = -a * a / 2 if a < 0 else 0
-    return b >= minimum
-
-
-def bad_primes(F: SymQuartic) -> frozenset[int]:
-    """Primes where the projective closure may be singular: 2 and the primes
-    of the family discriminant and coefficient denominators.  Computed once
-    per quartic and kept on it."""
-    if F._bad_primes is None:
-        out = {2}
-        d = F.disc() * F.alpha  # twist support
-        for q in (d.numerator, d.denominator,
-                  F.a_eff.denominator, F.b_eff.denominator):
-            if q not in (0, 1, -1):
-                out |= set(factorize(q))
-        F._bad_primes = frozenset(out)
-    return F._bad_primes
-
-
-def count_smooth_points_quartic_Fq(F: SymQuartic, q: int):
-    """(count, smooth_witness) for the projective closure of F over F_q.
+def count_smooth_points_quartic_Fq(q: int, a: int, b: int):
+    """(count, smooth_witness) for the projective closure of
+    x^4 + a x^2 + a y^2 + y^4 = b over F_q, for a prime q and residues a, b
+    mod q.
 
     Counts all projective points and returns one at which some partial
-    derivative is nonzero, hence liftable to Q_q by Hensel's lemma.
-    Rejects primes of (possibly) bad reduction.  The answer depends only on
-    (q, a' mod q, b' mod q); for q < WEIL_CUTOFF, the only fields the local
-    check counts, it is kept per process under that key (at most 3,354
-    keys), so a family that meets the same residues again counts nothing.
+    derivative is nonzero, hence liftable to Q_q by Hensel's lemma.  It
+    does not test the reduction type: the caller keeps its bad places out.
+    The answer depends only on (q, a, b) and is kept per process under that
+    key: the fields the local check counts give at most 3,354 keys, so a
+    family that meets the same residues again counts nothing.  A non-prime
+    q raises ValueError.
     """
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
-    if q in bad_primes(F):
-        raise ValueError(f"q = {q} is a prime of bad reduction; use the "
-                         "special place handling")
-    count = _count_small_field if q < WEIL_CUTOFF else _count_smooth_points
-    return count(q, rat_mod(F.a_eff, q), rat_mod(F.b_eff, q))
+    return _count_smooth_points(q, a, b)
 
 
+# The table of `count_smooth_points_quartic_Fq`.  Its values are
+# (int, tuple or None), so no caller can change an entry; a non-prime q
+# raises before anything is kept.
+@functools.cache
 def _count_smooth_points(q: int, a: int, b: int):
     """(count, smooth_witness) of h(x) + h(y) = b over P^2(F_q), with
     h(t) = t^4 + a*t^2.
@@ -84,6 +64,9 @@ def _count_smooth_points(q: int, a: int, b: int):
     first affine point in (x, y) order with a nonzero partial derivative,
     or else the first such point at infinity.
     """
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+
     def partials(x, y, z):
         dx = (4 * pow(x, 3, q) + 2 * a * x * z * z) % q
         dy = (4 * pow(y, 3, q) + 2 * a * y * z * z) % q
@@ -109,11 +92,6 @@ def _count_smooth_points(q: int, a: int, b: int):
             if witness is None and any(partials(x, 1, 0)):
                 witness = (x, 1, 0)
     return count, witness
-
-
-# The table of `count_smooth_points_quartic_Fq` for q < WEIL_CUTOFF.  Its
-# values are (int, tuple or None), so no caller can change an entry.
-_count_small_field = functools.cache(_count_smooth_points)
 
 
 def special_place_checks(p: int) -> list[LocalReport]:
@@ -175,27 +153,26 @@ def _eighth_root_mod_p2(p: int) -> int:
 
 def everywhere_locally_solvable(p: int):
     """(all_solvable, per-place reports) for the twist of the (-4, -6)
-    family by the odd prime p.  Places it cannot certify are reported
-    "undetermined", never silently solvable."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    F = family_curve(p)
-    reports = [LocalReport("real", real_solvable(F), "real")]
+    family by the odd prime p, that is (a', b') = (-4p, -6p^2).  Places it
+    cannot certify are reported "undetermined", never silently solvable."""
+    require_odd_prime(p)
+    a, b = -4 * p, -6 * p * p
+    reports = [LocalReport("real", real_solvable(a, b), "real")]
 
-    bad = sorted(bad_primes(F))
+    # The places of possibly bad reduction: 2, and the primes of the
+    # discriminant b(a^2 + 2b)(a^2 + 4b) of (-4, -6), which is 192 = 2^6 * 3,
+    # and the twist adds p.  A set, so that at p = 3 the place 3 is once.
+    bad = {2, 3, p}
     if p % 24 == 1:
         reports.extend(special_place_checks(p))
-        handled = {2, 3, p}
     else:
-        handled = set()
-        for q in bad:
-            reports.append(LocalReport(q, "undetermined", "bad-reduction"))
-            handled.add(q)
+        reports.extend(LocalReport(q, "undetermined", "bad-reduction")
+                       for q in sorted(bad))
 
     for q in _COUNTED_PRIMES:
-        if q in handled or q in bad:
+        if q in bad:
             continue
-        count, witness = count_smooth_points_quartic_Fq(F, q)
+        count, witness = count_smooth_points_quartic_Fq(q, a % q, b % q)
         ok = count > 0 and witness is not None
         reports.append(LocalReport(q, ok if ok else "undetermined",
                                    "hensel-from-Fq", witness=witness,

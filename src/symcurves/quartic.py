@@ -52,7 +52,6 @@ class SymQuartic:
         self._D = math.lcm(a.denominator, b.denominator)
         self._Da, self._Db = int(self._D * a), int(self._D * b)
         self._companion = None      # built on first use by companion_curve
-        self._bad_primes = None     # and by localglobal.bad_primes
 
     def disc(self) -> Fraction:
         """b*(a^2 + 2b)*(a^2 + 4b), computed once by __init__."""

@@ -19,7 +19,6 @@ from symcurves.exact import (
     legendre_symbol,
     log_abs,
     p_valuation,
-    rat_mod,
     rational_sqrt,
     roots_mod_p,
     sqrt_mod_pk,
@@ -523,12 +522,6 @@ def test_bezout_none_on_a_common_root():
     # Coprime over Q although both contents are 2: (1 - x)(2 + 2x) + (2 + 2x^2) = 4.
     assert bezout(IntPoly([2, 2]), IntPoly([2, 0, 2])) == (
         4, IntPoly([1, -1]), IntPoly([1]))
-
-
-def test_rat_mod():
-    assert rat_mod(Fraction(3, 4), 7) == 6        # 4 * 6 = 24 = 3 (mod 7)
-    assert rat_mod(Fraction(-5, 3), 11) * 3 % 11 == -5 % 11
-    assert rat_mod(Fraction(12), 5) == 2
 
 
 def test_log_abs_large():

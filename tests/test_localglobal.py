@@ -1,4 +1,8 @@
 import ast
+import contextlib
+import io
+import json
+import math
 import os
 import pathlib
 import random
@@ -10,27 +14,40 @@ from fractions import Fraction
 import pytest
 
 import symcurves
-from symcurves import localglobal
-from symcurves.cli import EXIT_CHECK_FAILED, main
-from symcurves.exact import CheckFailed, is_prime, rat_mod
+from symcurves import localglobal, quartic
+from symcurves.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_PRECONDITION,
+    EXIT_UNDETERMINED,
+    main,
+)
+from symcurves.exact import PROBABLE_PRIME_BOUND, CheckFailed, factorize, is_prime
 from symcurves.localglobal import (
     WEIL_CUTOFF,
-    bad_primes,
     count_smooth_points_quartic_Fq,
     everywhere_locally_solvable,
-    family_curve,
     real_solvable,
     special_place_checks,
 )
 from symcurves.quartic import SymQuartic
 
 
-def brute_projective_count(F, q):
+def family(p):
+    """(a', b') of the twist of the (-4, -6) quartic by p."""
+    return -4 * p, -6 * p * p
+
+
+def integral_model(F):
+    """(a' t^2, b' t^4) for t the lcm of the denominators of a' and b':
+    x -> x/t, y -> y/t keeps the real points, and the F_q points for q not
+    dividing t."""
+    t = math.lcm(F.a_eff.denominator, F.b_eff.denominator)
+    return int(F.a_eff * t * t), int(F.b_eff * t**4)
+
+
+def brute_projective_count(q, a, b):
     """Oracle: triple loop over representatives of P^2(F_q) on the closure
     x^4 + a x^2 z^2 + a y^2 z^2 + y^4 - b z^4."""
-    a = F.a_eff.numerator * pow(F.a_eff.denominator, -1, q) % q
-    b = F.b_eff.numerator * pow(F.b_eff.denominator, -1, q) % q
-
     def form(x, y, z):
         return (x**4 + a * x * x * z * z + a * y * y * z * z
                 + y**4 - b * z**4) % q
@@ -48,40 +65,48 @@ def brute_projective_count(F, q):
     return count
 
 
+def count(q, a, b):
+    return count_smooth_points_quartic_Fq(q, a % q, b % q)
+
+
 def test_real_solvable():
-    assert real_solvable(family_curve(5))
-    assert real_solvable(family_curve(73))
-    assert real_solvable(SymQuartic(-4, -3, 1))  # point (1, 0)
+    assert real_solvable(*family(5))
+    assert real_solvable(*family(73))
+    assert real_solvable(-4, -3)  # point (1, 0)
+    # The minimum -a^2/2 = -8 of (-4, b) is at x^2 = y^2 = 2.
+    assert real_solvable(-4, -8) and not real_solvable(-4, -9)
+    assert real_solvable(0, 0) and not real_solvable(3, -1)
     for alpha in (1, 2, 5, -1, -3):
         F = SymQuartic(Fraction(-21, 4), Fraction(-889, 16), alpha)
-        assert not real_solvable(F)
+        assert not real_solvable(*integral_model(F))
 
 
 def test_count_examples():
-    F = family_curve(73)
-    count, witness = count_smooth_points_quartic_Fq(F, 5)
-    assert count == brute_projective_count(F, 5)
-    assert count >= 1 and witness is not None
-    count7, w7 = count_smooth_points_quartic_Fq(F, 7)
-    assert count7 == brute_projective_count(F, 7)
+    a, b = family(73)
+    n5, witness = count(5, a, b)
+    assert n5 == brute_projective_count(5, a, b)
+    assert n5 >= 1 and witness is not None
+    n7, w7 = count(7, a, b)
+    assert n7 == brute_projective_count(7, a, b)
     assert w7 is not None
 
 
-def test_count_rejects_bad_reduction():
-    F = family_curve(73)
-    for q in (2, 3, 73):
-        with pytest.raises(ValueError):
-            count_smooth_points_quartic_Fq(F, q)
+def test_count_rejects_non_prime_field():
+    kept = localglobal._count_smooth_points.cache_info().currsize
+    for q in (1, 9, 15, 35):
+        with pytest.raises(ValueError, match="not prime"):
+            count_smooth_points_quartic_Fq(q, 0, 1)
+    assert localglobal._count_smooth_points.cache_info().currsize == kept
 
 
 def test_weil_bound_small_good_primes():
     for p in (73, 97):
-        F = family_curve(p)
+        a, b = family(p)
         for q in range(5, 37):
-            if not is_prime(q) or q in bad_primes(F):
+            if not is_prime(q) or q in {2, 3, p}:
                 continue
-            count, witness = count_smooth_points_quartic_Fq(F, q)
-            assert (count - q - 1) ** 2 <= 36 * q  # genus 3 Weil bound
+            n, witness = count(q, a, b)
+            assert (n - q - 1) ** 2 <= 36 * q  # genus 3 Weil bound
             assert witness is not None
 
 
@@ -134,11 +159,9 @@ def test_everywhere_locally_solvable():
 
 
 def test_smooth_witness_is_smooth():
-    F = family_curve(73)
-    a = F.a_eff.numerator % 11
-    b = F.b_eff.numerator % 11
-    count, (x, y, z) = count_smooth_points_quartic_Fq(F, 11)
     q = 11
+    a, b = (c % q for c in family(73))
+    n, (x, y, z) = count_smooth_points_quartic_Fq(q, a, b)
     dx = (4 * x**3 + 2 * a * x * z * z) % q
     dy = (4 * y**3 + 2 * a * y * z * z) % q
     dz = (2 * a * x * x * z + 2 * a * y * y * z - 4 * b * z**3) % q
@@ -152,14 +175,93 @@ def test_non_special_prime_reports_undetermined():
     assert any(r.solvable == "undetermined" for r in reports)
 
 
+def _uncounted_places(reports):
+    """The prime places certified otherwise than by an F_q count."""
+    return [r.place for r in reports if isinstance(r.place, int)
+            and r.method != "hensel-from-Fq"]
+
+
+# p = 10^30 + 57 = 1 (mod 24), a probable prime above 2^64.
+LARGE_FAMILY_PRIME = 10**30 + 57
+
+
+def test_bad_places_are_those_of_the_family_discriminant():
+    # The local check takes its bad places as {2, 3, p}.  They are 2 and the
+    # primes of disc * p for the (-4, -6) quartic twisted by p; the code no
+    # longer computes that, so it is checked here.
+    assert LARGE_FAMILY_PRIME > PROBABLE_PRIME_BOUND
+    assert is_prime(LARGE_FAMILY_PRIME) and LARGE_FAMILY_PRIME % 24 == 1
+    primes = ([3] + [p for p in range(73, 3000, 24) if is_prime(p)]
+              + [LARGE_FAMILY_PRIME])
+    for p in primes:
+        disc = SymQuartic(-4, -6, p).disc() * p
+        assert disc.denominator == 1
+        assert {2, 3, p} == {2} | set(factorize(disc.numerator)), p
+        ok, reports = everywhere_locally_solvable(p)
+        assert sorted(_uncounted_places(reports)) == sorted({2, 3, p}), p
+        assert ok is (p != 3)
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_local_3_lists_place_3_once_as_bad_reduction():
+    code, out = _cli(["local", "3", "--json"])
+    assert code == EXIT_UNDETERMINED == 3
+    places = json.loads(out)["payload"]["places"]
+    assert [r["place"] for r in places].count(3) == 1
+    (three,) = [r for r in places if r["place"] == 3]
+    assert three["method"] == "bad-reduction"
+    assert three["solvable"] == "undetermined"
+
+
+def test_local_2_is_an_input_error(capsys):
+    assert main(["local", "2"]) == EXIT_PRECONDITION == 2
+    assert capsys.readouterr().err == "error: p must be an odd prime\n"
+
+
+def test_hasse_path_builds_no_quartic(monkeypatch):
+    # `local` and `hasse-scan` work on the family's integers: with the
+    # quartic class unusable they still give their golden payloads.
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the Hasse path built a SymQuartic")
+
+    monkeypatch.setattr(quartic.SymQuartic, "__init__", refuse)
+    with pytest.raises(RuntimeError):
+        SymQuartic(1, 1)
+    localglobal._count_smooth_points.cache_clear()
+    root = pathlib.Path(__file__).resolve().parent
+    golden = json.loads((root / "data" / "hasse_golden.json").read_text())
+    code, out = _cli(["local", "73", "--json"])
+    want = golden["local 73"]
+    assert code == want["exit"]
+    assert json.loads(out)["payload"] == want["envelope"]["payload"]
+    scan = golden["hasse-scan 3 6000 --assume-parity"]["envelope"]["payload"]
+    verdicts = [v for v in scan["verdicts"] if v["p"] <= 600]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        code, out = _cli(["hasse-scan", "3", "600", "--assume-parity",
+                          "--json", "--cache-dir", cache_dir])
+    assert code == 0
+    assert json.loads(out)["payload"] == {"primes_scanned": len(verdicts),
+                                          "verdicts": verdicts}
+    source = pathlib.Path(localglobal.__file__).read_text()
+    imported = {node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)}
+    assert "quartic" not in imported and "fractions" not in imported
+    assert "Fraction" not in source
+
+
 # ---------------------------------------------------------------------------
 # Reference: the O(q^2) count over every affine (x, y), as the toolkit
 # computed it before the count was bucketed by h(y) = y^4 + a*y^2.
 
 
-def reference_count_smooth_points(F, q):
-    a = rat_mod(F.a_eff, q)
-    b = rat_mod(F.b_eff, q)
+def reference_count_smooth_points(q, a, b):
+    a, b = a % q, b % q
 
     def form(x, y, z):
         z2 = z * z % q
@@ -172,24 +274,26 @@ def reference_count_smooth_points(F, q):
         dz = (2 * a * x * x * z + 2 * a * y * y * z - 4 * b * z * z * z) % q
         return dx, dy, dz
 
-    count = 0
+    n = 0
     witness = None
     for x in range(q):
         for y in range(q):
             if form(x, y, 1) == 0:
-                count += 1
+                n += 1
                 if witness is None and any(partials(x, y, 1)):
                     witness = (x, y, 1)
     for x in range(q):
         if (pow(x, 4, q) + 1) % q == 0:
-            count += 1
+            n += 1
             if witness is None and any(partials(x, 1, 0)):
                 witness = (x, 1, 0)
-    return count, witness
+    return n, witness
 
 
-def _good_primes(F, hi):
-    return [q for q in range(3, hi) if is_prime(q) and q not in bad_primes(F)]
+def _good_primes(a, b, hi):
+    """The odd primes below hi prime to b(a^2 + 2b)(a^2 + 4b)."""
+    disc = b * (a * a + 2 * b) * (a * a + 4 * b)
+    return [q for q in range(3, hi) if is_prime(q) and disc % q]
 
 
 # The `local p` corpus of tests/test_hasse_golden.py: every (F, q) that the
@@ -200,10 +304,10 @@ FAMILY_PRIMES = sorted({p for p in range(73, 3000, 24) if is_prime(p)}
 
 def test_count_matches_quadratic_reference_on_family():
     for p in FAMILY_PRIMES:
-        F = family_curve(p)
-        for q in _good_primes(F, WEIL_CUTOFF):
-            assert count_smooth_points_quartic_Fq(F, q) == \
-                reference_count_smooth_points(F, q), (p, q)
+        a, b = family(p)
+        for q in _good_primes(a, b, WEIL_CUTOFF):
+            assert count(q, a, b) == reference_count_smooth_points(q, a, b), \
+                (p, q)
 
 
 def test_count_matches_quadratic_reference_on_random_twists():
@@ -214,15 +318,15 @@ def test_count_matches_quadratic_reference_on_random_twists():
         b = Fraction(rng.randrange(-60, 61), rng.choice([1, 1, 3, 16]))
         alpha = rng.choice([1, -1, 2, -3, 5, 6, 7, -10])
         try:
-            curves.append(SymQuartic(a, b, alpha))
+            curves.append(integral_model(SymQuartic(a, b, alpha)))
         except ValueError:
             continue
     # a' = 0 makes h(t) = t^4, so each bucket holds the fourth roots.
-    curves += [SymQuartic(0, 2), SymQuartic(0, -1, 3)]
-    for F in curves:
-        for q in _good_primes(F, 60):
-            assert count_smooth_points_quartic_Fq(F, q) == \
-                reference_count_smooth_points(F, q), (F, q)
+    curves += [(0, 2), (0, -9)]
+    for a, b in curves:
+        for q in _good_primes(a, b, 60):
+            assert count(q, a, b) == reference_count_smooth_points(q, a, b), \
+                (a, b, q)
 
 
 def direct_counts(q, a):
@@ -248,39 +352,23 @@ def direct_counts(q, a):
 
 
 def test_small_field_table_matches_direct_count_for_every_residue_pair():
-    # Each (a', b') mod q of good reduction, for every q the table keeps,
-    # from two quartics with those residues: the second is served from the
-    # table.  Larger q are counted and not kept.
+    # Every residue pair (a, b) mod q, for every q the local check counts,
+    # asked twice: the first fills the table, the second is served from it,
+    # and the table then holds one key per pair.
     small = [q for q in range(3, WEIL_CUTOFF) if is_prime(q)]
+    table = localglobal._count_smooth_points
+    table.cache_clear()
     for q in small:
         for a in range(q):
             want = direct_counts(q, a)
             for b in range(q):
-                if b * (a * a + 2 * b) * (a * a + 4 * b) % q == 0:
-                    continue        # bad reduction: rejected before the table
-                for F in (SymQuartic(a, b), SymQuartic(a + q, b - 2 * q)):
-                    assert count_smooth_points_quartic_Fq(F, q) == want[b], \
+                for _ in range(2):
+                    assert count_smooth_points_quartic_Fq(q, a, b) == want[b], \
                         (q, a, b)
-    kept = localglobal._count_small_field.cache_info().currsize
-    assert kept <= sum(q * q for q in small)
-    F = SymQuartic(1, 1)
-    for q in (WEIL_CUTOFF, 41, 101):
-        if is_prime(q):
-            assert count_smooth_points_quartic_Fq(F, q) == \
-                reference_count_smooth_points(F, q)
-    assert localglobal._count_small_field.cache_info().currsize == kept
-
-
-def test_bad_primes_computed_once_per_quartic():
-    F = family_curve(97)
-    first = bad_primes(F)
-    assert first == {2, 3, 97}
-    assert bad_primes(F) is first
-    for q in (2, 3, 97):
-        with pytest.raises(ValueError, match="bad reduction"):
-            count_smooth_points_quartic_Fq(F, q)
-    with pytest.raises(ValueError, match="not prime"):
-        count_smooth_points_quartic_Fq(F, 9)
+    pairs = sum(q * q for q in small)
+    assert pairs == 3354
+    assert table.cache_info().currsize == pairs
+    assert table.cache_info().hits == pairs
 
 
 # ---------------------------------------------------------------------------
