@@ -291,6 +291,11 @@ def _json_copy(value):
     return value
 
 
+def _unusable(exc: OSError) -> ValueError:
+    # A cache location that cannot be opened or made is an input error.
+    return ValueError(f"cannot use cache location {exc.filename}: {exc.strerror}")
+
+
 class ScanCache:
     """Append-only JSONL cache, one file per scan family, advisory-locked.
     Entries carry a hash of their key and payload; corrupted lines are
@@ -324,6 +329,8 @@ class ScanCache:
                 data = fh.read()
         except FileNotFoundError:
             return
+        except OSError as exc:
+            raise _unusable(exc) from None
         start = 0
         path, verified_bytes, verified = _last_verified or (None, b"", {})
         if path == self.path and data.startswith(verified_bytes):
@@ -369,10 +376,13 @@ class ScanCache:
         fh = self._fh
         if fh is None:
             try:
-                fh = open(self.path, "a")
-            except FileNotFoundError:   # the first put makes the directory
-                os.makedirs(os.path.dirname(self.path), exist_ok=True)
-                fh = open(self.path, "a")
+                try:
+                    fh = open(self.path, "a")
+                except FileNotFoundError:   # the first put makes the directory
+                    os.makedirs(os.path.dirname(self.path), exist_ok=True)
+                    fh = open(self.path, "a")
+            except OSError as exc:
+                raise _unusable(exc) from None
             self._fh = fh
         fcntl.flock(fh, fcntl.LOCK_EX)
         fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -48,7 +48,6 @@ from .elliptic import (
     _nontorsion_height,
     _require_tol,
     height_gap_bounds,
-    is_torsion,
     torsion_subgroup,
 )
 from .exact import (
@@ -111,7 +110,7 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
     """Assemble the enumeration input from a quartic, an externally
     certified rank claim, and (for rank 1) a generator of the free part.
     A generator given with a rank-0 claim is checked too: it must be on the
-    companion curve and of finite order."""
+    companion curve and in its torsion subgroup, which is listed complete."""
     _require_tol(tol)
     if rank_claim not in (0, 1):
         raise ValueError("rank claim must be 0 or 1 for this method")
@@ -126,13 +125,13 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
     if given and not E.contains(generator):
         raise ValueError("generator is not on the companion curve")
     if rank_claim == 0:
-        if given and not is_torsion(E, generator):
+        if given and generator not in torsion:
             raise ValueError("generator has infinite order; "
                              "rank-0 claim inconsistent")
         return DemjanenkoInput(F, E, INF, torsion, 0, 0.0, gap_up, gap_low, phi_gap)
     if not given:
         raise ValueError("rank 1 requires a generator point")
-    if is_torsion(E, generator):
+    if generator in torsion:
         raise ValueError("generator is torsion; rank-1 claim inconsistent")
     # Both checks of canonical_height were just made; do not repeat them.
     hhat = _nontorsion_height(E, generator, tol)

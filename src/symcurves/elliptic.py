@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    IntPoly,
     _field_tables,
     bezout,
     factorize,
@@ -339,24 +338,24 @@ def is_torsion(E: EllipticCurve, P) -> bool:
 
 def _duplication_forms(E: EllipticCurve):
     """Integer homogeneous quartics (N, D) with x(2P) = N(p, q)/D(p, q) for
-    x(P) = p/q, on an integral model."""
+    x(P) = p/q, on an integral model: coefficient tuples whose entry i is
+    that of p^i * q^(4-i)."""
     a2, a4, a6 = int(E.a2), int(E.a4), int(E.a6)
-    N = IntPoly([a4 * a4 - 4 * a2 * a6, -8 * a6, -2 * a4, 0, 1])
-    D = IntPoly([4 * a6, 4 * a4, 4 * a2, 4])
+    N = (a4 * a4 - 4 * a2 * a6, -8 * a6, -2 * a4, 0, 1)
+    D = (4 * a6, 4 * a4, 4 * a2, 4, 0)
     return N, D
 
 
-def _bezout_data(E: EllipticCurve):
+def _bezout_data(N, D):
     """Certified constants for the duplication pair (N, D):
 
-    returns (c_q, U, V, c_p, Ur, Vr) with integer cubic forms satisfying
-    U*N' + V*D' = c_q * q^7 and Ur*N' + Vr*D' = c_p * p^7 on the homogenized
-    pair.  Any common divisor of (N'(p,q), D'(p,q)) for coprime (p, q)
+    returns (c_q, U, V, c_p, Ur, Vr) with U*N + V*D = c_q at q = 1 (the
+    tuples as polynomials in p) and Ur*N + Vr*D = c_p at p = 1 (reversed,
+    in q).  Any common divisor of (N(p,q), D(p,q)) for coprime (p, q)
     divides c_p * c_q.
     """
-    N, D = _duplication_forms(E)
     at_q = bezout(N, D)
-    at_p = bezout(N.reverse(4), D.reverse(4))
+    at_p = bezout(N[::-1], D[::-1])
     require(at_q is not None and at_p is not None,
             "duplication pair not coprime (singular curve?)")
     return at_q + at_p
@@ -374,16 +373,15 @@ class _HeightMachine:
     """Per-curve data for canonical height computation (integral model)."""
 
     def __init__(self, E: EllipticCurve):
-        self.N, self.D = _duplication_forms(E)
-        cq, U, V, cp, Ur, Vr = _bezout_data(E)
+        self.N, self.D = N, D = _duplication_forms(E)
+        cq, U, V, cp, Ur, Vr = _bezout_data(N, D)
         self.cq, self.cp = cq, cp
         self.content_bound = cp * cq
-        sum_uv = sum(abs(c) for c in U.coeffs + V.coeffs)
-        sum_uvr = sum(abs(c) for c in Ur.coeffs + Vr.coeffs)
+        sum_uv = sum(map(abs, U + V))
+        sum_uvr = sum(map(abs, Ur + Vr))
         # Lower bound for max(|N|, |D|) on the max-norm unit sphere.
         self.m_min = min(cq / sum_uv, cp / sum_uvr)
-        self.g_sum = max(sum(abs(c) for c in self.N.coeffs),
-                         sum(abs(c) for c in self.D.coeffs))
+        self.g_sum = max(sum(map(abs, N)), sum(map(abs, D)))
         self.c_upper = math.log(self.g_sum)
         self.c_lower = -math.log(self.m_min) + math.log(self.content_bound)
         # |hhat - h| <= (step bound)/3 from the telescoping series.
@@ -397,9 +395,8 @@ class _HeightMachine:
         return self.c_upper / 3, self.c_lower / 3
 
     def _arch_step(self, u0, u1):
-        # N has no p^3 q term (see _duplication_forms), so n[3] is skipped.
-        n = self.N.coeffs
-        d = self.D.coeffs
+        # n[3] and d[4] are 0 (see _duplication_forms), so they are skipped.
+        n, d = self.N, self.D
         w0 = ((u0 * u0 * u0 * u0) * n[4] + (u0 * u0) * (u1 * u1) * n[2]
               + u0 * (u1 * u1 * u1) * n[1] + (u1 * u1 * u1 * u1) * n[0])
         w1 = u1 * (d[3] * u0 * u0 * u0 + d[2] * u0 * u0 * u1
@@ -471,7 +468,7 @@ class _HeightMachine:
         for _ in range(n_steps):
             if prec <= e:
                 return None
-            w0, w1 = _eval_pair(self.N.coeffs, self.D.coeffs, w0, w1, mod)
+            w0, w1 = _eval_pair(self.N, self.D, w0, w1, mod)
             delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
             require(delta <= e, "duplication content exceeds its Bezout bound")
             deltas.append(delta)
@@ -485,9 +482,8 @@ class _HeightMachine:
 
 def _eval_pair(n, d, p, q, mod):
     # (N(p, q), D(p, q)) mod `mod`, with N(p, q) = sum n[i] * p^i * q^(4-i)
-    # for the quartic list n and D the same sum over the cubic list d, i.e.
-    # homogenized to degree 4 by one extra factor of q.  Both read one list
-    # of the monomials p^i * q^(4-i).
+    # and D the same sum over d: both read one list of the monomials
+    # p^i * q^(4-i).
     p1, q1 = p % mod, q % mod
     p2, q2 = p1 * p1 % mod, q1 * q1 % mod
     mono = (q2 * q2 % mod, p1 * q1 * q2 % mod, p2 * q2 % mod,

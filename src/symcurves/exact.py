@@ -3,10 +3,11 @@ arithmetic, and polynomials.
 
 Rationals are plain ``fractions.Fraction`` values, which are always kept
 in canonical form (reduced, positive denominator) by the standard library.
-Polynomials are `IntPoly`; work over Q stays over Z through pseudo-division
-(`IntPoly.pseudo_divmod`) and the integer Bezout identity (`bezout`).
-`roots_mod_p` reduces f to a plain coefficient list mod p and solves it by
-closed forms where it can.
+Polynomials are `IntPoly`, or plain constant-first int tuples where only
+their coefficients are needed.  The integer Bezout identity (`bezout`) of
+two such tuples is one fraction-free linear solve of their Sylvester
+system, so nothing leaves Z.  `roots_mod_p` reduces f to a plain
+coefficient list mod p and solves it by closed forms where it can.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ TONELLI_SHANKS_CACHE = 128
 # Inverse and square-root tables of F_l are kept for this many primes l.
 FIELD_TABLE_CACHE = 128
 
+# `is_prime` keeps its verdict on this many n >= PROBABLE_PRIME_BOUND.
+PROBABLE_PRIME_CACHE = 128
+
 
 class CheckFailed(Exception):
     """A check that gates a certificate failed: the result cannot be
@@ -52,11 +56,19 @@ def is_prime(n: int) -> bool:
     """Whether the int n is prime.  n below 10,000 (the trial-division bound
     of `factorize`) is answered from the sieve table; from there on by
     Miller-Rabin, deterministic below PROBABLE_PRIME_BOUND = 2^64 and a
-    probable-prime test above it.  Any other type raises TypeError."""
+    probable-prime test above it, whose verdict is kept per process for the
+    last PROBABLE_PRIME_CACHE such n.  Any other type raises TypeError."""
     if not isinstance(n, int):
         raise TypeError(f"is_prime needs an int, not {type(n).__name__}")
     if n < _SIEVE_LIMIT:
         return n > 1 and _SIEVE[n] == 1
+    return (_miller_rabin if n < PROBABLE_PRIME_BOUND else _probable_prime)(n)
+
+
+@functools.lru_cache(maxsize=PROBABLE_PRIME_CACHE)
+def _probable_prime(n: int) -> bool:
+    # A function of n alone (the bases are seeded by n), which the descent
+    # asks about one large p again and again.
     return _miller_rabin(n)
 
 
@@ -372,9 +384,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -411,36 +420,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def pseudo_divmod(self, b: "IntPoly"):
-        """(m, q, r) with m*self = q*b + r, deg r < deg b and
-        m = lc(b)^(deg self - deg b + 1) (m = 1 when deg self < deg b)."""
-        if b.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        db, lb = b.degree, b.coeffs[-1]
-        k = self.degree - db + 1
-        if k <= 0:
-            return 1, IntPoly([0]), self
-        r, q = list(self.coeffs), [0] * k
-        for i in range(k - 1, -1, -1):
-            # Clear the coefficient of x^(db + i): r <- lb*r - c*x^i*b.
-            c = r[db + i]
-            q = [lb * x for x in q]
-            q[i] = c
-            r = [lb * x for x in r]
-            for j, bc in enumerate(b.coeffs):
-                r[i + j] -= c * bc
-        return lb**k, IntPoly(q), IntPoly(r[:db] or [0])
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if len(self.coeffs) > 1 else abs(self.coeffs[0])
-
-    def reverse(self, deg: int) -> "IntPoly":
-        """t^deg * f(1/t); deg must be >= degree of f."""
-        if deg < self.degree:
-            raise ValueError("reversal degree too small")
-        padded = list(self.coeffs) + [0] * (deg - self.degree)
-        return IntPoly(padded[::-1])
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -466,31 +445,46 @@ class IntPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def bezout(a: IntPoly, b: IntPoly):
-    """(c, u, v) with u*a + v*b = c, c a nonzero integer, deg u < deg b and
-    deg v < deg a, scaled so that (u, v, c) is primitive with c > 0; None
-    when a and b have a common root.  Extended Euclid on pseudo-remainders,
-    each step divided by its content, so nothing leaves Z."""
-    if a.degree == 0 and b.degree == 0:
+def bezout(a, b):
+    """(c, u, v) with u*a + v*b = c for constant-first int tuples a, b
+    (trailing zeros ignored): c > 0, (u, v, c) primitive, u of deg b and v
+    of deg a coefficients.  None when a and b share a root or one is zero;
+    ValueError when both are constant.
+
+    (u, v) is the unique solution of the Sylvester system of u*a + v*b = 1,
+    one equation per power of x.  Bareiss's fraction-free elimination (Math.
+    Comp. 22 (1968)), swapping rows at a zero pivot, ends on its determinant
+    d = +-Res(a, b), or on a column with no pivot (d = 0).  Back substitution
+    then finds d*(u, v), each division exact by Cramer's rule."""
+    a, b = IntPoly(a).coeffs, IntPoly(b).coeffs
+    m, n = len(a) - 1, len(b) - 1
+    if m == n == 0:
         raise ValueError("bezout needs a non-constant polynomial")
-
-    def divided(f, g):
-        return IntPoly([c // g for c in f.coeffs])
-
-    zero, one = IntPoly([0]), IntPoly([1])
-    r0, u0, v0 = a, one, zero
-    r1, u1, v1 = b, zero, one
-    while r1.degree > 0:
-        m, q, r = r0.pseudo_divmod(r1)
-        u, v = u0 * m - q * u1, v0 * m - q * v1
-        g = math.gcd(r.content(), u.content(), v.content())
-        r0, u0, v0 = r1, u1, v1
-        r1, u1, v1 = divided(r, g), divided(u, g), divided(v, g)
-    if r1.is_zero():
-        return None
-    c = r1.coeffs[0]
-    g = math.gcd(c, u1.content(), v1.content()) * (1 if c > 0 else -1)
-    return c // g, divided(u1, g), divided(v1, g)
+    size = m + n
+    # Row k is the equation at x^k: columns x^i*a (i < n), then x^j*b
+    # (j < m), then the right-hand side.
+    cols = [(i, a) for i in range(n)] + [(j, b) for j in range(m)]
+    rows = [[f[k - s] if 0 <= k - s < len(f) else 0 for s, f in cols] + [int(k == 0)]
+            for k in range(size)]
+    prev = 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        top, pivot = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, size + 1):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    w = [0] * size
+    for k in range(size - 1, -1, -1):
+        row = rows[k]
+        s = prev * row[size] - sum(row[j] * w[j] for j in range(k + 1, size))
+        w[k] = s // row[k]
+    g = math.gcd(prev, *w) * (1 if prev > 0 else -1)
+    return prev // g, tuple(x // g for x in w[:n]), tuple(x // g for x in w[n:])
 
 
 def roots_mod_p(f: IntPoly, p: int) -> set[int]:

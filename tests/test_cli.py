@@ -686,6 +686,37 @@ def test_first_put_makes_the_cache_directory(tmp_path, digests):
     assert sorted(digests) == ["k", "k2"]
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_unusable_cache_location_is_a_precondition(via_env, tmp_path,
+                                                   monkeypatch, capsys):
+    # A cache location is user input: one that cannot be read, or made at
+    # the first put, exits 2 with an error line, never a traceback.
+    regular = tmp_path / "file"
+    regular.write_text("not a directory\n")
+    dangling = tmp_path / "link"
+    dangling.symlink_to(tmp_path / "absent")
+    (tmp_path / "dir" / "hasse-scan.jsonl").mkdir(parents=True)
+    for base, reason in ((regular, "Not a directory"),
+                         (regular / "sub", "Not a directory"),
+                         (tmp_path / "dir", "Is a directory"),
+                         (dangling, "File exists")):
+        argv = ["hasse-scan", "3", "100"]
+        if via_env:
+            monkeypatch.setenv(cli.CACHE_ENV, str(base))
+        else:
+            monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+            argv += ["--cache-dir", str(base)]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_PRECONDITION == 2 and out == "", base
+        assert err.startswith("error: cannot use cache location ") and reason in err
+    # A directory that becomes a file between the load and the first put.
+    cache = ScanCache(str(tmp_path / "late"), "hasse-scan")
+    (tmp_path / "late").write_text("")
+    with pytest.raises(ValueError, match="Not a directory"):
+        cache.put("k", {"p": 73})
+    assert regular.read_text() == "not a directory\n"
+
+
 def test_scan_opens_the_cache_file_once(tmp_path, monkeypatch, capsys):
     # A scan appends all its verdicts through one handle, closed when the
     # scan ends, also when a verdict raises; each line is on disk before

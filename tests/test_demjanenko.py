@@ -135,26 +135,47 @@ def test_rank_zero_claim_checks_a_given_generator():
 
 
 def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
-    from symcurves import demjanenko, elliptic
+    # The generator's order is read from the torsion list, which
+    # torsion_subgroup certifies complete: is_torsion runs only inside that
+    # search.  X_4's quartic envelope is still its golden one, and both
+    # inconsistent rank claims are still refused.
+    from symcurves import elliptic
+    from test_quartic_golden import _golden, _key, _run_quartic
 
-    seen = []
-    real = elliptic.is_torsion
+    assert not hasattr(demjanenko, "is_torsion")
+    hhat = canonical_height(build_input(X4, G, 1).E, G, 1e-8)
+    inside = False
+    real_is_torsion, real_subgroup = elliptic.is_torsion, demjanenko.torsion_subgroup
 
-    def counting(E, P):
-        seen.append(P)
-        return real(E, P)
+    def subgroup(E):
+        nonlocal inside
+        inside = True
+        try:
+            return real_subgroup(E)
+        finally:
+            inside = False
 
-    monkeypatch.setattr(elliptic, "is_torsion", counting)
-    monkeypatch.setattr(demjanenko, "is_torsion", counting)
-    inp = build_input(X4, G, 1, tol=1e-8)
-    # torsion_subgroup tests its own candidates, here (0, 0), the same way.
-    assert seen.count(G) == 1
-    assert inp.hhat_G == elliptic.canonical_height(inp.E, G, 1e-8)
+    def is_torsion(E, P):
+        if not inside:
+            raise AssertionError("is_torsion called outside torsion_subgroup")
+        return real_is_torsion(E, P)
+
+    monkeypatch.setattr(demjanenko, "torsion_subgroup", subgroup)
+    monkeypatch.setattr(elliptic, "is_torsion", is_torsion)
+    assert build_input(X4, G, 1, tol=1e-8).hhat_G == hhat
+    item = GOLDEN_CORPUS[0]
+    assert _key(item) == "a=-4 b=-3 G=(4,-16)"
+    code, env = _run_quartic(item)
+    assert (code, env) == (_golden()[_key(item)]["exit"],
+                           _golden()[_key(item)]["envelope"])
     with pytest.raises(ValueError, match="tol must be positive"):
         build_input(X4, G, 1, tol=0.0)
     with pytest.raises(ValueError,
                        match="generator is torsion; rank-1 claim inconsistent"):
         build_input(X4, point(0, 0), 1)
+    with pytest.raises(ValueError,
+                       match="generator has infinite order; rank-0 claim inconsistent"):
+        build_input(X4, G, 0)
 
 
 def test_x4_certificate():

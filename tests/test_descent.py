@@ -1,5 +1,7 @@
+import collections
 import functools
 import json
+import math
 import os
 import pathlib
 import random
@@ -382,6 +384,37 @@ def test_probable_prime_assumption_is_listed_from_2_64_on(argv, listed,
     assert (exact.PROBABLE_PRIME_NOTE in assumptions) is listed
 
 
+def test_a_large_prime_is_tested_once_per_process(monkeypatch, capsys):
+    # `descent` and `local` at p = 10^30 + 57 ask is_prime about p, and
+    # factorize about other n >= 2^64, many times over.  Miller-Rabin runs
+    # once per such n in the process, and every payload is the one computed
+    # with no verdict kept.
+    assert exact._probable_prime.cache_info().maxsize == exact.PROBABLE_PRIME_CACHE
+    runs = collections.Counter()
+    miller_rabin = exact._miller_rabin
+
+    def counting(n):
+        if n >= exact.PROBABLE_PRIME_BOUND:
+            runs[n] += 1
+        return miller_rabin(n)
+
+    def payloads():
+        out = []
+        for command in ("descent", "local"):
+            assert main([command, str(LARGE_FAMILY_PRIME), "--json"]) == 0
+            out.append(json.loads(capsys.readouterr().out)["payload"])
+        return out
+
+    monkeypatch.setattr(exact, "_miller_rabin", counting)
+    exact._probable_prime.cache_clear()
+    kept = payloads()
+    assert runs[LARGE_FAMILY_PRIME] == 1 and set(runs.values()) == {1}, runs
+    runs.clear()
+    monkeypatch.setattr(exact, "_probable_prime", counting)
+    assert payloads() == kept
+    assert runs[LARGE_FAMILY_PRIME] > 10
+
+
 # ---------------------------------------------------------------------------
 # The root-driven level scan of _zl_solvable against the two full residue
 # scans it replaced, kept here as the reference.
@@ -431,7 +464,7 @@ def reference_zl_solvable(c, f, ell, depth, cap):
         if f.eval_mod(z0, ell) != 0:
             continue
         f1 = shift_scale(f, z0, ell)
-        cont = f1.content()
+        cont = math.gcd(*f1.coeffs)
         f1 = IntPoly([x // cont for x in f1.coeffs])
         if reference_zl_solvable(squarefree_part(c * cont), f1, ell,
                                  depth + 1, cap):
@@ -448,13 +481,13 @@ def reference_ql_solvable(G, ell):
         d //= ell
         v += 1
     cap = v + 12
-    cont = G.content()
+    cont = math.gcd(*G.coeffs)
     G0 = IntPoly([x // cont for x in G.coeffs])
     c = squarefree_part(cont)
     if reference_zl_solvable(c, G0, ell, 0, cap):
         return True
-    Gr = G0.reverse(4)
-    contr = Gr.content()
+    Gr = IntPoly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
+    contr = math.gcd(*Gr.coeffs)
     Gr = IntPoly([x // contr for x in Gr.coeffs])
     return reference_zl_solvable(squarefree_part(c * contr), Gr, ell, 0, cap)
 
@@ -791,7 +824,7 @@ def test_zl_branch_constant_times_square():
                 g = IntPoly([t, s, 1])
                 noise = IntPoly([ell * rng.randint(-5, 5) for _ in range(5)])
                 f = g * g * u + noise
-                if f.content() % ell == 0:
+                if math.gcd(*f.coeffs) % ell == 0:
                     continue
                 assert _square_class_mod(residues(f, ell), ell) == u
                 for c in (1, -1, _nonresidue(ell)):
@@ -934,7 +967,7 @@ def intpoly_zl_solvable(c, f, ell, depth, cap):
                 return True
     for z0 in roots:
         f1 = shift_scale(f, z0, ell)
-        cont = f1.content()
+        cont = math.gcd(*f1.coeffs)
         f1 = IntPoly([x // cont for x in f1.coeffs])
         if intpoly_zl_solvable(intpoly_square_class(c * cont, ell), f1, ell,
                                depth + 1, cap):
@@ -951,13 +984,13 @@ def intpoly_ql_solvable(G, ell, disc):
         d //= ell
         v += 1
     cap = v + 12
-    cont = G.content()
+    cont = math.gcd(*G.coeffs)
     G0 = IntPoly([x // cont for x in G.coeffs])
     c = intpoly_square_class(cont, ell)
     if intpoly_zl_solvable(c, G0, ell, 0, cap):
         return True
-    Gr = G0.reverse(4)
-    contr = Gr.content()
+    Gr = IntPoly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
+    contr = math.gcd(*Gr.coeffs)
     Gr = IntPoly([x // contr for x in Gr.coeffs])
     return intpoly_zl_solvable(intpoly_square_class(c * contr, ell), Gr, ell,
                                0, cap)

@@ -587,8 +587,8 @@ def integerize(u, v):
 def reference_bezout_data(E):
     N, D = _duplication_forms(E)
     out = ()
-    for n, d in ((N, D), (N.reverse(4), D.reverse(4))):
-        g, u, v = qpoly_ext_gcd(n.coeffs, d.coeffs)
+    for n, d in ((N, D), (N[::-1], D[::-1])):
+        g, u, v = qpoly_ext_gcd(n, d)
         assert g == [1]
         out += integerize(u, v)
     return out
@@ -617,8 +617,9 @@ def _random_integral_curves(rng, count):
 
 def test_bezout_data_matches_fraction_reference():
     for E in _random_integral_curves(random.Random(2), 2000) + [Y_CURVE]:
-        cq, U, V, cp, Ur, Vr = _bezout_data(E)
-        got = (cq, list(U.coeffs), list(V.coeffs), cp, list(Ur.coeffs), list(Vr.coeffs))
+        cq, U, V, cp, Ur, Vr = _bezout_data(*_duplication_forms(E))
+        got = (cq, list(IntPoly(U).coeffs), list(IntPoly(V).coeffs),
+               cp, list(IntPoly(Ur).coeffs), list(IntPoly(Vr).coeffs))
         assert got == reference_bezout_data(E), E
 
 
@@ -646,7 +647,7 @@ def reference_content_deltas(machine, p0, q0, ell, e, n_steps):
     w0, w1 = p0 % mod, q0 % mod
     out = []
     for _ in range(n_steps):
-        w0, w1 = _eval_pair(machine.N.coeffs, machine.D.coeffs, w0, w1, mod)
+        w0, w1 = _eval_pair(machine.N, machine.D, w0, w1, mod)
         delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
         assert delta <= e
         out.append(delta)
@@ -692,12 +693,13 @@ def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
 
 
 def test_duplication_numerator_has_no_cubic_term():
-    # _arch_step skips the p^3 q coefficient of N.  It is 0 on random
-    # curves, and N(x)/D(x) is x(2P) at a point P = (x, y) built on each.
+    # _arch_step skips the p^3 q coefficient of N and the p^4 one of D.  Both
+    # are 0 on random curves, and N(x, 1)/D(x, 1) is x(2P) at a point
+    # P = (x, y) built on each.
     rng = random.Random(5)
     for E in _random_integral_curves(rng, 400) + [Y_CURVE]:
         N, D = _duplication_forms(E)
-        assert (N.degree, D.degree, N.coeffs[3]) == (4, 3, 0), E
+        assert (len(N), len(D), N[3], N[4], D[3], D[4]) == (5, 5, 0, 1, 4, 0), E
     built = 0
     while built < 300:
         x, y = rng.randint(-50, 50), rng.randint(1, 50)
@@ -708,13 +710,13 @@ def test_duplication_numerator_has_no_cubic_term():
             continue
         N, D = _duplication_forms(E)
         P = point(x, y)
-        assert N.coeffs[3] == 0
-        assert Fraction(N(x), D(x)) == E.add(P, P).x, (E, P)
+        assert N[3] == D[4] == 0
+        assert Fraction(IntPoly(N)(x), IntPoly(D)(x)) == E.add(P, P).x, (E, P)
         built += 1
 
 
 # x^4 - 1 and 4x^3 - 4 share the root x = 1.
-COMMON_ROOT = (IntPoly([-1, 0, 0, 0, 1]), IntPoly([-4, 0, 0, 4]))
+COMMON_ROOT = ((-1, 0, 0, 0, 1), (-4, 0, 0, 4, 0))
 
 
 @pytest.fixture
@@ -733,9 +735,9 @@ def test_non_coprime_duplication_pair_raises_check_failed(common_root_forms,
     # Coprime at q, but both reversed forms vanish at p = 0: x^2 + 1 and
     # 4x^3 + 1 reverse to t^4 + t^2 and t^4 + 4t.
     monkeypatch.setattr(elliptic, "_duplication_forms",
-                        lambda E: (IntPoly([1, 0, 1]), IntPoly([1, 0, 0, 4])))
+                        lambda E: ((1, 0, 1, 0, 0), (1, 0, 0, 4, 0)))
     with pytest.raises(CheckFailed, match="not coprime"):
-        _bezout_data(Y_CURVE)
+        height_gap_bounds(Y_CURVE)
 
 
 def test_non_coprime_duplication_pair_exits_4(common_root_forms, capsys):
@@ -750,9 +752,8 @@ def test_non_coprime_duplication_pair_exits_4_under_python_O():
     script = ("import sys\n"
               "assert False, 'asserts must be off'\n"
               "from symcurves import elliptic\n"
-              "from symcurves.exact import IntPoly\n"
-              "elliptic._duplication_forms = lambda E: (IntPoly([-1, 0, 0, 0, 1]),\n"
-              "                                         IntPoly([-4, 0, 0, 4]))\n"
+              "elliptic._duplication_forms = lambda E: ((-1, 0, 0, 0, 1),\n"
+              "                                         (-4, 0, 0, 4, 0))\n"
               "from symcurves.cli import main\n"
               "sys.exit(main(['heights', '--', '-4', '-3', '1']))\n")
     src = str(pathlib.Path(symcurves.__file__).resolve().parents[1])
@@ -767,7 +768,7 @@ def test_non_coprime_duplication_pair_exits_4_under_python_O():
 def test_height_machine_is_built_once_per_curve_and_freed_with_it(monkeypatch):
     from test_quartic_golden import CORPUS, _run_quartic
 
-    built = 0
+    built = forms = 0
 
     class Counting(elliptic._HeightMachine):
         def __init__(self, E):
@@ -775,11 +776,18 @@ def test_height_machine_is_built_once_per_curve_and_freed_with_it(monkeypatch):
             built += 1
             super().__init__(E)
 
+    def counting_forms(E, real=elliptic._duplication_forms):
+        nonlocal forms
+        forms += 1
+        return real(E)
+
     monkeypatch.setattr(elliptic, "_HeightMachine", Counting)
+    monkeypatch.setattr(elliptic, "_duplication_forms", counting_forms)
     for item in CORPUS:
         _run_quartic(item)
-    # Each item asks twice (gap bounds and the height of G) and builds once.
-    assert built == len(CORPUS) == 30
+    # Each item asks twice (gap bounds and the height of G) and builds once,
+    # and each build writes the duplication forms once.
+    assert built == forms == len(CORPUS) == 30
     E = EllipticCurve(Fraction(1, 2), 7, 1)
     machine = weakref.ref(_machine_for(E))
     assert _machine_for(E) is machine() is E.integral_model()[0]._heights
