@@ -71,6 +71,8 @@ EXIT_CHECK_FAILED = 4
 
 
 def rat(value) -> dict:
+    if type(value) is int:      # every X_d coordinate: no Fraction needed
+        return {"num": str(value), "den": "1"}
     f = Fraction(value)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
@@ -458,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true",
                        help="emit the full JSON envelope")
+    ap.commands = sub.choices           # command name -> its own parser
     return ap
 
 
@@ -549,13 +552,31 @@ def _render(env: dict, as_json: bool) -> str:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args fills a new Namespace on every
-    # call and looks up sys.stdout/sys.stderr only when it prints.
+    # Built once per process, each command's parser with it: parse_args
+    # fills a new Namespace on every call and looks up sys.stdout/sys.stderr
+    # only when it prints.
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`argv` parsed as `_parser().parse_args(argv)` would, with the same
+    output and exit code on an error.  When argv[0] names a command, that
+    command's parser reads the rest directly, as the top-level parser would
+    hand it over; leftovers go to the top-level `error`, as there."""
+    ap = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = ap.commands.get(argv[0]) if argv else None
+    if command is None:
+        return ap.parse_args(argv)
+    args, extra = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        ap.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         env, code = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

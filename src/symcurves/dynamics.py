@@ -108,17 +108,6 @@ def shifted_intersection(pm: PolyMap, ta: OrbitTail, tb: OrbitTail):
     return shifted & tb.as_set(), ta.cycled and tb.cycled
 
 
-def integral_pullback(d_prime: int, targets) -> set[int]:
-    """All integers x0 with T_{d'}(x0) in targets, as ints, for targets inside
-    {0, +-1, +-2}: the growth floor |T_{d'}(x)| >= 7 for |x| >= 3 confines
-    the scan to {0, +-1, +-2}."""
-    targets = {t if t in SMALL_SET else Fraction(t) for t in targets}
-    if not targets <= set(SMALL_SET):
-        raise ValueError("targets outside {0, +-1, +-2}: growth bound "
-                         "does not apply")
-    return {x for x in SMALL_SET if cheb_eval(d_prime, x) in targets}
-
-
 @lru_cache(maxsize=1)
 def _x4_certificate() -> PointCertificate:
     F = SymQuartic(-4, -3, 1)
@@ -133,10 +122,11 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     Cases: 3 | d is empty (covering to the trivial-Jacobian X_3); otherwise
     4 | d reduces through the two-cover enumeration on X_4, and 5 | d
     reduces to the certified X_5 list, both pulled back through the
-    integral-point argument (`integral_pullback`, which evaluates T_{d'}
-    on {0, +-1, +-2}).  Every proven point set is checked on X_d and
-    against the guard scan; a failure raises CheckFailed.  The points are
-    pairs of ints.
+    integral-point argument (`_pullback_pairs`).  Every proven point is
+    checked on X_d, against T_d evaluated once on {0, +-1, +-2} (any other
+    coordinate is evaluated directly), and every proven point set against
+    the guard scan; a failure raises CheckFailed.  The points are pairs of
+    ints.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -147,7 +137,7 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
                       "trivial Jacobian Mordell-Weil group",)
     elif d % 4 == 0:
         base = _x4_certificate()
-        pts = _pullback_pairs(d // 4, {(P.x, P.y) for P in base.points})
+        pts = _pullback_pairs(d // 4, base.points)
         bound, window = base.index_bound, base.n_window
         conditions = base.conditional_on
     elif d % 5 == 0:
@@ -162,8 +152,10 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
             conditional_on=(f"bounded scan to cap {scan_cap} only",),
             status="conjectural-evidence",
         )
-    for x, y in pts:
-        require(cheb_eval(d, x) + cheb_eval(d, y) == 1,
+    small_values = {x: cheb_eval(d, x) for x in SMALL_SET} if pts else {}
+    for P in pts:
+        require(sum(small_values[c] if c in small_values else cheb_eval(d, c)
+                    for c in P) == 1,
                 "pulled-back point is not on X_d")
     _guard_scan(d, pts, scan_cap)
     return PointCertificate(points=frozenset(pts), index_bound=bound,
@@ -171,11 +163,21 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
 
 
 def _pullback_pairs(d_prime: int, base_pairs) -> set:
+    """Every integral (x, y) with (T_{d'}(x), T_{d'}(y)) a base pair, as
+    ints, for base coordinates in {0, +-1, +-2}: the growth floor
+    |T_{d'}(x)| >= 7 for |x| >= 3 confines x and y to {0, +-1, +-2}, which
+    T_{d'} maps into itself, so T_{d'} is evaluated there once and
+    inverted."""
+    preimages = {t: [] for t in SMALL_SET}
+    for x in SMALL_SET:
+        preimages[cheb_eval(d_prime, x)].append(x)
     out = set()
     for u, v in base_pairs:
-        xs = integral_pullback(d_prime, {u})
-        ys = integral_pullback(d_prime, {v})
-        out |= {(x, y) for x in xs for y in ys}
+        xs, ys = preimages.get(u), preimages.get(v)
+        if xs is None or ys is None:
+            raise ValueError("base coordinate outside {0, +-1, +-2}: "
+                             "growth bound does not apply")
+        out.update((x, y) for x in xs for y in ys)
     return out
 
 
@@ -192,31 +194,6 @@ class ScanEvidence:
     exceptional: set = field(default_factory=set)
 
 
-def _table_value(d: int, table, y: int) -> int:
-    """T_d(y) read from table[|y|], where table[a] = T_d(a), through the
-    parity T_d(-y) = (-1)^d T_d(y); evaluated directly past the table."""
-    a = -y if y < 0 else y
-    v = table[a] if a < len(table) else cheb_eval(d, a)
-    return -v if y < 0 and d % 2 else v
-
-
-def _solve_cheb_value(d: int, t: int, small_values, index) -> set[int]:
-    """All rational y with T_d(y) = t for an integer target t, as ints.
-
-    Such y are integers by monicity.  `small_values` pairs each y in
-    SMALL_SET with T_d(y), and `index` maps T_d(y) to y for the y >= 3 the
-    caller evaluated.  T_d is strictly increasing on y >= 2, so t (or -t
-    for odd d and t < 0) is T_d(y) for at most one y >= 3, which the index
-    holds when it covers y.  By the parity of T_d a match y gives -y as well
-    for even d, and the sign of t for odd d.
-    """
-    out = {y for y, v in small_values if v == t}
-    y = index.get(-t if d % 2 and t < 0 else t)
-    if y is not None:
-        out |= {y, -y} if d % 2 == 0 else {y if t > 0 else -y}
-    return out
-
-
 def _require_cap(cap: int):
     # A negative cap scans no x, so a guard built on it would check nothing.
     if cap < 0:
@@ -229,25 +206,34 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     int pairs, and those outside {0,+-1,+-2}^2 are recorded as exceptional.
     Rational points with a non-integral x are not scanned.
 
-    T_d is evaluated once per scan, at 0, 1, ..., cap + 1, into one table.
-    Negative arguments are read through parity, and every candidate y >= 3
-    lies in the table: it has (y - 1)^d <= |1 - T_d(x)|, which is at most 3
-    for |x| <= 2 and below |x|^d + 2 otherwise, so y <= cap + 1.  So the
-    index {T_d(y): y} over 3 <= y <= cap + 1 solves every target exactly.
+    T_d is evaluated once per scan, at 0, 1, ..., cap + 1, into one table,
+    which is inverted into one dict from each value to every y with
+    |y| <= cap + 1; for odd d the negative y are read through T_d(-y) =
+    -T_d(y).  Each x is then answered by one lookup of 1 - T_d(x).  For
+    even d, T_d is even, so x and y run over 0, 1, ... only and each point
+    found brings its sign changes.  Such y are integers by monicity, and
+    the window holds every one of them.  For |y| >= 3, (|y| - 1)^d <
+    |T_d(y)| = |1 - T_d(x)|, which is at most 3 for |x| <= 2 and below
+    |x|^d + 2 otherwise, so |y| <= |x| + 1 <= cap + 1.  And T_d(+-2) = +-2
+    equals 1 - T_d(x) only for T_d(x) = -1, at x = +-1.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
     _require_cap(cap)
+    table = [cheb_eval(d, y) for y in range(cap + 2)]
+    values = list(enumerate(table))         # (y, T_d(y))
+    if d % 2:
+        values += [(-y, -v) for y, v in values[1:]]
+    solutions = {}
+    for y, v in values:
+        solutions.setdefault(v, []).append(y)
     ev = ScanEvidence()
-    small = set(SMALL_SET)
-    table = [cheb_eval(d, x) for x in range(cap + 2)]
-    small_values = [(y, _table_value(d, table, y)) for y in SMALL_SET]
-    index = {table[y]: y for y in range(3, cap + 2)}
-    for x in range(-cap, cap + 1):
-        t = 1 - _table_value(d, table, x)
-        for y in _solve_cheb_value(d, t, small_values, index):
-            if x in small and y in small:
-                ev.inside_points.add((x, y))
-            else:
-                ev.exceptional.add((x, y))
+    for x, v in values:
+        if -cap <= x <= cap:
+            for y in solutions.get(1 - v, ()):
+                found = (ev.inside_points if -2 <= x <= 2 and -2 <= y <= 2
+                         else ev.exceptional)
+                found.add((x, y))
+                if d % 2 == 0:
+                    found.update(((-x, y), (x, -y), (-x, -y)))
     return ev

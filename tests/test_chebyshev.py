@@ -123,7 +123,7 @@ def test_special_values_match_evaluation():
 
 def test_growth_floor():
     # |T_d(x)| >= 7 for |x| >= 3 and d >= 2: the bound that confines the
-    # integral points `dynamics.integral_pullback` looks for to {0, +-1, +-2}.
+    # integral points `dynamics._pullback_pairs` looks for to {0, +-1, +-2}.
     assert cheb_eval(2, Fraction(3)) == 7
     assert cheb_eval(5, Fraction(3)) == 123
     for d in range(2, 41):

@@ -876,6 +876,38 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
+def _reference_main(argv):
+    # main as it was when the top-level parser read every argv.
+    args = build_parser().parse_args(argv)
+    env, code = args.func(args)
+    print(cli._render(env, args.json))
+    return code
+
+
+def _outcome(entry, argv, capsys):
+    # (exit code, stdout, stderr) of one call, a SystemExit's code included.
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["cheb", "--help"], ["no-such-command"], ["cheb"],
+    ["cheb", "20", "7"], ["cheb", "7", "--scan", "5"],
+    ["quartic", "--generator=4,-16", "--", "-4", "-3", "1"],
+], ids=["none", "help", "cheb-help", "unknown", "missing-positional",
+        "extra-argument", "abbreviation", "double-dash"])
+def test_command_parse_matches_the_top_level_parse(argv, capsys):
+    # main parses with the named command's own parser; exit code, stdout
+    # and stderr must be those of the top-level parse, byte for byte.
+    got = _outcome(main, argv, capsys)
+    assert got == _outcome(_reference_main, argv, capsys)
+    assert got[1] or got[2]
+
+
 @pytest.mark.parametrize("argv, expected_code, stream, text", [
     (["--help"], 0, "out", "usage: symcurves"),
     (["cheb", "--help"], 0, "out", "--scan-cap"),

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -11,11 +12,10 @@ from symcurves.dynamics import (
     TAIL_BIT_CAP,
     PolyMap,
     X5_POINTS,
+    _pullback_pairs,
     _x4_certificate,
-    _solve_cheb_value,
     chebyshev_curve_points,
     conjecture_scan,
-    integral_pullback,
     orbit_tail,
     shifted_intersection,
 )
@@ -190,15 +190,21 @@ def test_preperiodic_points():
         preperiodic_points(IntPoly([0, 1]), 10)
 
 
-def test_integral_pullback():
-    assert integral_pullback(2, {-1, 2}) == \
-        {Fraction(-1), Fraction(1), Fraction(2), Fraction(-2)}
-    full = {Fraction(v) for v in (0, 1, -1, 2, -2)}
-    assert integral_pullback(1, full) == full
-    assert integral_pullback(5, {Fraction(1)}) == {Fraction(1)}
-    assert integral_pullback(7, {Fraction(1)}) == {Fraction(1)}
-    with pytest.raises(ValueError):
-        integral_pullback(2, {3})
+def test_pullback_pairs():
+    # (T_2(x), T_2(y)) = (-1, 2) at x = +-1, y = +-2, and T_2(0) = -2.
+    assert _pullback_pairs(2, {(-1, 2), (Fraction(-2), -1)}) == \
+        {(1, 2), (1, -2), (-1, 2), (-1, -2), (0, -1), (0, 1)}
+    full = {(u, v) for u in SMALL_SET for v in SMALL_SET}
+    assert _pullback_pairs(1, full) == full
+    assert _pullback_pairs(5, {(Fraction(1), 0)}) == {(1, 0)}
+    assert _pullback_pairs(7, {(1, 1)}) == {(1, 1)}
+    assert _pullback_pairs(4, {(1, 1)}) == set()       # T_4 misses 1 on Z
+    assert all(type(c) is int
+               for P in _pullback_pairs(4, {(Fraction(2), Fraction(-2))})
+               for c in P)
+    for bad in ({(3, 0)}, {(0, Fraction(1, 2))}, {(1, 0), (-1, 7)}):
+        with pytest.raises(ValueError, match="growth bound"):
+            _pullback_pairs(2, bad)
 
 
 def test_chebyshev_curve_points_cases():
@@ -378,11 +384,6 @@ def _integer_root(t: int, d: int) -> int:
     return r
 
 
-def _index(table: dict) -> dict:
-    # {T_d(y): y} over the y >= 3 of a table y -> T_d(y).
-    return {v: y for y, v in table.items() if y >= 3}
-
-
 def test_integer_root():
     for d in range(1, 12):
         for t in range(0, 3000):
@@ -393,33 +394,6 @@ def test_integer_root():
             assert _integer_root(r ** d, d) == r
             assert _integer_root(r ** d - 1, d) == r - 1
             assert _integer_root(r ** d + 1, d) == r
-
-
-def test_solve_cheb_value_boundaries():
-    for d in (3, 4, 5, 6, 7, 8, 12, 67, 128, 199, 200):
-        small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
-        t3 = _cheb_table(d, 3)[3]
-        targets = {t3, t3 - 1, t3 + 1, -t3, -t3 + 1, 0, 1, -1, 2, -2, 3}
-        for r in (2, 3, 4, 11, 41):
-            targets |= {r ** d, r ** d - 1, r ** d + 1, -r ** d, -r ** d - 1}
-            targets |= {_cheb_table(d, r)[r], -_cheb_table(d, r)[r]}
-        for t in targets:
-            # |y| >= 3 forces (|y| - 1)^d < |t|, so this window is complete.
-            bound = 2 ** -(-abs(t).bit_length() // d) + 3
-            table = _cheb_table(d, bound)
-            expected = {Fraction(y) for y, v in table.items() if v == t}
-            assert (_solve_cheb_value(d, t, small_values, _index(table))
-                    == expected), (d, t)
-        # T_d >= -2 on the reals for even d.
-        if d % 2 == 0:
-            index = _index(_cheb_table(d, 42))
-            for t in (-3, -t3, -41 ** d):
-                assert _solve_cheb_value(d, t, small_values, index) == set()
-    # Large roots are found exactly.
-    d, y = 3, 10**9 + 7
-    small_values = [(v, cheb_eval(d, v)) for v in SMALL_SET]
-    t = y ** 3 - 3 * y
-    assert _solve_cheb_value(d, t, small_values, {t: y}) == {Fraction(y)}
 
 
 def test_conjecture_scan_matches_bruteforce():
@@ -449,6 +423,7 @@ def _reference_solve(d, t, small_values):
     return out
 
 
+@functools.cache
 def _reference_scan(d, cap):
     # The scan that evaluated T_d at x and at -x separately.
     small = set(SMALL_SET)
@@ -457,29 +432,33 @@ def _reference_scan(d, cap):
     for x in range(-cap, cap + 1):
         for y in _reference_solve(d, 1 - cheb_eval(d, x), small_values):
             (inside if x in small and y in small else exceptional).add((x, y))
-    return inside, exceptional
+    return frozenset(inside), frozenset(exceptional)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 40])
 def test_conjecture_scan_table_matches_reference(cap):
     # Caps 0 to 3 put the table's edge inside SMALL_SET and the candidates
-    # r, r + 1, where values past the table are evaluated directly.
-    for d in range(3, 81):
+    # r, r + 1 past it; cap 40 covers the benchmark's degrees.
+    for d in range(3, 221 if cap == 40 else 81):
         ev = conjecture_scan(d, cap)
         assert (ev.inside_points, ev.exceptional) == _reference_scan(d, cap), d
-    # X_d has no point with |y| >= 3 here, so solve values of T_d directly
-    # against an index over the window they come from.
-    for d in range(3, 81, 7):
-        index = {cheb_eval(d, y): y for y in range(3, cap + 4)}
-        small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
-        for y in range(cap + 4):
-            v = cheb_eval(d, y)
-            for t in (v, v - 1, v + 1, -v, -v + 1):
-                assert (_solve_cheb_value(d, t, small_values, index)
-                        == _reference_solve(d, t, small_values)), (d, t)
+
+
+def test_certificates_match_the_reference_scan():
+    # Brute-force completeness over d = 3..220: a proven certificate holds
+    # exactly the points the per-x solver finds, exceptional ones included;
+    # an open case holds exactly its inside points.
+    for d in range(3, 221):
+        cert = chebyshev_curve_points(d)
+        inside, exceptional = _reference_scan(d, 40)
+        proven = d % 3 == 0 or d % 4 == 0 or d % 5 == 0
+        assert cert.points == (inside | exceptional if proven else inside), d
+        assert (cert.status == "certified") == proven, d
 
 
 def test_conjecture_scan_evaluates_one_table(monkeypatch):
+    # A scan evaluates T_d at 0, 1, ..., cap + 1.  A proven case with points
+    # adds T_d and T_{d'} on {0, +-1, +-2}, five values each.
     calls = []
 
     def counted(d, x):
@@ -491,4 +470,9 @@ def test_conjecture_scan_evaluates_one_table(monkeypatch):
         for d in (3, 4, 7, 8, 25, 64, 199):
             calls.clear()
             conjecture_scan(d, cap)
-            assert len(calls) <= cap + 4, (d, cap, len(calls))
+            assert len(calls) == cap + 2, (d, cap, len(calls))
+        for d in (3, 4, 5, 7, 8, 10, 20, 25, 64, 100, 199, 200):
+            calls.clear()
+            chebyshev_curve_points(d, cap)
+            pulled_back = d % 3 != 0 and (d % 4 == 0 or d % 5 == 0)
+            assert len(calls) == cap + (12 if pulled_back else 2), (d, cap)
