@@ -23,12 +23,13 @@ few odd n >= 3 per curve with no preimage, each costing an exact n*G and
 two big square roots.
 
 Only the pairs still alive go on to the next prime, and each prime walks
-n*G mod l only up to the last live pair.  The rationals the sieve reduces
-are split into numerator and denominator once per call; inverses and
-square roots mod l are read from the tables of `exact._field_tables`,
-built once per process and kept for a bounded number of primes
-(`exact.FIELD_TABLE_CACHE`), and the group law and the test above run on
-plain ints with no call per pair.
+n*G mod l only up to the last live pair.  The pairs (T, 0) with T = O or
+x(T) = 0, which the test always keeps, are not tested at all.  The
+rationals the sieve reduces are split into numerator and denominator once
+per call; inverses and square roots mod l are read from the tables of
+`exact._field_tables`, built once per process and kept for a bounded
+number of primes (`exact.FIELD_TABLE_CACHE`), and the group law and the
+test above run on plain ints with no call per pair.
 
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve, and non-torsion for a rank-1 claim or torsion
@@ -223,12 +224,14 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     """alive[n][i] is False when some l in `primes` proves that neither
     n*G + T_i nor its negative has a phi_1-preimage, for 0 <= n <= N.
 
-    Only the live pairs (n, i) go from one prime to the next, and each prime
-    walks n*G mod l only up to the last live pair, the largest live n, or
-    up to the order of G mod l when that comes first.  Each rational is
-    reduced from its numerator and denominator, taken once per call, with
-    the inverse table of `exact._field_tables`, kept per process for at most
-    `exact.FIELD_TABLE_CACHE` primes.
+    The pairs (0, i) with T_i = O or x(T_i) = 0 are never tested: their R
+    is O or has x(R) = 0 mod every l, which the lemma always keeps.  Only
+    the other live pairs (n, i) go from one prime to the next, and each
+    prime walks n*G mod l only up to the last live pair, the largest live
+    n, or up to the order of G mod l when that comes first.  Each rational
+    is reduced from its numerator and denominator, taken once per call,
+    with the inverse table of `exact._field_tables`, kept per process for
+    at most `exact.FIELD_TABLE_CACHE` primes.
 
     Raises ValueError unless E is the companion curve of F (so a6 = 0) and
     every l is an odd prime of good reduction for E."""
@@ -237,34 +240,44 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
         raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
     den = math.lcm(E.a2.denominator, E.a4.denominator)
     disc = E.discriminant().numerator
-    # Every rational the sieve reduces, as (numerator, denominator) once per
-    # call: a2, a4 and a', then x and y of G and of each torsion point.  At
-    # l it is num * inv[den % l] % l.  A point whose x has l in its
-    # denominator is the identity mod l; otherwise l divides neither
-    # denominator, as a2 and a4 are l-integral.
-    coeffs = [(c.numerator, c.denominator) for c in (E.a2, E.a4, F.a_eff)]
-    points = [None if P is INF else
-              (P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator)
-              for P in (inp.generator, *inp.torsion)]
-    live = [(n, i) for n in range(N + 1) for i in range(len(inp.torsion))]
+    # Every rational the sieve reduces, as integers once per call: a2, a4
+    # and a' times their common denominator c, whose odd primes divide
+    # `den` (a2 = -4a'), so l never divides c; then x and y of G and of
+    # each torsion point as (numerator, denominator).  A point whose x has
+    # l in its denominator is the identity mod l; otherwise l divides
+    # neither denominator, as a2 and a4 are l-integral.
+    c = math.lcm(den, F.a_eff.denominator)
+    c2, c4, ca = (int(q * c) for q in (E.a2, E.a4, F.a_eff))
+    gen = None if inp.generator is INF else (
+        inp.generator.x.numerator, inp.generator.x.denominator,
+        inp.generator.y.numerator, inp.generator.y.denominator)
+    points = [None if T is INF else
+              (T.x.numerator, T.x.denominator, T.y.numerator, T.y.denominator)
+              for T in inp.torsion]
+    kept_always = [(0, i) for i, T in enumerate(inp.torsion)
+                   if T is INF or T.x == 0]
+    live = [(n, i) for n in range(N + 1) for i in range(len(inp.torsion))
+            if n or (0, i) not in kept_always]
     for ell in primes:
         if ell == 2 or not is_prime(ell) or den % ell == 0 or disc % ell == 0:
             raise ValueError(f"{ell} is not a prime > 2 of good reduction")
         if not live:
             continue
         inv, root = _field_tables(ell)
-        a2, a4, a = (num * inv[d % ell] % ell for num, d in coeffs)
-        G, *torsion = [None if P is None or P[1] % ell == 0 else
-                       (P[0] * inv[P[1] % ell] % ell, P[2] * inv[P[3] % ell] % ell)
-                       for P in points]
+        ic = inv[c % ell]
+        a2, a4, a = c2 * ic % ell, c4 * ic % ell, ca * ic % ell
+        torsion = [None if T is None or T[1] % ell == 0 else
+                   (T[0] * inv[T[1] % ell] % ell, T[2] * inv[T[3] % ell] % ell)
+                   for T in points]
         # n*G mod ell for n up to the largest live n (live is sorted by n),
         # or for n below the order of G mod ell when that is smaller.  The
         # chord-and-tangent law below and in the filter reads `inv` at a
         # nonzero entry only: x1 != x2, or a doubling with y1 != 0.
         multiples = [None]
-        if G is not None and live[-1][0]:
-            multiples.append(G)
-            (gx, gy), (x1, y1) = G, G
+        if gen is not None and live[-1][0] and gen[1] % ell:
+            gx, gy = gen[0] * inv[gen[1] % ell] % ell, gen[2] * inv[gen[3] % ell] % ell
+            multiples.append((gx, gy))
+            x1, y1, s = gx, gy, a2 + gx
             for _ in range(live[-1][0] - 1):
                 if x1 != gx:
                     lam = (gy - y1) * inv[(gx - x1) % ell] % ell
@@ -272,14 +285,16 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
                     lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * inv[2 * y1 % ell] % ell
                 else:
                     break                   # (n + 1)*G is the identity
-                x3 = (lam * lam - a2 - x1 - gx) % ell
+                x3 = (lam * lam - s - x1) % ell
                 x1, y1 = x3, (lam * (x1 - x3) - y1) % ell
                 multiples.append((x1, y1))
         order = len(multiples)
         # Keep (n, i) unless R = n*G + T_i passes the lemma of the module
         # docstring: R affine with X = x(R) != 0, and either -X/4 a
-        # non-square, or both (+-Y/t - 4a')/8 non-squares, t = root(-X/4).
+        # non-square, or both (+-Y/t - 4a')/8 non-squares, t = root(-X/4):
+        # with u = Y/(8t) and h = a'/2, those are +-u - h.
         quarter, eighth = inv[4 % ell], inv[8 % ell]
+        h = 4 * a * eighth
         kept = []
         for n, i in live:
             P, T = multiples[n % order], torsion[i]
@@ -300,13 +315,12 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
                 continue
             t = root[-R[0] * quarter % ell]
             if t >= 0:
-                yt = R[1] * inv[t]
-                if (root[(yt - 4 * a) * eighth % ell] >= 0
-                        or root[(-yt - 4 * a) * eighth % ell] >= 0):
+                u = R[1] * inv[t] * eighth
+                if root[(u - h) % ell] >= 0 or root[(-u - h) % ell] >= 0:
                     kept.append((n, i))
         live = kept
     alive = [[False] * len(inp.torsion) for _ in range(N + 1)]
-    for n, i in live:
+    for n, i in kept_always + live:
         alive[n][i] = True
     return alive
 

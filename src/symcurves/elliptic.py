@@ -7,8 +7,12 @@ h(p/q) = log max(|p|, |q|).  It is computed by splitting that limit into an
 archimedean part (a normalized float iteration of the duplication polynomials
 on directions, with a rigorous truncation bound) and exact p-adic content
 corrections at the finitely many primes where the duplication pair can
-acquire a common factor.  A literal big-integer doubling limit is also
-provided (`canonical_height_doubling`) as an independent, slower oracle.
+acquire a common factor.  The correction at a prime ell ends at the first
+doubling with no content at ell: that doubling starts from a point with
+nonsingular reduction mod ell, and those points form a subgroup, so no
+later doubling has content there either.  A literal big-integer doubling
+limit is also provided (`canonical_height_doubling`) as an independent,
+slower oracle.
 """
 
 from __future__ import annotations
@@ -457,11 +461,29 @@ class _HeightMachine:
         return h + arch - fin
 
     def _content_deltas(self, p0, q0, ell, e, prec, n_steps):
-        """The valuations at ell of the contents removed at each of n_steps
-        doublings of x = p0/q0, read from residues mod ell^prec, or None
-        when a step would start with e digits or fewer left: each step reads
-        a valuation up to e + 1 (e = v_ell of the content bound), and then
-        drops that many digits."""
+        """The valuations at ell of the contents removed at the doublings of
+        x = p0/q0, up to and including the first 0 and at most n_steps of
+        them, read from residues mod ell^prec, or None when a step would
+        start with e digits or fewer left: each step reads a valuation up to
+        e + 1 (e = v_ell of the content bound), and then drops that many
+        digits.
+
+        Every delta after the first 0 is 0, so the list stops there.  Write
+        P_k = 2^k P, x(P_k) = p/q with p, q coprime at ell, and N, D for the
+        duplication pair: N(x) = f'(x)^2 - (8x + 4a2) f(x), D(x) = 4 f(x).
+        The delta of step k + 1 is v_ell of the content of (N(p, q),
+        D(p, q)).  If ell | q, then N(p, q) = p^4 mod ell is a unit: no
+        content, and P_k reduces to O.  Otherwise x is ell-integral.  For
+        odd ell there is content exactly when f(x) = f'(x) = 0 mod ell,
+        that is, when P_k (whose y^2 = f(x)) reduces to a singular point.
+        At ell = 2, D is always even and N = (x^2 + a4)^2 mod 2, which is
+        even exactly when x = a4 mod 2, the x of the singular points mod 2.
+        So delta_{k+1} = 0 exactly when P_k lies in E0(Q_ell), the points
+        with nonsingular reduction on this integral model.  E0(Q_ell) is a
+        subgroup (Silverman, The Arithmetic of Elliptic Curves, VII.2.1; the
+        line argument there needs an integral model only, not a minimal
+        one), so P_j lies in it for every j >= k and every later delta is
+        0, which `height` would add nothing for."""
         mod = ell**prec
         w0, w1 = p0 % mod, q0 % mod
         deltas = []
@@ -472,11 +494,12 @@ class _HeightMachine:
             delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
             require(delta <= e, "duplication content exceeds its Bezout bound")
             deltas.append(delta)
-            if delta:
-                prec -= delta
-                mod //= ell**delta
-                w0 = (w0 // ell**delta) % mod
-                w1 = (w1 // ell**delta) % mod
+            if not delta:
+                break
+            prec -= delta
+            mod //= ell**delta
+            w0 = (w0 // ell**delta) % mod
+            w1 = (w1 // ell**delta) % mod
         return deltas
 
 

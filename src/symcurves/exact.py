@@ -253,24 +253,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def p_valuation(q, p: int):
-    """v_p(q) for rational q; returns math.inf for q = 0."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-
-    def v(n):
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k
-
-    return v(q.numerator) - v(q.denominator)
-
-
 def rational_sqrt(q):
     """The nonnegative rational square root of q, or None if q is not a
     square in Q."""

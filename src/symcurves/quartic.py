@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import factorize, is_squarefree, p_valuation, rational_sqrt, require
+from .exact import is_squarefree, rational_sqrt, require
 from .elliptic import INF, ECPoint, EllipticCurve
 
 
@@ -154,21 +154,20 @@ def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
 
 
 def kappa(a, b) -> Fraction:
-    """Product over all places of max(|1/4|_v, |a/4|_v, |a|_v, |b|_v).
+    """Product over all places of max(|1/4|_v, |a/4|_v, |a|_v, |b|_v), for
+    rationals a and b.
 
-    Only the archimedean place and primes dividing 2 or the numerators and
-    denominators of a, b contribute a factor different from 1.
+    At the archimedean place the factor is max(1/4, |a|, |b|).  At an odd
+    prime p the term 1/4 is a unit, so the factor is p^k with k the larger
+    of v_p(den a) and v_p(den b); at 2 it is 2^k with k the larger of
+    2 + v_2(den a) (from 1/4 and a/4) and v_2(den b).  Their product over
+    the primes is lcm(4 den(a), den(b)), which a = 0 or b = 0 leaves right
+    since den(0) = 1.
     """
-    a, b = Fraction(a), Fraction(b)
-    arch = max(Fraction(1, 4), abs(a) / 4, abs(a), abs(b))
-    primes = {2}
-    for q in (a, b):
-        if q != 0:
-            primes |= set(factorize(q.numerator))
-            primes |= set(factorize(q.denominator))
-    total = arch
-    terms = [Fraction(1, 4), a / 4, a, b]
-    for p in sorted(primes):
-        total *= max(Fraction(p) ** -p_valuation(t, p)
-                     for t in terms if t != 0)
-    return total
+    an, ad, bn, bd = abs(a.numerator), a.denominator, abs(b.numerator), b.denominator
+    num, den = 1, 4                     # the largest of 1/4, |a| and |b|
+    if an * den > num * ad:
+        num, den = an, ad
+    if bn * den > num * bd:
+        num, den = bn, bd
+    return Fraction(num * math.lcm(4 * ad, bd), den)

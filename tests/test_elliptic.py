@@ -657,13 +657,92 @@ def reference_content_deltas(machine, p0, q0, ell, e, n_steps):
     return out
 
 
-def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
-    # On the golden curves and the seeded back-solved ones, every delta
-    # sequence `height` uses equals the one-pass full-precision reference,
-    # and the short pass gives up, so that the second runs, on some rows.
-    from test_demjanenko import _random_back_solved_inputs
+def first_zero_prefix(deltas):
+    """The deltas up to and including the first 0, all of them if none is
+    0: what `height` reads at one bad prime."""
+    return deltas[:deltas.index(0) + 1] if 0 in deltas else deltas
+
+
+def reference_height(machine, p0, q0, tol):
+    """`height` as it was before its content loop stopped at the first 0:
+    the same archimedean series, and all n_steps deltas at each bad prime,
+    read in one pass by `reference_content_deltas`.  Returns hhat and the
+    rows (ell, e, deltas) of its finite part."""
+    total_const = machine.step_bound + (math.log(machine.content_bound)
+                                        if machine.content_bound > 1 else 0.0)
+    n_steps = max(3, math.ceil(math.log(total_const / (1.5 * tol)) / math.log(4)))
+    shift = max(abs(p0).bit_length(), abs(q0).bit_length()) - 500
+    if shift > 0:
+        f0, f1 = float(p0 >> shift) if p0 >= 0 else -float(-p0 >> shift), \
+                 float(q0 >> shift)
+    else:
+        f0, f1 = float(p0), float(q0)
+    m = max(abs(f0), abs(f1))
+    u0, u1 = f0 / m, f1 / m
+    h = exact.log_abs(max(abs(p0), abs(q0)))
+    weight = 1.0
+    arch = 0.0
+    for _ in range(n_steps):
+        weight /= 4.0
+        u0, u1, s = machine._arch_step(u0, u1)
+        arch += weight * s
+    fin = 0.0
+    rows = []
+    for ell in machine.bad_primes:
+        e = 0
+        cb = machine.content_bound
+        while cb % ell == 0:
+            cb //= ell
+            e += 1
+        deltas = reference_content_deltas(machine, p0, q0, ell, e, n_steps)
+        rows.append((ell, e, deltas))
+        weight = 1.0
+        for delta in deltas:
+            weight /= 4.0
+            if delta:
+                fin += weight * delta * math.log(ell)
+    return h + arch - fin, rows
+
+
+def _golden_height_points():
+    # The points of the heights golden corpus, on their companion curves.
     from test_heights_golden import CORPUS
 
+    return [(companion_curve(SymQuartic(Fraction(a), Fraction(b), int(alpha))),
+             point(*map(Fraction, gen.split(","))))
+            for a, b, alpha, gen in CORPUS if gen is not None]
+
+
+def _seeded_curve_points(seed, count):
+    """(E, kP, u) for k = 1..4 on `count` seeded integral curves, each built
+    through a chosen point P = (x0, y0) with a6 != 0.  30% of them are
+    rescaled to the non-minimal model (u^2 a2, u^4 a4, u^6 a6) with P at
+    (u^2 x0, u^3 y0), u in {2, 3, 4, 5, 6, 9}, the rest have u = 1; P of
+    finite order is skipped."""
+    rng = random.Random(seed)
+    out = []
+    curves = 0
+    while curves < count:
+        x0, y0 = rng.randint(-30, 30), rng.randint(1, 40)
+        a2, a4 = rng.randint(-30, 30), rng.randint(-30, 30)
+        a6 = y0 * y0 - ((x0 + a2) * x0 + a4) * x0
+        if a6 == 0:
+            continue
+        u = rng.choice((2, 3, 4, 5, 6, 9)) if rng.random() < 0.3 else 1
+        try:
+            E = EllipticCurve(a2 * u**2, a4 * u**4, a6 * u**6)
+        except ValueError:          # singular
+            continue
+        P = point(x0 * u**2, y0 * u**3)
+        if is_torsion(E, P):
+            continue
+        curves += 1
+        out += [(E, E.scalar_mul(k, P), u) for k in (1, 2, 3, 4)]
+    return out
+
+
+def _record_content_rows(monkeypatch):
+    # Every call of `_content_deltas`, with its arguments and its result.
     rows = []
     content_deltas = elliptic._HeightMachine._content_deltas
 
@@ -673,10 +752,19 @@ def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
         return deltas
 
     monkeypatch.setattr(elliptic._HeightMachine, "_content_deltas", recording)
-    for a, b, alpha, gen in CORPUS:
-        if gen is not None:
-            F = SymQuartic(Fraction(a), Fraction(b), int(alpha))
-            canonical_height(companion_curve(F), point(*map(Fraction, gen.split(","))))
+    return rows
+
+
+def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
+    # On the golden curves and the seeded back-solved ones, every delta
+    # sequence `height` uses is the first-zero prefix of the one-pass
+    # full-precision reference, and the short pass gives up, so that the
+    # second runs, on some rows.
+    from test_demjanenko import _random_back_solved_inputs
+
+    rows = _record_content_rows(monkeypatch)
+    for E, P in _golden_height_points():
+        canonical_height(E, P)
     for inp in _random_back_solved_inputs(11, 40):
         canonical_height(inp.E, inp.generator, 1e-8)
     short = second = 0
@@ -687,9 +775,89 @@ def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
         else:
             assert prec == (n_steps + 2) * e + 4 and deltas is not None
         if deltas is not None:
-            assert deltas == reference_content_deltas(machine, p0, q0, ell, e,
-                                                      n_steps), (ell, p0, q0)
+            assert deltas == first_zero_prefix(reference_content_deltas(
+                machine, p0, q0, ell, e, n_steps)), (ell, p0, q0)
     assert short > 100 and 0 < second == len(rows) - short
+
+
+def test_content_deltas_stop_at_the_first_zero(monkeypatch):
+    # At every bad prime, 2 included: the full-length reference has only
+    # zeros after its first 0 (the multiples have entered E0(Q_ell), a
+    # subgroup), and `height` reads exactly the prefix up to that 0.  On the
+    # golden points, the seeded back-solved inputs and P, ..., 4P on
+    # seeded curves with a6 != 0, some on non-minimal models.
+    from test_demjanenko import _random_back_solved_inputs
+
+    rows = _record_content_rows(monkeypatch)
+    for E, P in _golden_height_points():
+        canonical_height(E, P)
+    for inp in _random_back_solved_inputs(11, 40):
+        canonical_height(inp.E, inp.generator, 1e-8)
+    seeded = _seeded_curve_points(45, 1000)
+    scaled = set()
+    for E, P, u in seeded:
+        canonical_height(E, P)
+        if u > 1:
+            scaled.add(_machine_for(E))
+    stopped = at_two = nonzero = on_scaled = 0
+    for machine, p0, q0, ell, e, prec, n_steps, deltas in rows:
+        if deltas is None:
+            continue                # the short pass gave up; see its rerun
+        reference = reference_content_deltas(machine, p0, q0, ell, e, n_steps)
+        prefix = first_zero_prefix(reference)
+        assert not any(reference[len(prefix):]), (ell, p0, q0, reference)
+        assert deltas == prefix, (ell, p0, q0)
+        cut = len(prefix) < n_steps
+        stopped += cut
+        at_two += cut and ell == 2
+        on_scaled += cut and machine in scaled
+        nonzero += len(prefix) > 1
+    assert len(seeded) == 4000 and 250 < len(scaled) < 350
+    assert stopped > 10000 and at_two > 1000 and on_scaled > 2000
+    assert nonzero > 1000
+
+
+def expected_eval_pairs(e, deltas):
+    """The `_eval_pair` calls of `height` at one bad prime, from the
+    full-length deltas there: one per delta of the first-zero prefix (all
+    n_steps where none is 0), after the calls of a first pass at 2e + 2
+    digits that gives up because a step would start with e digits or fewer
+    left."""
+    prefix = first_zero_prefix(deltas)
+    prec = 2 * e + 2
+    for k, delta in enumerate(prefix):
+        if prec <= e:
+            return k + len(prefix)
+        prec -= delta
+    return len(prefix)
+
+
+def test_height_evaluates_the_pair_only_up_to_each_first_zero(monkeypatch):
+    # Over the heights golden corpus `canonical_height` calls `_eval_pair`
+    # once per delta of each first-zero prefix, plus the calls of a short
+    # pass that gives up, and no more: a loop that runs on past its proof
+    # fails here.  The heights are those of the full-length reference, bit
+    # for bit.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _eval_pair(*args)
+
+    monkeypatch.setattr(elliptic, "_eval_pair", counting)
+    expected = points = gave_up = 0
+    for E, P in _golden_height_points():
+        Ei, u = E.integral_model()
+        x = P.x * u * u
+        want, rows = reference_height(_machine_for(E), x.numerator,
+                                      x.denominator, 1e-8)
+        assert canonical_height(E, P, 1e-8) == want, (E, P)
+        expected += sum(expected_eval_pairs(e, deltas) for _, e, deltas in rows)
+        gave_up += sum(expected_eval_pairs(e, deltas) > len(first_zero_prefix(deltas))
+                       for _, e, deltas in rows)
+        points += 1
+    assert points == 35 and calls == expected < 400 and gave_up
 
 
 def test_duplication_numerator_has_no_cubic_term():

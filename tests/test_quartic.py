@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symcurves.elliptic import INF, EllipticCurve, point
+from symcurves.exact import factorize
 from symcurves.quartic import (
     QuarticPoint,
     SymQuartic,
@@ -14,6 +15,7 @@ from symcurves.quartic import (
     phi,
     phi_preimages,
 )
+from test_exact import p_valuation
 
 X4 = SymQuartic(-4, -3, 1)
 HASSE = SymQuartic(-4, -6, 1)
@@ -248,6 +250,41 @@ def test_kappa_rational_inputs():
     assert kappa(1, 1) == 4
     assert kappa(Fraction(1, 3), 1) == 4 * 3  # |a|_3 = 3 at v = 3
     assert kappa(0, 1) == 4
+
+
+def reference_kappa(a, b) -> Fraction:
+    """Reference: kappa as the library computed it before it read the
+    product off the denominators, one max of p^-v_p over the terms at each
+    prime of 2 and the numerators and denominators of a and b."""
+    a, b = Fraction(a), Fraction(b)
+    arch = max(Fraction(1, 4), abs(a) / 4, abs(a), abs(b))
+    primes = {2}
+    for q in (a, b):
+        if q != 0:
+            primes |= set(factorize(q.numerator))
+            primes |= set(factorize(q.denominator))
+    total = arch
+    terms = [Fraction(1, 4), a / 4, a, b]
+    for p in sorted(primes):
+        total *= max(Fraction(p) ** -p_valuation(t, p)
+                     for t in terms if t != 0)
+    return total
+
+
+def test_kappa_matches_the_valuation_reference():
+    # Seeded rationals n/d with |n| <= 200 and d <= 64, a = 0 and b < 0
+    # among them, as Fractions and as ints.
+    rng = random.Random(7)
+    cases = [(Fraction(rng.randint(-200, 200), rng.randint(1, 64)),
+              Fraction(rng.randint(-200, 200), rng.randint(1, 64)))
+             for _ in range(3000)]
+    cases += [(Fraction(0), Fraction(-n, d)) for n in range(1, 201, 7)
+              for d in (1, 2, 3, 4, 8, 12, 45, 64)]
+    cases += [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    assert sum(a == 0 for a, _ in cases) > 200
+    assert sum(b < 0 for _, b in cases) > 1500
+    for a, b in cases:
+        assert kappa(a, b) == reference_kappa(a, b), (a, b)
 
 
 def test_projective_height():
