@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -400,6 +401,13 @@ class ScanCache:
 # ---------------------------------------------------------------- driver
 
 
+# What each command's parser reads as a value although it starts with "-":
+# a minus sign, then a digit, or a point and a digit, as in -287/16 or
+# -36,-84.  argparse before Python 3.13 takes only plain negative numbers
+# for values, and any other such token for an unknown option.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symcurves",
@@ -460,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true",
                        help="emit the full JSON envelope")
+        p._negative_number_matcher = _NEGATIVE_VALUE
     ap.commands = sub.choices           # command name -> its own parser
     return ap
 

@@ -7,10 +7,13 @@ h(p/q) = log max(|p|, |q|).  It is computed by splitting that limit into an
 archimedean part (a normalized float iteration of the duplication polynomials
 on directions, with a rigorous truncation bound) and exact p-adic content
 corrections at the finitely many primes where the duplication pair can
-acquire a common factor.  The correction at a prime ell ends at the first
-doubling with no content at ell: that doubling starts from a point with
-nonsingular reduction mod ell, and those points form a subgroup, so no
-later doubling has content there either.  A literal big-integer doubling
+acquire a common factor.  Those primes, and the gap bounds, come from the
+pair's two Bezout identities, written out in the curve's coefficients and
+checked exactly.  The correction at a prime ell is read in one pass of
+residues mod a fixed power of ell, and ends at the first doubling with no
+content at ell: that doubling starts from a point with nonsingular
+reduction mod ell, and those points form a subgroup, so no later doubling
+has content there either.  A literal big-integer doubling
 limit is also provided (`canonical_height_doubling`) as an independent,
 slower oracle.
 """
@@ -24,7 +27,6 @@ from fractions import Fraction
 
 from .exact import (
     _field_tables,
-    bezout,
     factorize,
     integer_root,
     is_prime,
@@ -350,6 +352,29 @@ def _duplication_forms(E: EllipticCurve):
     return N, D
 
 
+def _bezout_cofactors(a2, a4, a6):
+    """(c, U, V, Ur, Vr): the Bezout identities U*N + V*D = c at q = 1 and
+    Ur*N + Vr*D = c at p = 1 of the duplication pair of x^3 + a2 x^2 +
+    a4 x + a6, written out.  c = 4 delta, where delta = 4a2^3 a6 -
+    a2^2 a4^2 - 18a2 a4 a6 + 4a4^3 + 27a6^2 is minus the discriminant of
+    the cubic.  U and V have 3 and 4 entries, the degrees of D and N at
+    q = 1; Ur and Vr have 4 each."""
+    c = 4 * (4 * a2**3 * a6 - a2 * a2 * a4 * a4 - 18 * a2 * a4 * a6
+             + 4 * a4**3 + 27 * a6 * a6)
+    s = 4 * a2 * a4 * a6 - a4**3 - 8 * a6 * a6
+    t = 8 * a2 * a2 * a4 * a6 - 2 * a2 * a4**3 - 20 * a2 * a6 * a6 + a4 * a4 * a6
+    return (c, (4 * (4 * a4 - a2 * a2), 8 * a2, 12),
+            (27 * a6 - 2 * a2 * a4, 5 * a4, a2, -3),
+            (c, -4 * t, 4 * (4 * a2 * a2 * a6 * a6 - 13 * a2 * a4 * a4 * a6
+                             + 3 * a4**4 + 22 * a4 * a6 * a6),
+             -12 * a6 * s),
+            (t, 16 * a2 * a2 * a6 * a6 - 24 * a2 * a4 * a4 * a6 + 5 * a4**4
+             + 32 * a4 * a6 * a6,
+             16 * a2**3 * a6 * a6 - 8 * a2 * a2 * a4 * a4 * a6 + a2 * a4**4
+             - 104 * a2 * a4 * a6 * a6 + 26 * a4**3 * a6 + 192 * a6**3,
+             -3 * (4 * a2 * a6 - a4 * a4) * s))
+
+
 def _bezout_data(N, D):
     """Certified constants for the duplication pair (N, D):
 
@@ -357,12 +382,31 @@ def _bezout_data(N, D):
     tuples as polynomials in p) and Ur*N + Vr*D = c_p at p = 1 (reversed,
     in q).  Any common divisor of (N(p,q), D(p,q)) for coprime (p, q)
     divides c_p * c_q.
-    """
-    at_q = bezout(N, D)
-    at_p = bezout(N[::-1], D[::-1])
-    require(at_q is not None and at_p is not None,
-            "duplication pair not coprime (singular curve?)")
-    return at_q + at_p
+
+    The identities are those of `_bezout_cofactors` at the a2, a4, a6 that
+    D = 4(a6, a4, a2, 1, 0) carries.  On each chart U has deg D and V has
+    deg N coefficients; under those bounds the solution is unique up to
+    scale, and each is divided by its content, with the sign that makes
+    c > 0.  Each identity is checked exactly against the N and D given
+    before it is used, so a pair with a common root (c = 0) fails."""
+    a6, a4, a2 = D[0] // 4, D[1] // 4, D[2] // 4
+    c, U, V, Ur, Vr = _bezout_cofactors(a2, a4, a6)
+    # Reversed, D and N have degree 4 unless a6 = 0 and a4^2 = 4a2 a6
+    # respectively, and then degree 3 (both at once is a singular curve);
+    # the entry that the lower degree drops is 0 there.
+    at_p = Ur[:4 if a6 else 3], Vr[:4 if a4 * a4 != 4 * a2 * a6 else 3]
+    out = ()
+    for (u, v), n, d in (((U, V), N, D), (at_p, N[::-1], D[::-1])):
+        lhs = [0] * (max(len(u) + len(n), len(v) + len(d)) - 1)
+        for f, g in ((u, n), (v, d)):
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    lhs[i + j] += x * y
+        require(c and lhs == [c] + [0] * (len(lhs) - 1),
+                "duplication pair not coprime (singular curve?)")
+        g = math.gcd(c, *u, *v) * (1 if c > 0 else -1)
+        out += (c // g, tuple(x // g for x in u), tuple(x // g for x in v))
+    return out
 
 
 def _machine_for(E: EllipticCurve):
@@ -390,9 +434,11 @@ class _HeightMachine:
         self.c_lower = -math.log(self.m_min) + math.log(self.content_bound)
         # |hhat - h| <= (step bound)/3 from the telescoping series.
         self.step_bound = max(self.c_upper, self.c_lower)
-        # Only the primes are used (`height` recounts each exponent), and
+        # (ell, e) for each prime ell of the content bound, e = v_ell(cp * cq):
         # factoring cp and cq apart is far cheaper than their product.
-        self.bad_primes = sorted(set(factorize(cp)) | set(factorize(cq)))
+        fp, fq = factorize(cp), factorize(cq)
+        self.bad_primes = sorted((ell, fp.get(ell, 0) + fq.get(ell, 0))
+                                 for ell in fp.keys() | fq.keys())
 
     def gap_bounds(self):
         """(sup(hhat - h), sup(h - hhat)) over all rational points."""
@@ -411,16 +457,7 @@ class _HeightMachine:
     def height(self, p0: int, q0: int, tol: float) -> float:
         """hhat of the point with x = p0/q0 to within tol: h(x), plus the
         archimedean series over n_steps normalized doublings, minus the
-        content removed at each bad prime ell, sum_k 4^-k delta_k log ell.
-
-        The deltas at ell are read in two passes.  With e = v_ell(content
-        bound), each delta_k <= e, and reading one needs e + 1 digits.  The
-        first pass carries 2e + 2 digits, enough for every row whose
-        contents stay small; if a step would start with e digits or fewer
-        left, it is dropped and ell is run again at (n_steps + 2)e + 4
-        digits, which no n_steps deltas of at most e each can use up.
-        Either pass reads exact valuations, so both give the same deltas,
-        and only the pass that finished adds its terms."""
+        content removed at each bad prime ell, sum_k 4^-k delta_k log ell."""
         total_const = self.step_bound + (math.log(self.content_bound)
                                          if self.content_bound > 1 else 0.0)
         n_steps = max(3, math.ceil(math.log(total_const / (1.5 * tol)) / math.log(4)))
@@ -442,16 +479,8 @@ class _HeightMachine:
             arch += weight * s
         # Finite part: exact content removal at the bad primes.
         fin = 0.0
-        for ell in self.bad_primes:
-            e = 0
-            cb = self.content_bound
-            while cb % ell == 0:
-                cb //= ell
-                e += 1
-            deltas = self._content_deltas(p0, q0, ell, e, 2 * e + 2, n_steps)
-            if deltas is None:
-                deltas = self._content_deltas(p0, q0, ell, e,
-                                              (n_steps + 2) * e + 4, n_steps)
+        for ell, e in self.bad_primes:
+            deltas = self._content_deltas(p0, q0, ell, e, n_steps)
             weight = 1.0
             log_ell = math.log(ell)
             for delta in deltas:
@@ -460,13 +489,13 @@ class _HeightMachine:
                     fin += weight * delta * log_ell
         return h + arch - fin
 
-    def _content_deltas(self, p0, q0, ell, e, prec, n_steps):
+    def _content_deltas(self, p0, q0, ell, e, n_steps):
         """The valuations at ell of the contents removed at the doublings of
         x = p0/q0, up to and including the first 0 and at most n_steps of
-        them, read from residues mod ell^prec, or None when a step would
-        start with e digits or fewer left: each step reads a valuation up to
-        e + 1 (e = v_ell of the content bound), and then drops that many
-        digits.
+        them, read from residues mod ell^((n_steps + 2)e + 4).  With e =
+        v_ell of the content bound, each step reads a valuation up to e + 1
+        and then drops delta <= e digits, so every step starts with at least
+        2e + 4 digits left.
 
         Every delta after the first 0 is 0, so the list stops there.  Write
         P_k = 2^k P, x(P_k) = p/q with p, q coprime at ell, and N, D for the
@@ -484,22 +513,21 @@ class _HeightMachine:
         line argument there needs an integral model only, not a minimal
         one), so P_j lies in it for every j >= k and every later delta is
         0, which `height` would add nothing for."""
-        mod = ell**prec
+        mod = ell ** ((n_steps + 2) * e + 4)
         w0, w1 = p0 % mod, q0 % mod
         deltas = []
         for _ in range(n_steps):
-            if prec <= e:
-                return None
             w0, w1 = _eval_pair(self.N, self.D, w0, w1, mod)
             delta = min(_val_capped(w0, ell, e), _val_capped(w1, ell, e))
             require(delta <= e, "duplication content exceeds its Bezout bound")
             deltas.append(delta)
             if not delta:
                 break
-            prec -= delta
-            mod //= ell**delta
-            w0 = (w0 // ell**delta) % mod
-            w1 = (w1 // ell**delta) % mod
+            # w0 and w1 lie in [0, mod) and are divisible by ell^delta, so
+            # their quotients are the residues mod mod // ell^delta.
+            step = ell**delta
+            mod //= step
+            w0, w1 = w0 // step, w1 // step
         return deltas
 
 

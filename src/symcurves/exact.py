@@ -4,9 +4,7 @@ arithmetic, and polynomials.
 Rationals are plain ``fractions.Fraction`` values, which are always kept
 in canonical form (reduced, positive denominator) by the standard library.
 Polynomials are `IntPoly`, or plain constant-first int tuples where only
-their coefficients are needed.  The integer Bezout identity (`bezout`) of
-two such tuples is one fraction-free linear solve of their Sylvester
-system, so nothing leaves Z.  `roots_mod_p` reduces f to a plain
+their coefficients are needed.  `roots_mod_p` reduces f to a plain
 coefficient list mod p and solves it by closed forms where it can.
 """
 
@@ -425,48 +423,6 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*{mono}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def bezout(a, b):
-    """(c, u, v) with u*a + v*b = c for constant-first int tuples a, b
-    (trailing zeros ignored): c > 0, (u, v, c) primitive, u of deg b and v
-    of deg a coefficients.  None when a and b share a root or one is zero;
-    ValueError when both are constant.
-
-    (u, v) is the unique solution of the Sylvester system of u*a + v*b = 1,
-    one equation per power of x.  Bareiss's fraction-free elimination (Math.
-    Comp. 22 (1968)), swapping rows at a zero pivot, ends on its determinant
-    d = +-Res(a, b), or on a column with no pivot (d = 0).  Back substitution
-    then finds d*(u, v), each division exact by Cramer's rule."""
-    a, b = IntPoly(a).coeffs, IntPoly(b).coeffs
-    m, n = len(a) - 1, len(b) - 1
-    if m == n == 0:
-        raise ValueError("bezout needs a non-constant polynomial")
-    size = m + n
-    # Row k is the equation at x^k: columns x^i*a (i < n), then x^j*b
-    # (j < m), then the right-hand side.
-    cols = [(i, a) for i in range(n)] + [(j, b) for j in range(m)]
-    rows = [[f[k - s] if 0 <= k - s < len(f) else 0 for s, f in cols] + [int(k == 0)]
-            for k in range(size)]
-    prev = 1
-    for k in range(size):
-        p = next((i for i in range(k, size) if rows[i][k]), None)
-        if p is None:
-            return None
-        rows[k], rows[p] = rows[p], rows[k]
-        top, pivot = rows[k], rows[k][k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, size + 1):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-        prev = pivot
-    w = [0] * size
-    for k in range(size - 1, -1, -1):
-        row = rows[k]
-        s = prev * row[size] - sum(row[j] * w[j] for j in range(k + 1, size))
-        w[k] = s // row[k]
-    g = math.gcd(prev, *w) * (1 if prev > 0 else -1)
-    return prev // g, tuple(x // g for x in w[:n]), tuple(x // g for x in w[n:])
 
 
 def roots_mod_p(f: IntPoly, p: int) -> set[int]:

@@ -898,14 +898,38 @@ def _outcome(entry, argv, capsys):
     [], ["--help"], ["cheb", "--help"], ["no-such-command"], ["cheb"],
     ["cheb", "20", "7"], ["cheb", "7", "--scan", "5"],
     ["quartic", "--generator=4,-16", "--", "-4", "-3", "1"],
+    ["quartic", "-8", "-287/16", "1", "--generator", "-25,60"],
+    ["heights", "-1", "84", "1", "--point", "-36,-84"],
+    ["heights", "-1", "84", "1", "--point", "-36,-84", "--bogus"],
 ], ids=["none", "help", "cheb-help", "unknown", "missing-positional",
-        "extra-argument", "abbreviation", "double-dash"])
+        "extra-argument", "abbreviation", "double-dash", "negative-fraction",
+        "negative-point", "unknown-option"])
 def test_command_parse_matches_the_top_level_parse(argv, capsys):
     # main parses with the named command's own parser; exit code, stdout
     # and stderr must be those of the top-level parse, byte for byte.
     got = _outcome(main, argv, capsys)
     assert got == _outcome(_reference_main, argv, capsys)
     assert got[1] or got[2]
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["quartic", "-8", "-287/16", "1", "--generator", "-25,60"],
+     ["quartic", "--generator=-25,60", "--json", "--", "-8", "-287/16", "1"]),
+    (["heights", "-1", "84", "1", "--point", "-36,-84"],
+     ["heights", "--point=-36,-84", "--json", "--", "-1", "84", "1"]),
+], ids=["quartic", "heights"])
+def test_negative_fractions_and_points_read_as_values(argv, written, capsys):
+    # A token that starts with "-" and a digit is a value, so each call
+    # prints the payload of its "=" and "--" form; an unknown option still
+    # exits 2.
+    code, out, _ = run(argv + ["--json"], capsys)
+    want_code, want, _ = run(written, capsys)
+    assert code == want_code == EXIT_OK
+    assert json.loads(out)["payload"] == json.loads(want)["payload"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-such-option"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, expected_code, stream, text", [

@@ -19,8 +19,9 @@ from symcurves.dynamics import (
     orbit_tail,
     shifted_intersection,
 )
-from symcurves.exact import IntPoly, bezout
+from symcurves.exact import IntPoly
 from test_chebyshev import _cheb_coeffs
+from test_elliptic import qpoly_ext_gcd
 from test_exact import derivative
 
 F_SQUARE_MINUS_2 = IntPoly([-2, 0, 1])
@@ -296,13 +297,17 @@ def test_nonsingular_criterion():
         nonsingular(1, Fraction(1))
 
 
+def _coprime(a, b):
+    # Reference: whether a and b share no root, by the extended Euclid over
+    # Fraction (the gcd it returns is monic).
+    return qpoly_ext_gcd(a.coeffs, b.coeffs)[0] == [1]
+
+
 def _critical_values(d):
-    # Reference: the s in {2, -2} with T_d - s and T_d' sharing a root, by
-    # the integer Bezout identity (None when they are not coprime).
+    # Reference: the s in {2, -2} with T_d - s and T_d' sharing a root.
     td = _cheb_coeffs(d)
     deriv = derivative(td)
-    return {s for s in (2, -2)
-            if bezout((td - IntPoly([s])).coeffs, deriv.coeffs) is None}
+    return {s for s in (2, -2) if not _coprime(td - IntPoly([s]), deriv)}
 
 
 def test_nonsingular_statement_by_critical_values():
@@ -314,8 +319,7 @@ def test_nonsingular_statement_by_critical_values():
         assert crits == ({-2} if d == 2 else {2, -2}), d
         td = _cheb_coeffs(d)
         for s in (1, -1, 0, 3):
-            assert bezout((td - IntPoly([s])).coeffs,
-                          derivative(td).coeffs) is not None
+            assert _coprime(td - IntPoly([s]), derivative(td))
         sums = {s + t for s in crits for t in crits}
         assert sums <= {0, 4, -4}
         for k in [Fraction(k) for k in range(-6, 7)] + [Fraction(1, 2)]:

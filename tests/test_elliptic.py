@@ -20,6 +20,7 @@ from symcurves.elliptic import (
     MAZUR_ORDER_CAP,
     ECPoint,
     EllipticCurve,
+    _bezout_cofactors,
     _bezout_data,
     _duplication_forms,
     _eval_pair,
@@ -427,7 +428,8 @@ def test_height_machine_bad_primes_are_those_of_the_content_bound():
     for a, b, alpha, _ in CORPUS:
         m = _machine_for(companion_curve(SymQuartic(Fraction(a), Fraction(b),
                                                     int(alpha))))
-        assert m.bad_primes == sorted(factorize(m.cp * m.cq)), (a, b, alpha)
+        assert m.bad_primes == sorted(factorize(m.cp * m.cq).items()), \
+            (a, b, alpha)
 
 
 def test_naive_height():
@@ -526,8 +528,8 @@ def test_generator_height_supports_verified_index_bound():
     assert (math.log(24) + math.log(192) + 2 * 9.62) / h <= 78
 
 
-# -- reference: the Bezout data as the toolkit computed it over Fraction
-# coefficient lists, before the integer `exact.bezout` --
+# -- reference: the Bezout data by the extended Euclid over Fraction
+# coefficient lists --
 
 
 def qpoly_trim(a):
@@ -615,12 +617,69 @@ def _random_integral_curves(rng, count):
     return out
 
 
+def _reversal_edge_curves(rng, count):
+    # Integral curves with a4^2 = 4 a2 a6, where N reversed drops to degree
+    # 3: a4 = 2m and a2 a6 = m^2.  Then a6 != 0, since a6 = 0 would force
+    # a4 = 0, a singular curve; the curves with a6 = 0, where D reversed
+    # drops to degree 3, are a quarter of `_random_integral_curves`.
+    out = []
+    while len(out) < count:
+        m = rng.choice((1, -1)) * rng.randint(1, 60)
+        d = rng.choice([d for d in range(1, m * m + 1) if m * m % d == 0])
+        a2 = rng.choice((1, -1)) * d
+        try:
+            out.append(EllipticCurve(a2, 2 * m, m * m // a2))
+        except ValueError:          # singular
+            continue
+    return out
+
+
 def test_bezout_data_matches_fraction_reference():
-    for E in _random_integral_curves(random.Random(2), 2000) + [Y_CURVE]:
-        cq, U, V, cp, Ur, Vr = _bezout_data(*_duplication_forms(E))
+    # Random curves, the a4^2 = 4 a2 a6 edge, the companion models of the
+    # quartic goldens and of the seeded back-solved inputs, and Y_CURVE.
+    # Each cofactor has as many entries as the other form has degree.
+    from test_demjanenko import _random_back_solved_inputs
+    from test_quartic_golden import CORPUS
+
+    edge = _reversal_edge_curves(random.Random(46), 300)
+    golden = [companion_curve(SymQuartic(Fraction(a), Fraction(b), 1))
+              for a, b, _, _ in CORPUS]
+    seeded = [inp.E for inp in _random_back_solved_inputs(11, 40)]
+    curves = (_random_integral_curves(random.Random(2), 2000) + edge + golden
+              + seeded + [Y_CURVE])
+    assert len(golden) == 30 and len(seeded) == 40
+    assert sum(E.a6 == 0 for E in curves) > 400
+    for E in curves:
+        E = E.integral_model()[0]
+        N, D = _duplication_forms(E)
+        cq, U, V, cp, Ur, Vr = got = _bezout_data(N, D)
+        degree = [len(IntPoly(f).coeffs) - 1 for f in (D, N, D[::-1], N[::-1])]
+        assert [len(U), len(V), len(Ur), len(Vr)] == degree, E
         got = (cq, list(IntPoly(U).coeffs), list(IntPoly(V).coeffs),
                cp, list(IntPoly(Ur).coeffs), list(IntPoly(Vr).coeffs))
         assert got == reference_bezout_data(E), E
+
+
+def test_bezout_cofactors_are_identities_in_the_coefficients():
+    # With a2, a4, a6 and x as symbols, u*N + v*D - 4 delta is the zero
+    # polynomial on both charts, for N = f'(x)^2 - (8x + 4a2) f(x) and
+    # D = 4 f(x) built from f here, and 4 delta is -4 disc(f).
+    sympy = pytest.importorskip("sympy")
+    a2, a4, a6, x = sympy.symbols("a2 a4 a6 x")
+    f = x**3 + a2 * x**2 + a4 * x + a6
+    N = sympy.expand(sympy.diff(f, x)**2 - (8 * x + 4 * a2) * f)
+    D = 4 * f
+    c, U, V, Ur, Vr = _bezout_cofactors(a2, a4, a6)
+    assert sympy.expand(c + 4 * sympy.discriminant(f, x)) == 0
+
+    def poly(coeffs):
+        return sum(k * x**i for i, k in enumerate(coeffs))
+
+    def reverse(g):                 # x^4 g(1/x): the chart p = 1, in q = x
+        return sympy.expand(x**4 * g.subs(x, 1 / x))
+
+    assert sympy.expand(poly(U) * N + poly(V) * D - c) == 0
+    assert sympy.expand(poly(Ur) * reverse(N) + poly(Vr) * reverse(D) - c) == 0
 
 
 def test_eval_pair_matches_the_sums_written_out():
@@ -641,8 +700,8 @@ def test_eval_pair_matches_the_sums_written_out():
 
 
 def reference_content_deltas(machine, p0, q0, ell, e, n_steps):
-    """The content valuations at ell of `height`'s finite part, all read in
-    one pass at (n_steps + 2)e + 4 digits, as before the two-pass rule."""
+    """The content valuations at ell of `height`'s finite part, all
+    n_steps of them, read at (n_steps + 2)e + 4 digits."""
     mod = ell ** ((n_steps + 2) * e + 4)
     w0, w1 = p0 % mod, q0 % mod
     out = []
@@ -688,7 +747,7 @@ def reference_height(machine, p0, q0, tol):
         arch += weight * s
     fin = 0.0
     rows = []
-    for ell in machine.bad_primes:
+    for ell, _ in machine.bad_primes:
         e = 0
         cb = machine.content_bound
         while cb % ell == 0:
@@ -746,20 +805,27 @@ def _record_content_rows(monkeypatch):
     rows = []
     content_deltas = elliptic._HeightMachine._content_deltas
 
-    def recording(machine, p0, q0, ell, e, prec, n_steps):
-        deltas = content_deltas(machine, p0, q0, ell, e, prec, n_steps)
-        rows.append((machine, p0, q0, ell, e, prec, n_steps, deltas))
+    def recording(machine, p0, q0, ell, e, n_steps):
+        deltas = content_deltas(machine, p0, q0, ell, e, n_steps)
+        rows.append((machine, p0, q0, ell, e, n_steps, deltas))
         return deltas
 
     monkeypatch.setattr(elliptic._HeightMachine, "_content_deltas", recording)
     return rows
 
 
-def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
+def drops_past_a_short_pass(e, prefix):
+    """Whether reading `prefix` drops e + 2 or more digits before its last
+    step: a pass carrying only 2e + 2 digits would start that step with e
+    or fewer left, too few to read a valuation up to e + 1."""
+    return sum(prefix[:-1]) >= e + 2
+
+
+def test_one_pass_content_deltas_equal_the_reference_prefixes(monkeypatch):
     # On the golden curves and the seeded back-solved ones, every delta
-    # sequence `height` uses is the first-zero prefix of the one-pass
-    # full-precision reference, and the short pass gives up, so that the
-    # second runs, on some rows.
+    # sequence `height` uses is the first-zero prefix of the full-length
+    # reference, also on rows that drop more digits than a pass at 2e + 2
+    # digits could spare.
     from test_demjanenko import _random_back_solved_inputs
 
     rows = _record_content_rows(monkeypatch)
@@ -767,17 +833,12 @@ def test_two_pass_content_deltas_equal_the_full_precision_ones(monkeypatch):
         canonical_height(E, P)
     for inp in _random_back_solved_inputs(11, 40):
         canonical_height(inp.E, inp.generator, 1e-8)
-    short = second = 0
-    for machine, p0, q0, ell, e, prec, n_steps, deltas in rows:
-        if prec == 2 * e + 2:
-            short += 1
-            second += deltas is None
-        else:
-            assert prec == (n_steps + 2) * e + 4 and deltas is not None
-        if deltas is not None:
-            assert deltas == first_zero_prefix(reference_content_deltas(
-                machine, p0, q0, ell, e, n_steps)), (ell, p0, q0)
-    assert short > 100 and 0 < second == len(rows) - short
+    deep = 0
+    for machine, p0, q0, ell, e, n_steps, deltas in rows:
+        assert deltas == first_zero_prefix(reference_content_deltas(
+            machine, p0, q0, ell, e, n_steps)), (ell, p0, q0)
+        deep += drops_past_a_short_pass(e, deltas)
+    assert len(rows) > 100 and deep
 
 
 def test_content_deltas_stop_at_the_first_zero(monkeypatch):
@@ -800,9 +861,7 @@ def test_content_deltas_stop_at_the_first_zero(monkeypatch):
         if u > 1:
             scaled.add(_machine_for(E))
     stopped = at_two = nonzero = on_scaled = 0
-    for machine, p0, q0, ell, e, prec, n_steps, deltas in rows:
-        if deltas is None:
-            continue                # the short pass gave up; see its rerun
+    for machine, p0, q0, ell, e, n_steps, deltas in rows:
         reference = reference_content_deltas(machine, p0, q0, ell, e, n_steps)
         prefix = first_zero_prefix(reference)
         assert not any(reference[len(prefix):]), (ell, p0, q0, reference)
@@ -817,27 +876,13 @@ def test_content_deltas_stop_at_the_first_zero(monkeypatch):
     assert nonzero > 1000
 
 
-def expected_eval_pairs(e, deltas):
-    """The `_eval_pair` calls of `height` at one bad prime, from the
-    full-length deltas there: one per delta of the first-zero prefix (all
-    n_steps where none is 0), after the calls of a first pass at 2e + 2
-    digits that gives up because a step would start with e digits or fewer
-    left."""
-    prefix = first_zero_prefix(deltas)
-    prec = 2 * e + 2
-    for k, delta in enumerate(prefix):
-        if prec <= e:
-            return k + len(prefix)
-        prec -= delta
-    return len(prefix)
-
-
 def test_height_evaluates_the_pair_only_up_to_each_first_zero(monkeypatch):
     # Over the heights golden corpus `canonical_height` calls `_eval_pair`
-    # once per delta of each first-zero prefix, plus the calls of a short
-    # pass that gives up, and no more: a loop that runs on past its proof
-    # fails here.  The heights are those of the full-length reference, bit
-    # for bit.
+    # once per delta of each first-zero prefix (all n_steps where none is
+    # 0), and no more: a loop that runs on past its proof, or reads a row
+    # twice, fails here.  The corpus has rows that drop more digits than a
+    # pass at 2e + 2 digits could spare.  The heights are those of the
+    # full-length reference, bit for bit.
     calls = 0
 
     def counting(*args):
@@ -846,18 +891,18 @@ def test_height_evaluates_the_pair_only_up_to_each_first_zero(monkeypatch):
         return _eval_pair(*args)
 
     monkeypatch.setattr(elliptic, "_eval_pair", counting)
-    expected = points = gave_up = 0
+    expected = points = deep = 0
     for E, P in _golden_height_points():
         Ei, u = E.integral_model()
         x = P.x * u * u
         want, rows = reference_height(_machine_for(E), x.numerator,
                                       x.denominator, 1e-8)
         assert canonical_height(E, P, 1e-8) == want, (E, P)
-        expected += sum(expected_eval_pairs(e, deltas) for _, e, deltas in rows)
-        gave_up += sum(expected_eval_pairs(e, deltas) > len(first_zero_prefix(deltas))
-                       for _, e, deltas in rows)
+        prefixes = [(e, first_zero_prefix(deltas)) for _, e, deltas in rows]
+        expected += sum(len(prefix) for _, prefix in prefixes)
+        deep += sum(drops_past_a_short_pass(e, prefix) for e, prefix in prefixes)
         points += 1
-    assert points == 35 and calls == expected < 400 and gave_up
+    assert points == 35 and calls == expected < 400 and deep
 
 
 def test_duplication_numerator_has_no_cubic_term():

@@ -11,7 +11,6 @@ from symcurves.exact import (
     _pollard_rho,
     _sqrt_mod_p,
     _tonelli_shanks_constants,
-    bezout,
     factorize,
     integer_root,
     is_prime,
@@ -473,83 +472,6 @@ def test_intpoly_basics():
     assert derivative(IntPoly([7])) == IntPoly([0])
     g = IntPoly([1, 1])
     assert (f * g).degree == 5
-
-
-def _random_poly(rng, deg, lo=-9, hi=9):
-    co = [rng.randint(lo, hi) for _ in range(deg)]
-    return IntPoly(co + [rng.choice((1, -1)) * rng.randint(1, hi)])
-
-
-def test_bezout_identity_degrees_and_normalisation():
-    rng = random.Random(5)
-    checked = 0
-    for _ in range(600):
-        a = _random_poly(rng, rng.randint(0, 6), -40, 40).coeffs
-        b = _random_poly(rng, rng.randint(1, 6), -40, 40).coeffs
-        if rng.random() < 0.5:
-            a, b = b, a
-        got = bezout(a, b)
-        if got is None:
-            continue
-        c, u, v = got
-        assert c > 0
-        assert IntPoly(u) * IntPoly(a) + IntPoly(v) * IntPoly(b) == IntPoly([c])
-        assert (len(u), len(v)) == (len(b) - 1, len(a) - 1)
-        assert math.gcd(c, *u, *v) == 1
-        checked += 1
-    assert checked > 500
-    # Trailing zeros are not part of the degree.
-    assert bezout((1, 0, 1, 0), (0, 1, 0, 0)) == bezout((1, 0, 1), (0, 1))
-    # A constant partner: u has no coefficient and v = sign(b), so that
-    # c = |b|.
-    assert bezout((1, 0, 1), (-6,)) == (6, (), (-1, 0))
-    with pytest.raises(ValueError):
-        bezout((2,), (3,))
-    with pytest.raises(ValueError):
-        bezout((2, 0), (0,))
-
-
-def test_bezout_none_on_a_common_root():
-    rng = random.Random(6)
-    for _ in range(300):
-        g = _random_poly(rng, rng.randint(1, 3))
-        a = (g * _random_poly(rng, rng.randint(0, 4))).coeffs
-        b = (g * _random_poly(rng, rng.randint(0, 4))).coeffs
-        assert bezout(a, b) is None
-        assert bezout(b, a) is None
-    assert bezout((1, 1), (0,)) is None
-    assert bezout((0, 0), (1, 1)) is None
-    # Coprime over Q although both contents are 2: (1 - x)(2 + 2x) + (2 + 2x^2) = 4.
-    assert bezout((2, 2), (2, 0, 2)) == (4, (1, -1), (1,))
-
-
-def test_bezout_matches_the_fraction_extended_euclid():
-    # Random pairs of degree 0-6, a third of them with a forced common
-    # factor, against the extended Euclid over Fraction and its scaling to
-    # the least integer c > 0.
-    from test_elliptic import integerize, qpoly_ext_gcd
-
-    rng = random.Random(36)
-    coprime = common = 0
-    for _ in range(1500):
-        a = _random_poly(rng, rng.randint(0, 6), -30, 30)
-        b = _random_poly(rng, rng.randint(0, 6), -30, 30)
-        if a.degree == b.degree == 0:
-            continue
-        if rng.random() < 0.33:
-            g = _random_poly(rng, rng.randint(1, 2), -5, 5)
-            a, b = g * a, g * b
-        got = bezout(a.coeffs, b.coeffs)
-        gcd, u, v = qpoly_ext_gcd(a.coeffs, b.coeffs)
-        if gcd != [1]:
-            assert got is None, (a, b)
-            common += 1
-            continue
-        c, u_int, v_int = got
-        assert (c, list(IntPoly(u_int).coeffs), list(IntPoly(v_int).coeffs)) == \
-            integerize(u, v), (a, b)
-        coprime += 1
-    assert coprime > 800 and common > 400
 
 
 def test_log_abs_large():
