@@ -98,11 +98,16 @@ def _point_list(cert) -> list:
     return [[rat(x), rat(y)] for x, y in cert.sorted_points()]
 
 
-def _parse_point(text: str):
+def _parse_pair(text: str, usage: str) -> tuple[Fraction, Fraction]:
+    # The two rationals of "X,Y" text; ValueError(usage) unless two are given.
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError("point must be given as X,Y")
-    return point(Fraction(parts[0]), Fraction(parts[1]))
+        raise ValueError(usage)
+    return Fraction(parts[0]), Fraction(parts[1])
+
+
+def _parse_point(text: str):
+    return point(*_parse_pair(text, "point must be given as X,Y"))
 
 
 # ---------------------------------------------------------------- commands
@@ -111,7 +116,7 @@ def _parse_point(text: str):
 def cmd_quartic(args) -> tuple[dict, int]:
     F = SymQuartic(Fraction(args.a), Fraction(args.b), args.alpha)
     gen = _parse_point(args.generator) if args.generator else None
-    cert = determine_points(F, gen, rank_claim=args.rank, tol=args.tol)
+    cert = determine_points(F, gen, rank_claim=args.rank)
     payload = {
         "points": _point_list(cert),
         "count": len(cert.points),
@@ -258,7 +263,7 @@ def _tail_payload(tail) -> dict:
 
 def cmd_orbit(args) -> tuple[dict, int]:
     f = IntPoly([int(c) for c in args.f.split(",")])
-    u, v = (Fraction(x) for x in args.shift.split(","))
+    u, v = _parse_pair(args.shift, "shift must be given as U,V")
     pm = PolyMap(f, u, v)
     tail_a = orbit_tail(pm, args.n, Fraction(args.alpha), args.horizon)
     tail_b = orbit_tail(pm, args.n, Fraction(args.beta), args.horizon)
@@ -423,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--generator", help="X,Y generator of the free part")
     q.add_argument("--rank", type=int, default=1, choices=(0, 1),
                    help="externally certified rank bound")
-    q.add_argument("--tol", type=float, default=1e-8)
     q.set_defaults(func=cmd_quartic)
 
     c = sub.add_parser("cheb", help="rational points of T_d(x) + T_d(y) = 1")

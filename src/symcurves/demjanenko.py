@@ -46,19 +46,12 @@ from fractions import Fraction
 from .elliptic import (
     INF,
     EllipticCurve,
+    _good_odd_primes,
     _nontorsion_height,
-    _require_tol,
     height_gap_bounds,
     torsion_subgroup,
 )
-from .exact import (
-    _SIEVE_LIMIT,
-    _TRIAL_PRIMES,
-    _field_tables,
-    is_prime,
-    rational_sqrt,
-    require,
-)
+from .exact import _field_tables, is_prime, rational_sqrt, require
 from .quartic import (
     QuarticPoint,
     SymQuartic,
@@ -78,6 +71,10 @@ VERIFIED_WINDOW_FLOOR = 40
 
 # The residue sieve works modulo this many odd primes of good reduction.
 SIEVE_PRIME_COUNT = 48
+
+# hhat(G) is computed to within this tolerance.  It is fixed: the
+# certificate does not record it, and `index_bound` reads hhat(G) as exact.
+HEIGHT_TOL = 1e-8
 
 
 @dataclass
@@ -106,13 +103,11 @@ class PointCertificate:
         return sorted(self.points, key=tuple)
 
 
-def build_input(F: SymQuartic, generator, rank_claim: int,
-                tol: float = 1e-8) -> DemjanenkoInput:
+def build_input(F: SymQuartic, generator, rank_claim: int) -> DemjanenkoInput:
     """Assemble the enumeration input from a quartic, an externally
     certified rank claim, and (for rank 1) a generator of the free part.
     A generator given with a rank-0 claim is checked too: it must be on the
     companion curve and in its torsion subgroup, which is listed complete."""
-    _require_tol(tol)
     if rank_claim not in (0, 1):
         raise ValueError("rank claim must be 0 or 1 for this method")
     E = companion_curve(F)
@@ -135,7 +130,7 @@ def build_input(F: SymQuartic, generator, rank_claim: int,
     if generator in torsion:
         raise ValueError("generator is torsion; rank-1 claim inconsistent")
     # Both checks of canonical_height were just made; do not repeat them.
-    hhat = _nontorsion_height(E, generator, tol)
+    hhat = _nontorsion_height(E, generator, HEIGHT_TOL)
     return DemjanenkoInput(F, E, generator, torsion, 1, hhat, gap_up, gap_low, phi_gap)
 
 
@@ -205,19 +200,8 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
 
 
 def _sieve_primes(E: EllipticCurve) -> list[int]:
-    """The first SIEVE_PRIME_COUNT odd primes dividing neither a coefficient
-    denominator of E (a6 = 0) nor the numerator of its discriminant."""
-    den = math.lcm(E.a2.denominator, E.a4.denominator)
-    disc = E.discriminant().numerator
-    # The odd primes of `exact`'s sieve table, then any beyond it.
-    odd_primes = itertools.chain(
-        _TRIAL_PRIMES[1:], filter(is_prime, itertools.count(_SIEVE_LIMIT + 1, 2)))
-    primes = []
-    for ell in odd_primes:
-        if den % ell and disc % ell:
-            primes.append(ell)
-            if len(primes) == SIEVE_PRIME_COUNT:
-                return primes
+    """The first SIEVE_PRIME_COUNT good odd primes of E."""
+    return list(itertools.islice(_good_odd_primes(E), SIEVE_PRIME_COUNT))
 
 
 def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
@@ -374,11 +358,11 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
     )
 
 
-def determine_points(F: SymQuartic, generator=None, rank_claim: int = 1,
-                     tol: float = 1e-8) -> PointCertificate:
+def determine_points(F: SymQuartic, generator=None,
+                     rank_claim: int = 1) -> PointCertificate:
     """Full pipeline: bounds, window, enumeration, certificate.  Over-covering
     is always sound, so rank-1 windows are floored at the verified 40."""
-    inp = build_input(F, generator, rank_claim, tol)
+    inp = build_input(F, generator, rank_claim)
     B = index_bound(inp)
     N = max(n_window(B), VERIFIED_WINDOW_FLOOR) if inp.rank_claim == 1 else 0
     return enumerate_and_pull_back(inp, N)

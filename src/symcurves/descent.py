@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass
 
 from .exact import (
-    IntPoly,
+    _horner,
     _roots_fp,
     factorize,
     is_prime,
     legendre_symbol,
     require,
     require_odd_prime,
-    roots_mod_p,
 )
 from .localglobal import everywhere_locally_solvable
 
@@ -26,8 +25,6 @@ from .localglobal import everywhere_locally_solvable
 # concludes "no rational points"; at or below it the same verdict is
 # reported as a candidate only.  Carried as an opaque gate.
 EXPLICIT_PARITY_THRESHOLD = 3 * 10**74
-
-QUARTIC_RESIDUE_POLY = IntPoly([2, 0, -4, 0, 1])  # x^4 - 4x^2 + 2
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,6 @@ def _local_class(d: int, place):
         d //= place
         v += 1
     return v & 1, pow(d, (place - 1) // 2, place) == 1
-
-
-def _horner(f: tuple, z: int) -> int:
-    # f(z) for the coefficient tuple f, constant term first.
-    acc = 0
-    for x in reversed(f):
-        acc = acc * z + x
-    return acc
 
 
 def _shift_scale(f: tuple, r: int, s: int) -> list:
@@ -339,10 +328,19 @@ def selmer_rank_bound(p: int) -> int:
 
 
 def quartic_residue_criterion(p: int) -> bool:
-    """Whether x^4 - 4x^2 + 2 has a root mod p (equivalent to
-    p = +-1 mod 16; the splitting criterion used at the place p)."""
+    """Whether x^4 - 4x^2 + 2 has a root mod p, the splitting criterion
+    used at the place p; it does exactly when p = +-1 mod 16.
+
+    Proof: x^4 - 4x^2 + 2 is the minimal polynomial of 2cos(pi/8).  Its
+    field Q(zeta_16)^+ is Galois over Q, cyclic of degree 4 (the group
+    (Z/16)*/{+-1}), and unramified at odd p.  The discriminant of the
+    polynomial is 2^11, so at odd p its factorization mod p is that of p
+    (Dedekind-Kummer), and a root mod p is a prime above p of degree 1.
+    The group is abelian, so Frobenius at p fixes one root, hence every
+    root: p splits completely, which means p = +-1 in (Z/16)*.  Conversely
+    such a p splits completely, and the polynomial has four roots mod p."""
     require_odd_prime(p)
-    return bool(roots_mod_p(QUARTIC_RESIDUE_POLY, p))
+    return p % 16 in (1, 15)
 
 
 @dataclass

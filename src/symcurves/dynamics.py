@@ -56,9 +56,6 @@ class OrbitTail:
     cycled: bool
     cut: bool = False       # stopped before a value past TAIL_BIT_CAP
 
-    def as_set(self) -> set:
-        return set(self.values)
-
 
 def _too_big(x: Fraction) -> bool:
     return max(x.numerator.bit_length(),
@@ -105,7 +102,7 @@ def shifted_intersection(pm: PolyMap, ta: OrbitTail, tb: OrbitTail):
     """(L(ta) intersect tb, exact_flag) for the tails of O_{f,n}(alpha) and
     O_{f,n}(beta); exact when both orbits were detected periodic."""
     shifted = {pm.shift(x) for x in ta.values}
-    return shifted & tb.as_set(), ta.cycled and tb.cycled
+    return shifted & set(tb.values), ta.cycled and tb.cycled
 
 
 @lru_cache(maxsize=1)

@@ -20,12 +20,15 @@ slower oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    _SIEVE_LIMIT,
+    _TRIAL_PRIMES,
     _field_tables,
     factorize,
     integer_root,
@@ -200,20 +203,23 @@ def count_points_mod_p(E: EllipticCurve, p: int) -> int:
     return count
 
 
+def _good_odd_primes(E: EllipticCurve):
+    """The odd primes, in increasing order, dividing neither a coefficient
+    denominator of E nor the numerator of its discriminant: those of
+    `exact`'s sieve table, then any beyond it."""
+    den = math.lcm(E.a2.denominator, E.a4.denominator, E.a6.denominator)
+    disc = E.discriminant().numerator
+    odd_primes = itertools.chain(
+        _TRIAL_PRIMES[1:], filter(is_prime, itertools.count(_SIEVE_LIMIT + 1, 2)))
+    return (ell for ell in odd_primes if den % ell and disc % ell)
+
+
 def _torsion_multiple_bound(E: EllipticCurve) -> int:
     """gcd of #E(F_p) over the first ten good odd primes; a multiple of
     #E(Q)_tors."""
     g = 0
-    p, found = 3, 0
-    while found < 10:
-        try:
-            n = count_points_mod_p(E, p)
-        except ValueError:
-            p += 2
-            continue
-        g = math.gcd(g, n)
-        found += 1
-        p += 2
+    for p in itertools.islice(_good_odd_primes(E), 10):
+        g = math.gcd(g, count_points_mod_p(E, p))
         if g == 1:
             break
     return g
@@ -423,15 +429,14 @@ class _HeightMachine:
     def __init__(self, E: EllipticCurve):
         self.N, self.D = N, D = _duplication_forms(E)
         cq, U, V, cp, Ur, Vr = _bezout_data(N, D)
-        self.cq, self.cp = cq, cp
         self.content_bound = cp * cq
         sum_uv = sum(map(abs, U + V))
         sum_uvr = sum(map(abs, Ur + Vr))
         # Lower bound for max(|N|, |D|) on the max-norm unit sphere.
-        self.m_min = min(cq / sum_uv, cp / sum_uvr)
-        self.g_sum = max(sum(map(abs, N)), sum(map(abs, D)))
-        self.c_upper = math.log(self.g_sum)
-        self.c_lower = -math.log(self.m_min) + math.log(self.content_bound)
+        m_min = min(cq / sum_uv, cp / sum_uvr)
+        g_sum = max(sum(map(abs, N)), sum(map(abs, D)))
+        self.c_upper = math.log(g_sum)
+        self.c_lower = -math.log(m_min) + math.log(self.content_bound)
         # |hhat - h| <= (step bound)/3 from the telescoping series.
         self.step_bound = max(self.c_upper, self.c_lower)
         # (ell, e) for each prime ell of the content bound, e = v_ell(cp * cq):

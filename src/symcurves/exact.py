@@ -3,9 +3,9 @@ arithmetic, and polynomials.
 
 Rationals are plain ``fractions.Fraction`` values, which are always kept
 in canonical form (reduced, positive denominator) by the standard library.
-Polynomials are `IntPoly`, or plain constant-first int tuples where only
-their coefficients are needed.  `roots_mod_p` reduces f to a plain
-coefficient list mod p and solves it by closed forms where it can.
+Polynomials are plain constant-first int tuples, evaluated by `_horner`
+and, over F_p, solved by `_roots_fp` with closed forms where it can.
+`IntPoly` wraps such a tuple as the map of `dynamics.PolyMap`.
 """
 
 from __future__ import annotations
@@ -349,8 +349,22 @@ def log_abs(n) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
+def _horner(f: tuple, z):
+    # f(z) for the coefficient tuple f, constant term first.
+    acc = 0
+    for x in reversed(f):
+        acc = acc * z + x
+    return acc
+
+
 class IntPoly:
-    """Dense integer polynomial; coefficients indexed by degree."""
+    """Dense integer polynomial; coefficients indexed by degree.
+
+    Each member has a reader: `coeffs`, `degree` and `__call__` for
+    `dynamics.PolyMap`; `__eq__` and `__hash__` for the equality and hash
+    that the frozen `PolyMap` dataclass generates; and `eval_mod`, which
+    has no caller in the package, only while the benchmark tracer wraps it
+    and `__call__` by name."""
 
     __slots__ = ("coeffs",)
 
@@ -365,10 +379,7 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def eval_mod(self, x: int, m: int) -> int:
         acc = 0
@@ -376,68 +387,11 @@ class IntPoly:
             acc = (acc * x + c) % m
         return acc
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    def __sub__(self, other):
-        return self + IntPoly([-c for c in other.coeffs])
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0 and self.degree > 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                mono = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
-        return " + ".join(terms).replace("+ -", "- ")
-
-
-def roots_mod_p(f: IntPoly, p: int) -> set[int]:
-    """All residues r in [0, p) with f(r) = 0 mod p.  For odd p, f mod p of
-    degree 1 or 2 is solved by formula, and an even f = g(z^2) mod p through
-    the roots s of g and the square roots of s.  Any other f is scanned at
-    every residue."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    fp = [c % p for c in f.coeffs]
-    while len(fp) > 1 and fp[-1] == 0:
-        fp.pop()
-    if fp == [0]:
-        raise ValueError("polynomial is zero mod p")
-    return _roots_fp(fp, p)
 
 
 def _roots_fp(fp, p) -> set[int]:
@@ -453,9 +407,10 @@ def _roots_fp(fp, p) -> set[int]:
         return {(r - b) * inv % p for r in _square_roots((b * b - 4 * a * c) % p, p)}
     if p > 2 and not any(fp[1::2]):
         return {r for s in _roots_fp(fp[::2], p) for r in _square_roots(s, p)}
-    # No caller in the package gets here: the descent passes even quartics
-    # only, and its shift z0 + ell*t at a root leaves one even again (z0 = 0)
-    # or of degree <= 2 mod ell (a triple root at z0 != 0 forces one at -z0).
+    # The descent, the one caller in the package, never gets here: it
+    # passes even quartics only, and its shift z0 + ell*t at a root leaves
+    # one even again (z0 = 0) or of degree <= 2 mod ell (a triple root at
+    # z0 != 0 forces one at -z0).
     return _scan_roots(fp, p)
 
 

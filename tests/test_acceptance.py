@@ -30,9 +30,10 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
-from symcurves.exact import IntPoly, is_prime
+from symcurves.exact import is_prime
 from symcurves.localglobal import everywhere_locally_solvable
 from symcurves.quartic import SymQuartic, kappa
+from polyref import Poly
 from test_chebyshev import special_values
 from test_cli import unrat
 from test_dynamics import preperiodic_points
@@ -122,9 +123,8 @@ def test_criterion_04_root_numbers():
 
 def test_criterion_05_quartic_residue_law():
     # Brute force: an explicit scan of every residue, next to the criterion
-    # (whose roots_mod_p solves the even f through the square roots of the
-    # roots of s^2 - 4s + 2).
-    f = IntPoly([2, 0, -4, 0, 1])
+    # (the congruence itself).
+    f = Poly([2, 0, -4, 0, 1])
     bad = [p for p in primes(3, 5000)
            if quartic_residue_criterion(p) != (p % 16 in (1, 15))
            or any(f.eval_mod(x, p) == 0 for x in range(p)) != (p % 16 in (1, 15))]
@@ -208,7 +208,7 @@ def test_criterion_09_elliptic_heights():
 
 
 def test_criterion_10_dynamics():
-    f = IntPoly([-2, 0, 1])
+    f = Poly([-2, 0, 1])
     pm = PolyMap(f, Fraction(1), Fraction(-1))
     ok = preperiodic_points(f, 100) == {Fraction(v) for v in (0, 1, -1, 2, -2)}
     for start in (0, 2, -2):

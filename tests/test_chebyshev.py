@@ -5,17 +5,17 @@ from functools import lru_cache
 import pytest
 
 from symcurves.chebyshev import cheb_eval
-from symcurves.exact import IntPoly
+from polyref import Poly
 
 
 @lru_cache(maxsize=None)
-def _cheb_coeffs(d: int) -> IntPoly:
+def _cheb_coeffs(d: int) -> Poly:
     # Reference: the coefficient form of T_d by T_d = x*T_{d-1} - T_{d-2}.
     if d == 1:
-        return IntPoly([0, 1])
+        return Poly([0, 1])
     if d == 2:
-        return IntPoly([-2, 0, 1])
-    return IntPoly([0, 1]) * _cheb_coeffs(d - 1) - _cheb_coeffs(d - 2)
+        return Poly([-2, 0, 1])
+    return Poly([0, 1]) * _cheb_coeffs(d - 1) - _cheb_coeffs(d - 2)
 
 
 def special_values(d: int) -> dict[int, int]:
@@ -32,11 +32,11 @@ def special_values(d: int) -> dict[int, int]:
 
 
 def test_first_polynomials():
-    assert _cheb_coeffs(1) == IntPoly([0, 1])
-    assert _cheb_coeffs(2) == IntPoly([-2, 0, 1])
-    assert _cheb_coeffs(3) == IntPoly([0, -3, 0, 1])
-    assert _cheb_coeffs(4) == IntPoly([2, 0, -4, 0, 1])
-    assert _cheb_coeffs(5) == IntPoly([0, 5, 0, -5, 0, 1])
+    assert _cheb_coeffs(1) == Poly([0, 1])
+    assert _cheb_coeffs(2) == Poly([-2, 0, 1])
+    assert _cheb_coeffs(3) == Poly([0, -3, 0, 1])
+    assert _cheb_coeffs(4) == Poly([2, 0, -4, 0, 1])
+    assert _cheb_coeffs(5) == Poly([0, 5, 0, -5, 0, 1])
     rng = random.Random(5)
     for d in range(1, 30):
         x = Fraction(rng.randrange(-40, 41), rng.randrange(1, 9))

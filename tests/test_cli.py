@@ -141,10 +141,32 @@ def test_cheb_negative_scan_cap_is_a_precondition(d, capsys):
     ["heights"],
 ], ids=["quartic", "heights", "quartic-rank-0", "heights-no-point"])
 def test_non_finite_or_non_positive_tol_is_a_precondition(argv, tol, capsys):
-    code, out, err = run(argv + [f"--tol={tol}", "--", "-4", "-3", "1"], capsys)
+    # heights reports a height to the tolerance asked for; quartic takes no
+    # --tol, as its certificate does not record one.
+    argv = argv + [f"--tol={tol}", "--", "-4", "-3", "1"]
+    if argv[0] == "quartic":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: unrecognized arguments: --tol={tol}\n" in err
+        return
+    code, out, err = run(argv, capsys)
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert err.startswith("error: tol must be positive and finite, got ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--shift", "1"], "shift must be given as U,V"),
+    (["orbit", "--shift", "1,2,3"], "shift must be given as U,V"),
+    (["quartic", "-4", "-3", "1", "--generator", "4"], "point must be given as X,Y"),
+    (["heights", "-4", "-3", "1", "--point", "4,-16,1"], "point must be given as X,Y"),
+], ids=["shift-one", "shift-three", "generator", "point"])
+def test_pair_without_two_parts_is_a_precondition(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_descent_command(capsys):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import symcurves
-from symcurves import demjanenko
+from symcurves import demjanenko, elliptic
 from symcurves.demjanenko import (
     SIEVE_PRIME_COUNT,
     VERIFIED_WINDOW_FLOOR,
@@ -139,7 +139,6 @@ def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
     # torsion_subgroup certifies complete: is_torsion runs only inside that
     # search.  X_4's quartic envelope is still its golden one, and both
     # inconsistent rank claims are still refused.
-    from symcurves import elliptic
     from test_quartic_golden import _golden, _key, _run_quartic
 
     assert not hasattr(demjanenko, "is_torsion")
@@ -162,14 +161,12 @@ def test_build_input_tests_the_generator_for_torsion_once(monkeypatch):
 
     monkeypatch.setattr(demjanenko, "torsion_subgroup", subgroup)
     monkeypatch.setattr(elliptic, "is_torsion", is_torsion)
-    assert build_input(X4, G, 1, tol=1e-8).hhat_G == hhat
+    assert build_input(X4, G, 1).hhat_G == hhat
     item = GOLDEN_CORPUS[0]
     assert _key(item) == "a=-4 b=-3 G=(4,-16)"
     code, env = _run_quartic(item)
     assert (code, env) == (_golden()[_key(item)]["exit"],
                            _golden()[_key(item)]["envelope"])
-    with pytest.raises(ValueError, match="tol must be positive"):
-        build_input(X4, G, 1, tol=0.0)
     with pytest.raises(ValueError,
                        match="generator is torsion; rank-1 claim inconsistent"):
         build_input(X4, point(0, 0), 1)
@@ -356,18 +353,19 @@ def test_sieve_primes_read_the_sieve_table(monkeypatch):
     # for a discriminant with all but 10 of the table's odd primes, the
     # list goes on with the primes above the limit.
     proved = []
-    real = demjanenko.is_prime
+    real = elliptic.is_prime
 
     def recording(n):
         proved.append(n)
         return real(n)
 
-    monkeypatch.setattr(demjanenko, "is_prime", recording)
-    for case in range(len(SIEVE_CURVES)):
-        _sieve_primes(_sieve_input(case).E)
+    curves = [_sieve_input(case).E for case in range(len(SIEVE_CURVES))]
+    monkeypatch.setattr(elliptic, "is_prime", recording)
+    for E in curves:
+        _sieve_primes(E)
     assert proved == []
     table = [ell for ell in range(3, _SIEVE_LIMIT, 2) if real(ell)]
-    big = types.SimpleNamespace(a2=Fraction(1), a4=Fraction(1),
+    big = types.SimpleNamespace(a2=Fraction(1), a4=Fraction(1), a6=Fraction(0),
                                 discriminant=lambda: Fraction(math.prod(table[:-10])))
     beyond = [ell for ell in range(_SIEVE_LIMIT + 1, _SIEVE_LIMIT + 400, 2)
               if real(ell)]

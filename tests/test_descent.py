@@ -32,14 +32,8 @@ from symcurves.descent import (
     selmer_rank_bound,
     selmer_sets,
 )
-from symcurves.exact import (
-    CheckFailed,
-    IntPoly,
-    factorize,
-    is_prime,
-    roots_mod_p,
-)
-from test_exact import derivative
+from symcurves.exact import CheckFailed, factorize, is_prime
+from polyref import Poly, derivative, roots_mod_p
 
 
 def primes(lo, hi):
@@ -51,10 +45,10 @@ def family_space(d: int, p: int) -> HomSpace:
     return HomSpace(d, -8 * p * d, 8 * p * p)
 
 
-def multiplied_quartic(C: HomSpace) -> IntPoly:
+def multiplied_quartic(C: HomSpace) -> Poly:
     """y^2 = d * (d^2 + c2 z^2 + c4 z^4), y = d*w: the quartic whose charts
     the Q_ell kernel of `homspace_locally_solvable` searches."""
-    return IntPoly([C.d**3, 0, C.d * C.c2, 0, C.d * C.c4])
+    return Poly([C.d**3, 0, C.d * C.c2, 0, C.d * C.c4])
 
 
 def squarefree_part(n: int) -> int:
@@ -114,7 +108,7 @@ def qpoly_resultant(a, b) -> Fraction:
     return sign * b[-1] ** (da - (len(r) - 1)) * qpoly_resultant(b, r)
 
 
-def int_poly_disc(f: IntPoly) -> Fraction:
+def int_poly_disc(f: Poly) -> Fraction:
     """Discriminant of f: (-1)^(n(n-1)/2) * res(f, f') / lc(f)."""
     n = f.degree
     if n < 1:
@@ -135,9 +129,9 @@ def test_qpoly_resultant_vs_root_product():
 
 def test_int_poly_disc():
     # disc(x^2 + bx + c) = b^2 - 4c
-    assert int_poly_disc(IntPoly([3, 5, 1])) == 25 - 12
+    assert int_poly_disc(Poly([3, 5, 1])) == 25 - 12
     # disc(x^3 + px + q) = -4p^3 - 27q^2
-    assert int_poly_disc(IntPoly([2, -1, 0, 1])) == -4 * (-1) ** 3 - 27 * 4
+    assert int_poly_disc(Poly([2, -1, 0, 1])) == -4 * (-1) ** 3 - 27 * 4
 
 
 def test_root_number_examples():
@@ -296,11 +290,17 @@ def test_selmer_rank_bound_examples():
 
 
 def test_quartic_residue_criterion():
-    assert quartic_residue_criterion(31)
-    assert quartic_residue_criterion(17)
-    assert not quartic_residue_criterion(5)
-    for p in primes(3, 600):
-        assert quartic_residue_criterion(p) == (p % 16 in (1, 15)), p
+    # The congruence against a scan of every residue for each odd prime
+    # below 10^4, and against the closed-form root solve, Tonelli-Shanks
+    # included, at two primes of about 100 bits, = 1 and = 9 mod 16.
+    f = Poly([2, 0, -4, 0, 1])
+    for p in primes(3, 10**4):
+        assert quartic_residue_criterion(p) == any(f(r) % p == 0 for r in range(p)), p
+    for p, has_root in ((1267650600228229401496703205953, True),
+                        (1267650600228229401496703206297, False)):
+        assert p.bit_length() == 101 and is_prime(p) and p % 8 == 1
+        assert quartic_residue_criterion(p) is has_root
+        assert bool(roots_mod_p(f, p)) is has_root
 
 
 def test_dual_spaces_shape():
@@ -420,25 +420,25 @@ def test_a_large_prime_is_tested_once_per_process(monkeypatch, capsys):
 # scans it replaced, kept here as the reference.
 
 
-def shift_scale(f: IntPoly, r: int, s: int) -> IntPoly:
+def shift_scale(f: Poly, r: int, s: int) -> Poly:
     """Reference: f(r + s*t) in t, by composing with r + s*t through Horner
-    in IntPoly arithmetic."""
-    acc, lin = IntPoly([0]), IntPoly([r, s])
+    in Poly arithmetic."""
+    acc, lin = Poly([0]), Poly([r, s])
     for c in reversed(f.coeffs):
-        acc = acc * lin + IntPoly([c])
+        acc = acc * lin + Poly([c])
     return acc
 
 
 def test_shift_scale_matches_composition():
-    f = IntPoly([2, 0, -4, 0, 1])
-    assert IntPoly(_shift_scale(f.coeffs, 1, 2))(0) == f(1)
-    assert IntPoly(_shift_scale(f.coeffs, 1, 2))(1) == f(3)
+    f = Poly([2, 0, -4, 0, 1])
+    assert Poly(_shift_scale(f.coeffs, 1, 2))(0) == f(1)
+    assert Poly(_shift_scale(f.coeffs, 1, 2))(1) == f(3)
     rng = random.Random(16)
     for _ in range(500):
         co = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 6))]
         r, s = rng.randint(-50, 50), rng.choice((2, 3, 401, rng.randint(-9, 9)))
         got = _shift_scale(tuple(co), r, s)
-        assert IntPoly(got) == shift_scale(IntPoly(co), r, s), (co, r, s)
+        assert Poly(got) == shift_scale(Poly(co), r, s), (co, r, s)
 
 
 def reference_zl_solvable(c, f, ell, depth, cap):
@@ -465,7 +465,7 @@ def reference_zl_solvable(c, f, ell, depth, cap):
             continue
         f1 = shift_scale(f, z0, ell)
         cont = math.gcd(*f1.coeffs)
-        f1 = IntPoly([x // cont for x in f1.coeffs])
+        f1 = Poly([x // cont for x in f1.coeffs])
         if reference_zl_solvable(squarefree_part(c * cont), f1, ell,
                                  depth + 1, cap):
             return True
@@ -482,13 +482,13 @@ def reference_ql_solvable(G, ell):
         v += 1
     cap = v + 12
     cont = math.gcd(*G.coeffs)
-    G0 = IntPoly([x // cont for x in G.coeffs])
+    G0 = Poly([x // cont for x in G.coeffs])
     c = squarefree_part(cont)
     if reference_zl_solvable(c, G0, ell, 0, cap):
         return True
-    Gr = IntPoly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
+    Gr = Poly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
     contr = math.gcd(*Gr.coeffs)
-    Gr = IntPoly([x // contr for x in Gr.coeffs])
+    Gr = Poly([x // contr for x in Gr.coeffs])
     return reference_zl_solvable(squarefree_part(c * contr), Gr, ell, 0, cap)
 
 
@@ -525,13 +525,13 @@ def test_ql_solvable_matches_residue_scans_on_random_quartics():
             co = [rng.randint(-40, 40) * ell ** rng.choice((0, 0, 1, 2))
                   for _ in range(5)]
             co[4] = co[4] or rng.choice((1, -3, ell))
-            G = IntPoly(co)
+            G = Poly(co)
             disc = int_poly_disc(G).numerator
             got = _outcome(lambda: _ql_solvable(_charts(G.coeffs, disc), ell))
             assert got == _outcome(reference_ql_solvable, G, ell), (G, ell)
 
 
-def residues(f: IntPoly, ell: int) -> list:
+def residues(f: Poly, ell: int) -> list:
     """The residues of f mod ell, trimmed, as `_square_class_mod` takes them."""
     fbar = [x % ell for x in f.coeffs]
     while len(fbar) > 1 and fbar[-1] == 0:
@@ -546,22 +546,22 @@ def test_square_class_mod_against_enumeration():
         squares = {}
         for s in range(ell):
             for t in range(ell):
-                for g in (IntPoly([t, 1]), IntPoly([t, s, 1])):
+                for g in (Poly([t, 1]), Poly([t, s, 1])):
                     sq = g * g
                     squares[tuple(x % ell for x in sq.coeffs)] = True
         for _ in range(400):
             deg = rng.choice((0, 1, 2, 3, 4))
             co = [rng.randrange(ell) for _ in range(deg)] + [rng.randrange(1, ell)]
             if rng.random() < 0.4 and deg in (2, 4):
-                g = IntPoly([rng.randrange(ell) for _ in range(deg // 2)] + [1])
+                g = Poly([rng.randrange(ell) for _ in range(deg // 2)] + [1])
                 co = list((g * g * co[-1]).coeffs)
-            f = IntPoly(co)
+            f = Poly(co)
             u = co[-1] % ell
             monic = tuple(x * pow(u, -1, ell) % ell for x in co)
             expected = u if deg == 0 or monic in squares else None
             assert _square_class_mod(residues(f, ell), ell) == expected, (f, ell)
             # f + ell*h reduces to the same polynomial mod ell
-            lifted = f + IntPoly([ell * rng.randint(-3, 3) for _ in range(6)])
+            lifted = f + Poly([ell * rng.randint(-3, 3) for _ in range(6)])
             assert _square_class_mod(residues(lifted, ell), ell) == expected
 
 
@@ -808,11 +808,11 @@ def test_zl_branch_ell_divides_c():
             if c % ell:
                 continue
             for _ in range(6):
-                f = IntPoly([rng.randint(-30, 30) for _ in range(4)] + [1])
+                f = Poly([rng.randint(-30, 30) for _ in range(4)] + [1])
                 _assert_zl_matches(c, f, ell)
             # roots at which c*f is an exact square or zero
-            _assert_zl_matches(c, IntPoly([0, ell, 0, 0, 1]), ell)
-            _assert_zl_matches(c, IntPoly([-ell, 0, 1]), ell)
+            _assert_zl_matches(c, Poly([0, ell, 0, 0, 1]), ell)
+            _assert_zl_matches(c, Poly([-ell, 0, 1]), ell)
 
 
 def test_zl_branch_constant_times_square():
@@ -821,16 +821,16 @@ def test_zl_branch_constant_times_square():
         for u in (1, _nonresidue(ell)):
             for _ in range(5):
                 s, t = rng.randrange(ell), rng.randrange(ell)
-                g = IntPoly([t, s, 1])
-                noise = IntPoly([ell * rng.randint(-5, 5) for _ in range(5)])
+                g = Poly([t, s, 1])
+                noise = Poly([ell * rng.randint(-5, 5) for _ in range(5)])
                 f = g * g * u + noise
                 if math.gcd(*f.coeffs) % ell == 0:
                     continue
                 assert _square_class_mod(residues(f, ell), ell) == u
                 for c in (1, -1, _nonresidue(ell)):
                     _assert_zl_matches(c, f, ell)
-            lin = IntPoly([rng.randrange(ell), 1])
-            f = lin * lin * u + IntPoly([ell, 0, ell])
+            lin = Poly([rng.randrange(ell), 1])
+            f = lin * lin * u + Poly([ell, 0, ell])
             assert _square_class_mod(residues(f, ell), ell) == u
             _assert_zl_matches(1, f, ell)
 
@@ -841,14 +841,14 @@ def test_zl_branch_degree_drop_and_constant():
         for _ in range(8):
             co = [rng.randint(-50, 50) for _ in range(4)] + [ell * rng.randint(1, 4)]
             co[1] = co[1] * ell + 1  # primitive, as _zl_solvable requires
-            _assert_zl_matches(rng.choice((1, -1, 2, -3)), IntPoly(co), ell)
-            const = IntPoly([rng.randint(1, 50) * rng.choice((1, -1))]
+            _assert_zl_matches(rng.choice((1, -1, 2, -3)), Poly(co), ell)
+            const = Poly([rng.randint(1, 50) * rng.choice((1, -1))]
                             + [ell * rng.randint(-5, 5) for _ in range(4)])
             if const.coeffs[0] % ell:
                 for c in (1, _nonresidue(ell)):
                     _assert_zl_matches(c, const, ell)
         # 8z^4 - 8z^2 + 1 after the content ell^3 was removed: constant 1.
-        f = IntPoly([1, 0, -8 * ell, 0, 8 * ell * ell])
+        f = Poly([1, 0, -8 * ell, 0, 8 * ell * ell])
         _assert_zl_matches(1, f, ell)
         _assert_zl_matches(_nonresidue(ell), f, ell)
 
@@ -869,16 +869,16 @@ def test_zl_recursion_through_double_roots():
         for ell in (3, 5, 17, *SCAN_EDGE_PRIMES):
             n = _nonresidue(ell)
             for r in (0, 1, ell - 1):
-                quartic = IntPoly([-r, 1]) * IntPoly([-r, 1])
+                quartic = Poly([-r, 1]) * Poly([-r, 1])
                 quartic = quartic * quartic * n
                 for m in (1, 2, 3):
-                    f = quartic + IntPoly([n * ell**(4 * m)])
+                    f = quartic + Poly([n * ell**(4 * m)])
                     depths.clear()
                     _assert_zl_matches(1, f, ell, cap=8)
                     assert max(depths) == m
                     _assert_zl_matches(n, f, ell, cap=8)
                     _assert_zl_matches(ell, f, ell, cap=8)
-                f = quartic + IntPoly([n * ell**12])
+                f = quartic + Poly([n * ell**12])
                 with pytest.raises(CheckFailed):
                     _zl_solvable(1, f.coeffs, ell, 0, 2)
     finally:
@@ -895,10 +895,11 @@ def test_homspace_solvability_matches_residue_scans():
 
 
 # ---------------------------------------------------------------------------
-# The Q_ell kernel on IntPoly, as the package ran it before it moved to
-# coefficient tuples with per-space charts, kept here as the reference: it
-# rebuilds the quartic, the content-divided and reversed quartics and the
-# discriminant valuation at every place, and shifts by IntPoly composition.
+# The Q_ell kernel on polynomial objects, as the package ran it before it
+# moved to coefficient tuples with per-space charts, kept here as the
+# reference: it rebuilds the quartic, the content-divided and reversed
+# quartics and the discriminant valuation at every place, and shifts by
+# composition in `polyref.Poly` arithmetic.
 
 
 def intpoly_square_class(n, ell):
@@ -968,7 +969,7 @@ def intpoly_zl_solvable(c, f, ell, depth, cap):
     for z0 in roots:
         f1 = shift_scale(f, z0, ell)
         cont = math.gcd(*f1.coeffs)
-        f1 = IntPoly([x // cont for x in f1.coeffs])
+        f1 = Poly([x // cont for x in f1.coeffs])
         if intpoly_zl_solvable(intpoly_square_class(c * cont, ell), f1, ell,
                                depth + 1, cap):
             return True
@@ -985,19 +986,19 @@ def intpoly_ql_solvable(G, ell, disc):
         v += 1
     cap = v + 12
     cont = math.gcd(*G.coeffs)
-    G0 = IntPoly([x // cont for x in G.coeffs])
+    G0 = Poly([x // cont for x in G.coeffs])
     c = intpoly_square_class(cont, ell)
     if intpoly_zl_solvable(c, G0, ell, 0, cap):
         return True
-    Gr = IntPoly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
+    Gr = Poly((G0.coeffs + (0,) * (4 - G0.degree))[::-1])
     contr = math.gcd(*Gr.coeffs)
-    Gr = IntPoly([x // contr for x in Gr.coeffs])
+    Gr = Poly([x // contr for x in Gr.coeffs])
     return intpoly_zl_solvable(intpoly_square_class(c * contr, ell), Gr, ell,
                                0, cap)
 
 
 def kernel_mismatches(odd_primes, pairs, seed):
-    """(cases, mismatches): the tuple kernel against the IntPoly reference on
+    """(cases, mismatches): the tuple kernel against the Poly reference on
     the isogeny and dual spaces at every relevant prime place, for the
     family curve of each odd prime p (a = 4p, b = 2p^2) and for `pairs`
     seeded curves y^2 = x(x^2 + ax + b) with |a|, |b| <= 10^4."""
@@ -1028,17 +1029,16 @@ def test_kernel_matches_the_intpoly_reference():
 
 
 def test_descent_never_reaches_the_root_scan(monkeypatch):
-    # roots_mod_p falls back to a scan of every residue only for f that are
+    # _roots_fp falls back to a scan of every residue only for f that are
     # neither even nor of degree <= 2 mod p; the descent never passes one.
     def scan(fp, p):
         raise AssertionError(f"root scan reached: {fp} mod {p}")
 
     monkeypatch.setattr(exact, "_scan_roots", scan)
     with pytest.raises(AssertionError, match="root scan reached"):
-        exact.roots_mod_p(IntPoly([-4, 1, 0, 2]), 397)
+        roots_mod_p(Poly([-4, 1, 0, 2]), 397)
     for p in primes(3, 2000):
         selmer_rank_bound(p)
-        quartic_residue_criterion(p)
     rng = random.Random(15)
     pairs = 0
     while pairs < 200:

@@ -19,12 +19,11 @@ from symcurves.dynamics import (
     orbit_tail,
     shifted_intersection,
 )
-from symcurves.exact import IntPoly
+from polyref import Poly, derivative
 from test_chebyshev import _cheb_coeffs
 from test_elliptic import qpoly_ext_gcd
-from test_exact import derivative
 
-F_SQUARE_MINUS_2 = IntPoly([-2, 0, 1])
+F_SQUARE_MINUS_2 = Poly([-2, 0, 1])
 PM = PolyMap(F_SQUARE_MINUS_2, Fraction(1), Fraction(-1))  # L(x) = 1 - x
 
 TWELVE = {(Fraction(x), Fraction(y)) for x, y in [
@@ -36,7 +35,7 @@ FOUR = {(Fraction(x), Fraction(y)) for x, y in [
     (0, 1), (1, 0), (-1, 2), (2, -1)]}
 
 
-def preperiodic_points(f: IntPoly, height_cap: int) -> set[int]:
+def preperiodic_points(f: Poly, height_cap: int) -> set[int]:
     """Reference: all rational preperiodic points of a monic integer
     quadratic with numerator/denominator at most height_cap, as ints.  Such
     points are integers, so the scan runs over |r| <= height_cap with an
@@ -86,7 +85,7 @@ def test_orbit_tail_validation():
     with pytest.raises(ValueError):
         orbit_tail(PM, 2, Fraction(0), 0)
     with pytest.raises(ValueError):
-        PolyMap(IntPoly([1, 1]))
+        PolyMap(Poly([1, 1]))
 
 
 def intersect(pm, n, alpha, beta, horizon):
@@ -148,7 +147,7 @@ def _direct_tail(pm, n, start, horizon):
     return OrbitTail(values, x in seen)
 
 
-class _MemoPoly(IntPoly):
+class _MemoPoly(Poly):
     # Each value is mapped once, however many walks of the grid reach it.
     __slots__ = ("memo",)
 
@@ -182,13 +181,13 @@ def test_orbit_tail_matches_a_direct_walk():
 def test_preperiodic_points():
     assert preperiodic_points(F_SQUARE_MINUS_2, 100) == \
         {Fraction(v) for v in (0, 1, -1, 2, -2)}
-    assert preperiodic_points(IntPoly([1, 0, 1]), 100) == set()
-    assert preperiodic_points(IntPoly([0, 0, 1]), 10) == \
+    assert preperiodic_points(Poly([1, 0, 1]), 100) == set()
+    assert preperiodic_points(Poly([0, 0, 1]), 10) == \
         {Fraction(0), Fraction(1), Fraction(-1)}
     with pytest.raises(ValueError):
-        preperiodic_points(IntPoly([0, 0, 2]), 10)
+        preperiodic_points(Poly([0, 0, 2]), 10)
     with pytest.raises(ValueError):
-        preperiodic_points(IntPoly([0, 1]), 10)
+        preperiodic_points(Poly([0, 1]), 10)
 
 
 def test_pullback_pairs():
@@ -307,7 +306,7 @@ def _critical_values(d):
     # Reference: the s in {2, -2} with T_d - s and T_d' sharing a root.
     td = _cheb_coeffs(d)
     deriv = derivative(td)
-    return {s for s in (2, -2) if not _coprime(td - IntPoly([s]), deriv)}
+    return {s for s in (2, -2) if not _coprime(td - Poly([s]), deriv)}
 
 
 def test_nonsingular_statement_by_critical_values():
@@ -319,7 +318,7 @@ def test_nonsingular_statement_by_critical_values():
         assert crits == ({-2} if d == 2 else {2, -2}), d
         td = _cheb_coeffs(d)
         for s in (1, -1, 0, 3):
-            assert _coprime(td - IntPoly([s]), derivative(td))
+            assert _coprime(td - Poly([s]), derivative(td))
         sums = {s + t for s in crits for t in crits}
         assert sums <= {0, 4, -4}
         for k in [Fraction(k) for k in range(-6, 7)] + [Fraction(1, 2)]:

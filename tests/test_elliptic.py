@@ -14,7 +14,6 @@ import pytest
 import symcurves
 from symcurves import elliptic, exact
 from symcurves.cli import EXIT_CHECK_FAILED, main
-from symcurves.demjanenko import build_input
 from symcurves.elliptic import (
     INF,
     MAZUR_ORDER_CAP,
@@ -37,8 +36,9 @@ from symcurves.elliptic import (
     point,
     torsion_subgroup,
 )
-from symcurves.exact import CheckFailed, IntPoly, factorize, is_prime
+from symcurves.exact import CheckFailed, factorize, is_prime
 from symcurves.quartic import SymQuartic, companion_curve
+from polyref import Poly
 
 # companion curve of the degree-4 Chebyshev quartic
 Y_CURVE = EllipticCurve(16, -16, 0)
@@ -428,7 +428,7 @@ def test_height_machine_bad_primes_are_those_of_the_content_bound():
     for a, b, alpha, _ in CORPUS:
         m = _machine_for(companion_curve(SymQuartic(Fraction(a), Fraction(b),
                                                     int(alpha))))
-        assert m.bad_primes == sorted(factorize(m.cp * m.cq).items()), \
+        assert m.bad_primes == sorted(factorize(m.content_bound).items()), \
             (a, b, alpha)
 
 
@@ -447,13 +447,11 @@ def test_canonical_height_torsion_zero():
 
 def test_canonical_height_rejects_bad_tol():
     # Every public way to a height checks tol; the private
-    # `_nontorsion_height` leaves that to its two callers, `canonical_height`
-    # and `build_input` (Y_CURVE is the companion curve of X_4).
-    X4 = SymQuartic(-4, -3, 1)
+    # `_nontorsion_height` leaves that to `canonical_height`, and
+    # `build_input` passes it the fixed `demjanenko.HEIGHT_TOL`.
     for tol in (0.0, -1e-8, math.nan, math.inf, -math.inf):
         for height in (lambda: canonical_height(Y_CURVE, G, tol),
-                       lambda: canonical_height_doubling(Y_CURVE, G, tol),
-                       lambda: build_input(X4, G, 1, tol)):
+                       lambda: canonical_height_doubling(Y_CURVE, G, tol)):
             with pytest.raises(ValueError, match="tol must be positive"):
                 height()
 
@@ -653,10 +651,10 @@ def test_bezout_data_matches_fraction_reference():
         E = E.integral_model()[0]
         N, D = _duplication_forms(E)
         cq, U, V, cp, Ur, Vr = got = _bezout_data(N, D)
-        degree = [len(IntPoly(f).coeffs) - 1 for f in (D, N, D[::-1], N[::-1])]
+        degree = [len(Poly(f).coeffs) - 1 for f in (D, N, D[::-1], N[::-1])]
         assert [len(U), len(V), len(Ur), len(Vr)] == degree, E
-        got = (cq, list(IntPoly(U).coeffs), list(IntPoly(V).coeffs),
-               cp, list(IntPoly(Ur).coeffs), list(IntPoly(Vr).coeffs))
+        got = (cq, list(Poly(U).coeffs), list(Poly(V).coeffs),
+               cp, list(Poly(Ur).coeffs), list(Poly(Vr).coeffs))
         assert got == reference_bezout_data(E), E
 
 
@@ -924,7 +922,7 @@ def test_duplication_numerator_has_no_cubic_term():
         N, D = _duplication_forms(E)
         P = point(x, y)
         assert N[3] == D[4] == 0
-        assert Fraction(IntPoly(N)(x), IntPoly(D)(x)) == E.add(P, P).x, (E, P)
+        assert Fraction(Poly(N)(x), Poly(D)(x)) == E.add(P, P).x, (E, P)
         built += 1
 
 
