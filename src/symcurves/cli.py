@@ -74,7 +74,7 @@ EXIT_CHECK_FAILED = 4
 def rat(value) -> dict:
     if type(value) is int:      # every X_d coordinate: no Fraction needed
         return {"num": str(value), "den": "1"}
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
@@ -98,12 +98,21 @@ def _point_list(cert) -> list:
     return [[rat(x), rat(y)] for x, y in cert.sorted_points()]
 
 
+def _parse_number(text: str, kind, usage: str):
+    # kind(text) for kind int or Fraction; ValueError(usage) when text is
+    # not such a number, so the message names the option.
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(usage) from None
+
+
 def _parse_pair(text: str, usage: str) -> tuple[Fraction, Fraction]:
     # The two rationals of "X,Y" text; ValueError(usage) unless two are given.
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(usage)
-    return Fraction(parts[0]), Fraction(parts[1])
+    return tuple(_parse_number(part, Fraction, usage) for part in parts)
 
 
 def _parse_point(text: str):
@@ -262,11 +271,14 @@ def _tail_payload(tail) -> dict:
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
-    f = IntPoly([int(c) for c in args.f.split(",")])
+    f = IntPoly([_parse_number(c, int, "f must be given as comma-separated integers")
+                 for c in args.f.split(",")])
     u, v = _parse_pair(args.shift, "shift must be given as U,V")
     pm = PolyMap(f, u, v)
-    tail_a = orbit_tail(pm, args.n, Fraction(args.alpha), args.horizon)
-    tail_b = orbit_tail(pm, args.n, Fraction(args.beta), args.horizon)
+    alpha = _parse_number(args.alpha, Fraction, "alpha must be a rational number")
+    beta = _parse_number(args.beta, Fraction, "beta must be a rational number")
+    tail_a = orbit_tail(pm, args.n, alpha, args.horizon)
+    tail_b = orbit_tail(pm, args.n, beta, args.horizon)
     meet, exact = shifted_intersection(pm, tail_a, tail_b)
     payload = {
         "orbit_alpha": _tail_payload(tail_a),

@@ -31,6 +31,14 @@ per call; inverses and square roots mod l are read from the tables of
 number of primes (`exact.FIELD_TABLE_CACHE`), and the group law and the
 test above run on plain ints with no call per pair.
 
+Values that are integral are plain ints: the sieve reads the curve's
+coefficients as integers over their common denominator, and the exact walk
+hands each surviving n*G + T to `quartic.phi_preimages`, which pulls it
+back on integer numerators and denominators and checks each preimage on F
+and against its target once.  `equal_index_points` solves its classes as
+integer biquadratics and integer square roots.  Every point of the
+certificate is checked on F once more before it is returned.
+
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve, and non-torsion for a rank-1 claim or torsion
 for a rank-0 one, but does not prove the rank bound.
@@ -47,12 +55,13 @@ from .elliptic import (
     INF,
     EllipticCurve,
     _good_odd_primes,
-    _nontorsion_height,
     height_gap_bounds,
+    nontorsion_height,
     torsion_subgroup,
 )
-from .exact import _field_tables, is_prime, rational_sqrt, require
+from .exact import _field_tables, _isqrt_exact, is_prime, require
 from .quartic import (
+    _ZERO,
     QuarticPoint,
     SymQuartic,
     biquadratic_roots,
@@ -130,7 +139,7 @@ def build_input(F: SymQuartic, generator, rank_claim: int) -> DemjanenkoInput:
     if generator in torsion:
         raise ValueError("generator is torsion; rank-1 claim inconsistent")
     # Both checks of canonical_height were just made; do not repeat them.
-    hhat = _nontorsion_height(E, generator, HEIGHT_TOL)
+    hhat = nontorsion_height(E, generator, HEIGHT_TOL)
     return DemjanenkoInput(F, E, generator, torsion, 1, hhat, gap_up, gap_low, phi_gap)
 
 
@@ -166,35 +175,41 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
     * phi_1 +- phi_2 = (0,0) with xy != 0 reduces, via translation by the
       2-torsion point, to (xy)^2 = B/16 with B the curve's a4 coefficient,
       then to a solvable symmetric system in x + y and xy.
+
+    The last class is solved in integers.  With k = lcm(den a', den b'),
+    A = a' k^2 and B' = b' k^4, put m = -(4B' + A^2): then (xy)^2 =
+    -(b' + a'^2/4) = m/(4k^4), so m = M^2 is a square and xy = +-M/(2k^2).
+    w = x^2 + y^2 solves w^2 + a'w - (b' + 2(xy)^2) = 0, whose discriminant
+    is m/k^4 again, so w = (-A +- M)/(2k^2).  Then (x +- y)^2 = w +- 2xy
+    = n/(2k^2) with n = -A +- M +- 2M, whose square root is sqrt(2n)/(2k).
     """
     a, b = F.a_eff, F.b_eff
     out: set[QuarticPoint] = set()
 
     # x = +-y branch: 2x^4 + 2a x^2 - b = 0.
-    for x in biquadratic_roots(a, -b / 2):
+    for x in biquadratic_roots(a, Fraction(-b.numerator, 2 * b.denominator)):
         out |= {QuarticPoint(x, x), QuarticPoint(x, -x)}
 
     # xy = 0 branch: y^4 + a y^2 - b = 0 and its mirror.
     for y in biquadratic_roots(a, -b):
-        out |= {QuarticPoint(Fraction(0), y), QuarticPoint(y, Fraction(0))}
+        out |= {QuarticPoint(_ZERO, y), QuarticPoint(y, _ZERO)}
 
     # phi_1 +- phi_2 = (0,0), xy != 0: (xy)^2 = -(b + a^2/4).
-    target = -(b + a * a / 4)
-    s = rational_sqrt(target)
-    if s is not None and s != 0:
-        for sigma in {s, -s}:
-            # w = x^2 + y^2 solves w^2 + a w - (b + 2 sigma^2) = 0.
-            d = rational_sqrt(a * a + 4 * (b + 2 * sigma * sigma))
-            if d is None:
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    k = math.lcm(ad, bd)
+    A, B = an * (k // ad) * k, bn * (k // bd) * k**3
+    m = -(4 * B + A * A)
+    M = math.isqrt(m) if m > 0 else 0
+    if M and M * M == m:
+        for sigma, w in itertools.product((M, -M), (M, -M)):
+            u = _isqrt_exact(2 * (w - A + 2 * sigma))       # 2k|x + y|
+            v = _isqrt_exact(2 * (w - A - 2 * sigma))       # 2k|x - y|
+            if u is None or v is None:
                 continue
-            for w in {(-a + d) / 2, (-a - d) / 2}:
-                u = rational_sqrt(w + 2 * sigma)
-                v = rational_sqrt(w - 2 * sigma)
-                if u is None or v is None:
-                    continue
-                for su in (u, -u):
-                    for sv in (v, -v):
-                        out.add(QuarticPoint((su + sv) / 2, (su - sv) / 2))
+            for su in (u, -u):
+                for sv in (v, -v):
+                    out.add(QuarticPoint(Fraction(su + sv, 4 * k),
+                                         Fraction(su - sv, 4 * k)))
 
     return {P for P in out if F.contains(P)}
 
@@ -222,8 +237,7 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     E, F = inp.E, inp.F
     if E != companion_curve(F):
         raise ValueError("the sieve needs the companion curve of F (a6 = 0)")
-    den = math.lcm(E.a2.denominator, E.a4.denominator)
-    disc = E.discriminant().numerator
+    den, disc = E._D, E.discriminant().numerator
     # Every rational the sieve reduces, as integers once per call: a2, a4
     # and a' times their common denominator c, whose odd primes divide
     # `den` (a2 = -4a'), so l never divides c; then x and y of G and of
@@ -231,7 +245,7 @@ def _sieve_survivors(inp: DemjanenkoInput, N: int, primes) -> list[list[bool]]:
     # l in its denominator is the identity mod l; otherwise l divides
     # neither denominator, as a2 and a4 are l-integral.
     c = math.lcm(den, F.a_eff.denominator)
-    c2, c4, ca = (int(q * c) for q in (E.a2, E.a4, F.a_eff))
+    c2, c4, ca = (q.numerator * (c // q.denominator) for q in (E.a2, E.a4, F.a_eff))
     gen = None if inp.generator is INF else (
         inp.generator.x.numerator, inp.generator.x.denominator,
         inp.generator.y.numerator, inp.generator.y.denominator)

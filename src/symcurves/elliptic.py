@@ -66,33 +66,37 @@ class ECPoint:
         return f"({self.x}, {self.y})"
 
 
+def _frac(q) -> Fraction:
+    # q as a Fraction, with no new one made when it already is.
+    return q if type(q) is Fraction else Fraction(q)
+
+
 def point(x, y) -> ECPoint:
-    return ECPoint(Fraction(x), Fraction(y))
+    return ECPoint(_frac(x), _frac(y))
 
 
 class EllipticCurve:
     """y^2 = x^3 + a2*x^2 + a4*x + a6 over Q, nonsingular."""
 
     def __init__(self, a2, a4, a6=0):
-        self.a2, self.a4, self.a6 = Fraction(a2), Fraction(a4), Fraction(a6)
-        b2, b4, b6, b8 = self.b_invariants()
-        self._disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        if self._disc == 0:
-            raise ValueError("singular curve (discriminant 0)")
+        self.a2, self.a4, self.a6 = _frac(a2), _frac(a4), _frac(a6)
         # The equation with denominators cleared, for `contains`: D and the
         # integers D*a2, D*a4, D*a6.
-        self._D = math.lcm(self.a2.denominator, self.a4.denominator,
-                           self.a6.denominator)
-        self._Da = tuple(int(self._D * c) for c in (self.a2, self.a4, self.a6))
+        (n2, d2), (n4, d4), (n6, d6) = ((c.numerator, c.denominator)
+                                        for c in (self.a2, self.a4, self.a6))
+        D = self._D = math.lcm(d2, d4, d6)
+        c2, c4, c6 = self._Da = (n2 * (D // d2), n4 * (D // d4), n6 * (D // d6))
+        # The discriminant -16(4a2^3 a6 - a2^2 a4^2 - 18 a2 a4 a6 + 4a4^3 +
+        # 27a6^2), of weight 12 in (a2, a4, a6) of weights (2, 4, 6): it is
+        # that of the integral model A_i = a_i D^i, over D^12.
+        A2, A4, A6 = c2 * D, c4 * D**3, c6 * D**5
+        disc = 16 * (A2 * A2 * A4 * A4 - 4 * A2**3 * A6 + 18 * A2 * A4 * A6
+                     - 4 * A4**3 - 27 * A6 * A6)
+        if disc == 0:
+            raise ValueError("singular curve (discriminant 0)")
+        self._disc = Fraction(disc, D**12)
         self._integral = None       # built on first use by integral_model
         self._heights = None        # and by _machine_for
-
-    def b_invariants(self):
-        b2 = 4 * self.a2
-        b4 = 2 * self.a4
-        b6 = 4 * self.a6
-        b8 = 4 * self.a2 * self.a6 - self.a4 * self.a4
-        return b2, b4, b6, b8
 
     def discriminant(self) -> Fraction:
         return self._disc
@@ -156,9 +160,9 @@ class EllipticCurve:
         (u^2 x, u^3 y).  The canonical height is invariant under this.
         Built once per curve."""
         if self._integral is None:
-            u = self._D
+            u, (c2, c4, c6) = self._D, self._Da
             self._integral = (self, 1) if u == 1 else (
-                EllipticCurve(self.a2 * u * u, self.a4 * u**4, self.a6 * u**6), u)
+                EllipticCurve(c2 * u, c4 * u**3, c6 * u**5), u)
         return self._integral
 
     def __repr__(self):
@@ -188,10 +192,9 @@ def count_points_mod_p(E: EllipticCurve, p: int) -> int:
     Ei, u = E.integral_model()
     if u % p == 0:
         raise ValueError(f"p = {p} divides a coefficient denominator")
-    disc = Ei.discriminant()
-    if disc.numerator % p == 0:
+    if Ei._disc.numerator % p == 0:
         raise ValueError(f"p = {p} is a prime of bad reduction")
-    a2, a4, a6 = int(Ei.a2) % p, int(Ei.a4) % p, int(Ei.a6) % p
+    a2, a4, a6 = (c % p for c in Ei._Da)    # the coefficients: Ei._D = 1
     root = _field_tables(p)[1]
     count = 1  # infinity
     for x in range(p):
@@ -214,13 +217,14 @@ def _good_odd_primes(E: EllipticCurve):
     return (ell for ell in odd_primes if den % ell and disc % ell)
 
 
-def _torsion_multiple_bound(E: EllipticCurve) -> int:
-    """gcd of #E(F_p) over the first ten good odd primes; a multiple of
-    #E(Q)_tors."""
+def _torsion_multiple_bound(E: EllipticCurve, floor: int) -> int:
+    """gcd of #E(F_p) over the first ten good odd primes, a multiple of
+    #E(Q)_tors; it stops at the first prime where the gcd is `floor`, the
+    order of a subgroup of E(Q)_tors (see `torsion_subgroup`)."""
     g = 0
     for p in itertools.islice(_good_odd_primes(E), 10):
         g = math.gcd(g, count_points_mod_p(E, p))
-        if g == 1:
+        if g == floor:
             break
     return g
 
@@ -288,36 +292,36 @@ def torsion_subgroup(E: EllipticCurve) -> list:
     torsion point of the integral model is such a candidate, so the points
     kept are all of E(Q)_tors, which is a group.
 
-    The Lutz-Nagell search, which factors the discriminant, is skipped when
-    the point-count gcd g of `_torsion_multiple_bound` equals |E[2](Q)| =
-    1 + the number of integer roots of the cubic.  That is a proof: E[2](Q)
-    is a subgroup of E(Q)_tors, whose order divides g, so both have order g
-    and are equal.
+    The integer roots of the cubic come first: they give E(Q)[2], of order
+    1 + their number.  The point-count gcd g of `_torsion_multiple_bound`
+    stops at the first prime where it equals that order.  This is sound:
+    for a good odd prime p, E(Q)_tors injects into E(F_p), so #E(Q)_tors
+    divides every #E(F_p) and hence every g; E(Q)[2] is a subgroup of
+    E(Q)_tors, so |E(Q)[2]| divides #E(Q)_tors, which divides g.  Once g =
+    |E(Q)[2]|, both divisibilities are equalities, and every later gcd is
+    squeezed between the same two numbers: the remaining primes cannot
+    change g.  For the same reason the Lutz-Nagell search, which factors
+    the discriminant, is skipped when g = |E(Q)[2]|: then E(Q)_tors =
+    E(Q)[2].  The final check that #E(Q)_tors divides g runs either way.
     """
     Ei, u = E.integral_model()
-    bound = _torsion_multiple_bound(Ei)
-    found = {None}  # None stands for INF
-    a2, a4, a6 = int(Ei.a2), int(Ei.a4), int(Ei.a6)
+    a2, a4, a6 = Ei._Da                     # integers: Ei._D = 1
     roots = _integer_roots_monic_cubic(a2, a4, a6)
-    candidates = {(Fraction(r), Fraction(0)) for r in roots}
+    bound = _torsion_multiple_bound(Ei, 1 + len(roots))
+    candidates = {(r, 0) for r in roots}
     if bound != 1 + len(roots):
-        disc = abs(int(Ei.discriminant()))
-        for y in _square_divisors(disc):
+        for y in _square_divisors(abs(Ei._disc.numerator)):
             for x in _integer_roots_monic_cubic(a2, a4, a6 - y * y):
-                candidates.add((Fraction(x), Fraction(y)))
-                candidates.add((Fraction(x), Fraction(-y)))
-    for x, y in candidates:
-        P = ECPoint(x, y)
+                candidates |= {(x, y), (x, -y)}
+    found = []
+    for x, y in sorted(candidates):
+        P = ECPoint(Fraction(x), Fraction(y))
         if Ei.contains(P) and is_torsion(Ei, P):
-            found.add((P.x, P.y))
-    require(bound == 0 or bound % len(found) == 0,
+            found.append((x, y))
+    require(bound == 0 or bound % (1 + len(found)) == 0,
             "torsion order does not divide the point-count gcd")
     # Map back from the integral model to the original coordinates.
-    out = [INF]
-    uu = Fraction(u)
-    for xy in sorted(p for p in found if p):
-        out.append(ECPoint(xy[0] / uu**2, xy[1] / uu**3))
-    return out
+    return [INF] + [ECPoint(Fraction(x, u * u), Fraction(y, u**3)) for x, y in found]
 
 
 def naive_height(P) -> float:
@@ -337,7 +341,9 @@ def is_torsion(E: EllipticCurve, P) -> bool:
         return True
     E._require(P)
     Ei, u = E.integral_model()
-    P = ECPoint(P.x * u * u, P.y * u**3)
+    if u != 1:
+        P = ECPoint(Fraction(P.x.numerator * u * u, P.x.denominator),
+                    Fraction(P.y.numerator * u**3, P.y.denominator))
     Q = P
     for _ in range(MAZUR_ORDER_CAP):
         if Q.x.denominator != 1:
@@ -352,7 +358,7 @@ def _duplication_forms(E: EllipticCurve):
     """Integer homogeneous quartics (N, D) with x(2P) = N(p, q)/D(p, q) for
     x(P) = p/q, on an integral model: coefficient tuples whose entry i is
     that of p^i * q^(4-i)."""
-    a2, a4, a6 = int(E.a2), int(E.a4), int(E.a6)
+    a2, a4, a6 = E._Da                      # integers: E._D = 1
     N = (a4 * a4 - 4 * a2 * a6, -8 * a6, -2 * a4, 0, 1)
     D = (4 * a6, 4 * a4, 4 * a2, 4, 0)
     return N, D
@@ -578,16 +584,20 @@ def canonical_height(E: EllipticCurve, P, tol: float = 1e-10) -> float:
     E._require(P)
     if is_torsion(E, P):
         return 0.0
-    return _nontorsion_height(E, P, tol)
+    return nontorsion_height(E, P, tol)
 
 
-def _nontorsion_height(E: EllipticCurve, P, tol: float) -> float:
-    """hhat(P) to within tol for a point the caller has already checked to
-    lie on E and to have infinite order (`canonical_height` without those
-    two checks, and the check of tol that both callers make)."""
+def nontorsion_height(E: EllipticCurve, P, tol: float) -> float:
+    """hhat(P) to within tol for a point P of infinite order on E.
+
+    Precondition, which the caller has checked: P lies on E, has infinite
+    order, and 0 < tol < inf.  This is `canonical_height` without those
+    three checks; `demjanenko.build_input` reads P's order off the complete
+    torsion list it has already built."""
     Ei, u = E.integral_model()
-    x = P.x * u * u
-    return _machine_for(E).height(x.numerator, x.denominator, tol)
+    p, q = P.x.numerator * u * u, P.x.denominator
+    g = math.gcd(p, q)
+    return _machine_for(E).height(p // g, q // g, tol)
 
 
 def canonical_height_doubling(E: EllipticCurve, P, tol: float = 1e-2) -> float:

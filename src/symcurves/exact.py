@@ -251,17 +251,12 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def rational_sqrt(q):
-    """The nonnegative rational square root of q, or None if q is not a
-    square in Q."""
-    q = Fraction(q)
-    if q < 0:
+def _isqrt_exact(n: int):
+    """The int r >= 0 with r^2 = n, or None when the int n is not a square."""
+    if n < 0:
         return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def sqrt_mod_pk(a: int, p: int, k: int):

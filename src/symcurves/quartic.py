@@ -1,6 +1,18 @@
 """The symmetric quartic family x^4 + a*x^2 + a*y^2 + y^4 = b, its quadratic
-twists, the two covering maps to the companion elliptic curve, exact preimage
-solving, and the local height constant kappa.
+twists, the companion elliptic curve, exact preimage solving under the two
+covering maps, and the local height constant kappa.
+
+Points and the coefficients a', b' are `Fraction`s; everything computed
+from them here reads their numerators and denominators as ints and builds a
+`Fraction` only for a value it returns.  `SymQuartic` holds the equation
+with denominators cleared (D, D*a', D*b') for `contains`, and its
+discriminant from a, b over the common denominator; `companion_curve`
+writes the curve's coefficients from a' and b' the same way.  The covering
+map phi_1 is `_phi1`, whose image is a pair of integer ratios (phi_2 is
+phi_1 after the swap).  `phi_preimages` checks its target on the companion
+curve once, solves x and y by integer square roots of ratios, and checks
+each preimage once on F and once against the target (phi_1(P) = Q, by
+cross-multiplication); `biquadratic_roots` solves an integer biquadratic.
 """
 
 from __future__ import annotations
@@ -9,8 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_squarefree, rational_sqrt, require
-from .elliptic import INF, ECPoint, EllipticCurve
+from .exact import _isqrt_exact, is_squarefree, require
+from .elliptic import INF, EllipticCurve, _frac
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -35,22 +49,27 @@ class SymQuartic:
     """
 
     def __init__(self, a, b, alpha: int = 1):
-        self.a, self.b = Fraction(a), Fraction(b)
+        self.a, self.b = _frac(a), _frac(b)
         if alpha == 0 or not is_squarefree(alpha):
             raise ValueError("twist parameter must be a squarefree nonzero integer")
         self.alpha = alpha
-        a, b = self.a, self.b
-        self._disc = b * (a * a + 2 * b) * (a * a + 4 * b)
-        if self._disc == 0:
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        # b*(a^2 + 2b)*(a^2 + 4b) over the common denominator ad^4 bd^3.
+        s, t = an * an * bd, bn * ad * ad
+        disc = bn * (s + 2 * t) * (s + 4 * t)
+        if disc == 0:
             raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
+        self._disc = Fraction(disc, ad**4 * bd**3)
         # a' and b', computed once: a, b and alpha are never reassigned.
-        self.a_eff = alpha * self.a
-        self.b_eff = alpha * alpha * self.b
+        self.a_eff = self.a if alpha == 1 else Fraction(alpha * an, ad)
+        self.b_eff = self.b if alpha == 1 else Fraction(alpha * alpha * bn, bd)
         # The equation with denominators cleared, for `contains`: D and the
         # integers D*a', D*b'.
-        a, b = self.a_eff, self.b_eff
-        self._D = math.lcm(a.denominator, b.denominator)
-        self._Da, self._Db = int(self._D * a), int(self._D * b)
+        an, ad = self.a_eff.numerator, self.a_eff.denominator
+        bn, bd = self.b_eff.numerator, self.b_eff.denominator
+        D = self._D = math.lcm(ad, bd)
+        self._Da, self._Db = an * (D // ad), bn * (D // bd)
         self._companion = None      # built on first use by companion_curve
 
     def disc(self) -> Fraction:
@@ -80,48 +99,61 @@ def companion_curve(F: SymQuartic) -> EllipticCurve:
     """The elliptic curve y^2 = x(x^2 - 4a'x - (16b' + 4a'^2)) receiving the
     two covering maps; built once per quartic and cached on it."""
     if F._companion is None:
-        a, b = F.a_eff, F.b_eff
-        F._companion = EllipticCurve(-4 * a, -(16 * b + 4 * a * a), 0)
+        an, ad = F.a_eff.numerator, F.a_eff.denominator
+        bn, bd = F.b_eff.numerator, F.b_eff.denominator
+        F._companion = EllipticCurve(
+            Fraction(-4 * an, ad),
+            Fraction(-4 * (4 * bn * ad * ad + an * an * bd), ad * ad * bd))
     return F._companion
 
 
-def phi(i: int, P: QuarticPoint, F: SymQuartic) -> ECPoint:
-    """The covering map: phi_1(x, y) = (-4x^2, x(8y^2 + 4a')), and phi_2 is
-    phi_1 composed with the coordinate swap."""
-    if i not in (1, 2):
-        raise ValueError("map index must be 1 or 2")
-    F._require(P)
-    if i == 2:
-        P = P.swap()
-    a = F.a_eff
-    img = ECPoint(-4 * P.x * P.x, P.x * (8 * P.y * P.y + 4 * a))
-    require(companion_curve(F).contains(img),
-            "phi image is not on the companion curve")
-    return img
+def _phi1(P: QuarticPoint, F: SymQuartic) -> tuple[int, int, int, int]:
+    """phi_1(P) as integers (Xn, Xd, Yn, Yd), X = Xn/Xd and Y = Yn/Yd with
+    Xd, Yd > 0, not reduced: for x = p/q, y = r/s and a' = m/k in lowest
+    terms, X = -4x^2 = -4p^2/q^2 and Y = x(8y^2 + 4a') = p(8r^2 k +
+    4m s^2)/(q s^2 k)."""
+    p, q = P.x.numerator, P.x.denominator
+    r, s = P.y.numerator, P.y.denominator
+    m, k = F.a_eff.numerator, F.a_eff.denominator
+    ss = s * s
+    return -4 * p * p, q * q, p * (8 * r * r * k + 4 * m * ss), q * ss * k
 
 
 def biquadratic_roots(a, c) -> list[Fraction]:
-    """The rational r with r^4 + a*r^2 + c = 0, in increasing order: r^2 is
-    a root (-a +- s)/2 of t^2 + a*t + c, s a rational square root of
-    a^2 - 4c, and r a rational square root of it."""
-    s = rational_sqrt(a * a - 4 * c)
-    if s is None:
+    """The rational r with r^4 + a*r^2 + c = 0, in increasing order, for
+    rationals a and c.  With k = lcm(den a, den c), z = k*r is a root of
+    the monic integer biquadratic z^4 + A z^2 + C, A = a k^2 and C = c k^4,
+    so z is an integer; z^2 is a root (-A +- S)/2 of t^2 + A t + C, where S
+    is the integer square root of A^2 - 4C (S = A mod 2, so the halves are
+    integers), and z an integer square root of it."""
+    an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+    k = math.lcm(ad, cd)
+    A, C = an * (k // ad) * k, cn * (k // cd) * k**3
+    S = _isqrt_exact(A * A - 4 * C)
+    if S is None:
         return []
-    out = set()
-    for t in {(-a + s) / 2, (-a - s) / 2}:
-        r = rational_sqrt(t)
-        if r is not None:
-            out |= {r, -r}
-    return sorted(out)
+    zs = set()
+    for t in {(-A + S) // 2, (-A - S) // 2}:
+        z = _isqrt_exact(t)
+        if z is not None:
+            zs |= {z, -z}
+    return [Fraction(z, k) for z in sorted(zs)]
 
 
 def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
     """All rational points of F mapping to Q under phi_i.
 
-    Requires -X/4 to be a rational square x^2; for x != 0 the second
-    coordinate then forces y^2 = (Y/x - 4a')/8, and every candidate is
-    verified on the curve exactly.  Q = (0, 0) is the image of the whole
-    x = 0 (resp. y = 0) slice and is solved as a biquadratic.
+    Q = (X, Y) is checked on the companion curve once.  For X != 0,
+    -X/4 = x^2 with X = n/d in lowest terms: as n and d are coprime, -n and
+    d are squares u^2 and v^2, and x = +-u/(2v).  The second coordinate
+    then forces y^2 = (Y/x - 4a')/8, a ratio of integers N/M, which is a
+    square exactly when the integer N*M is.  Q = (0, 0) is the image of the
+    whole x = 0 slice (y = 0 under phi_2) and is solved as a biquadratic.
+    Each candidate P is checked on F once (`F.contains`) and phi_1(P) = Q
+    once, by integer cross-multiplication of `_phi1`'s ratios with Q's.
+    Both hold by construction (for x != 0, phi_1(P) = Q on the companion
+    curve divided by x^2 is the equation of F), so either failing raises
+    CheckFailed.
     """
     if i not in (1, 2):
         raise ValueError("map index must be 1 or 2")
@@ -129,27 +161,34 @@ def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
         raise ValueError("no affine preimages of the point at infinity")
     if not companion_curve(F).contains(Q):
         raise ValueError("target point is not on the companion curve")
-    a = F.a_eff
-    pts: set[QuarticPoint] = set()
-    if Q.x == 0:
+    n, d = Q.x.numerator, Q.x.denominator
+    yn, yd = Q.y.numerator, Q.y.denominator
+    if n == 0:
         # phi_1 sends the x = 0 slice to the 2-torsion point (0, 0).
-        for y in biquadratic_roots(a, -F.b_eff):
-            pts.add(QuarticPoint(Fraction(0), y))
+        candidates = [(_ZERO, y) for y in biquadratic_roots(F.a_eff, -F.b_eff)]
     else:
-        t = rational_sqrt(-Q.x / 4)
-        if t is None or t == 0:
+        u, v = _isqrt_exact(-n), _isqrt_exact(d)
+        if u is None or v is None:
             return set()
-        for x in (t, -t):
-            y2 = (Q.y / x - 4 * a) / 8
-            s = rational_sqrt(y2)
-            if s is None:
-                continue
-            for y in {s, -s}:
-                P = QuarticPoint(x, y)
-                if F.contains(P) and phi(1, P, F) == Q:
-                    pts.add(P)
-    if i == 2:
-        pts = {P.swap() for P in pts}
+        candidates = []
+        m, k = F.a_eff.numerator, F.a_eff.denominator
+        for w in (u, -u):
+            # x = w/(2v), Y = yn/yd and a' = m/k: y^2 = (Y/x - 4a')/8 = N/M
+            # with N = 2v yn k - 4m yd w and M = 8 yd w k, a square exactly
+            # when N*M is, and then y = +-sqrt(N*M)/|M|.
+            M = 8 * yd * w * k
+            r = _isqrt_exact((2 * v * yn * k - 4 * m * yd * w) * M)
+            if r is not None:
+                x, y = Fraction(w, 2 * v), Fraction(r, abs(M))
+                candidates += [(x, s) for s in {y, -y}]
+    pts: set[QuarticPoint] = set()
+    for x, y in candidates:
+        P = QuarticPoint(x, y)
+        require(F.contains(P), "pulled-back point is not on the quartic")
+        Xn, Xd, Yn, Yd = _phi1(P, F)
+        require(Xn * d == n * Xd and Yn * yd == yn * Yd,
+                "phi_1 does not map the pulled-back point to its target")
+        pts.add(P.swap() if i == 2 else P)
     return pts
 
 

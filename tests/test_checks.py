@@ -7,7 +7,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,7 @@ from symcurves.demjanenko import determine_points
 from symcurves.dynamics import chebyshev_curve_points
 from symcurves.elliptic import canonical_height, point, torsion_subgroup
 from symcurves.exact import CheckFailed
-from symcurves.quartic import QuarticPoint, SymQuartic, companion_curve, phi
+from symcurves.quartic import SymQuartic, companion_curve, phi_preimages
 
 X4 = SymQuartic(-4, -3, 1)
 G = point(4, -16)
@@ -53,13 +52,20 @@ FORCED = {
         "demjanenko.equal_index_points = (lambda F:\n"
         "    {QuarticPoint(Fraction(7), Fraction(9))})\n",
         lambda: determine_points(X4, G), QUARTIC),
-    "phi image is not on the companion curve": (
-        "from symcurves import elliptic, quartic\n"
-        "quartic.ECPoint = lambda x, y: elliptic.ECPoint(x, y + 1)\n",
-        lambda: phi(1, QuarticPoint(Fraction(1), Fraction(0)), X4), QUARTIC),
+    "pulled-back point is not on the quartic": (
+        "from symcurves import quartic\n"
+        "_point = quartic.QuarticPoint\n"
+        "quartic.QuarticPoint = lambda x, y: _point(x, y + 1)\n",
+        lambda: phi_preimages(1, point(-4, -16), X4), QUARTIC),
+    "phi_1 does not map the pulled-back point to its target": (
+        "from symcurves import quartic\n"
+        "_phi1 = quartic._phi1\n"
+        "quartic._phi1 = (lambda P, F:\n"
+        "    (lambda Xn, Xd, Yn, Yd: (Xn, Xd, Yn + Yd, Yd))(*_phi1(P, F)))\n",
+        lambda: phi_preimages(1, point(-4, -16), X4), QUARTIC),
     "torsion order does not divide the point-count gcd": (
         "from symcurves import elliptic\n"
-        "elliptic._torsion_multiple_bound = lambda E: 1\n",
+        "elliptic._torsion_multiple_bound = lambda E, floor: 1\n",
         lambda: torsion_subgroup(companion_curve(X4)), HEIGHTS),
     "duplication content exceeds its Bezout bound": (
         "from symcurves import elliptic\n"
@@ -68,8 +74,9 @@ FORCED = {
 }
 
 PATCHED = ((dynamics, "_pullback_pairs"), (dynamics, "conjecture_scan"),
-           (demjanenko, "equal_index_points"), (quartic, "ECPoint"),
-           (elliptic, "_torsion_multiple_bound"), (elliptic, "_val_capped"))
+           (demjanenko, "equal_index_points"), (quartic, "QuarticPoint"),
+           (quartic, "_phi1"), (elliptic, "_torsion_multiple_bound"),
+           (elliptic, "_val_capped"))
 
 
 @pytest.fixture

@@ -169,6 +169,24 @@ def test_pair_without_two_parts_is_a_precondition(argv, message, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--f", "1,x"], "f must be given as comma-separated integers"),
+    (["orbit", "--f", ",1"], "f must be given as comma-separated integers"),
+    (["orbit", "--f", "1/2,1"], "f must be given as comma-separated integers"),
+    (["orbit", "--alpha", "x"], "alpha must be a rational number"),
+    (["orbit", "--beta", "1/0"], "beta must be a rational number"),
+    (["orbit", "--shift", "1,x"], "shift must be given as U,V"),
+    (["quartic", "-4", "-3", "1", "--generator", "4,y"], "point must be given as X,Y"),
+], ids=["f-letter", "f-empty", "f-fraction", "alpha", "beta-zero-den", "shift",
+        "generator"])
+def test_unreadable_number_names_its_option(argv, message, capsys):
+    # A value that int() or Fraction() cannot read, or a zero denominator,
+    # is an input error whose message names the option, not Python's text.
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_descent_command(capsys):
     code, out, _ = run(["descent", "73", "--json"], capsys)
     assert code == EXIT_OK

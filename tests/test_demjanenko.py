@@ -38,9 +38,9 @@ from symcurves.exact import (
     FIELD_TABLE_CACHE,
     _SIEVE_LIMIT,
     _field_tables,
-    rational_sqrt,
 )
-from symcurves.quartic import SymQuartic, kappa, phi, phi_preimages
+from symcurves.quartic import SymQuartic, kappa, phi_preimages
+from quarticref import phi, rational_sqrt
 from test_quartic import qpoint
 from test_quartic_golden import CORPUS as GOLDEN_CORPUS
 
@@ -208,6 +208,46 @@ def test_equal_index_points_x4():
     # The xy = 0 class; the x = +-y and translated classes are empty here.
     assert equal_index_points(X4) == {qpoint(0, 1), qpoint(0, -1),
                                       qpoint(1, 0), qpoint(-1, 0)}
+
+
+def test_equal_index_points_match_the_reference():
+    # The integer solution of the three degenerate classes against the
+    # Fraction reference: on quartics through a seeded point (x, y) with
+    # xy != 0 that lies in the translated class, a' = -2(x^2 + y^2 -+ xy)
+    # and b' = -a'^2/4 - (xy)^2, on diagonal ones b' = 2x^4 + 2a'x^2, on
+    # random ones, each twisted by alpha.
+    import quarticref
+
+    rng = random.Random(4848)
+    found = {"translated": 0, "diagonal": 0, "axis": 0}
+    checked = 0
+    while checked < 600:
+        x, y = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                for _ in range(2))
+        alpha = rng.choice((1, 1, -1, 2, 3, -6))
+        kind = rng.randrange(3)
+        if kind == 0:
+            a_eff = -2 * (x * x + y * y - rng.choice((1, -1)) * x * y)
+            b_eff = -a_eff * a_eff / 4 - (x * y) ** 2
+        elif kind == 1:
+            a_eff = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+            b_eff = 2 * x**4 + 2 * a_eff * x * x
+        else:
+            a_eff = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+            b_eff = rng.choice((y**4 + a_eff * y * y,
+                                Fraction(rng.randint(-50, 50), rng.randint(1, 9))))
+        try:
+            F = SymQuartic(a_eff / alpha, b_eff / alpha**2, alpha)
+        except ValueError:
+            continue
+        got = equal_index_points(F)
+        assert got == quarticref.equal_index_points(F), F
+        found["translated"] += any(P.x * P.y != 0 and abs(P.x) != abs(P.y)
+                                   for P in got)
+        found["diagonal"] += any(P.x * P.y != 0 and abs(P.x) == abs(P.y) for P in got)
+        found["axis"] += any(P.x * P.y == 0 for P in got)
+        checked += 1
+    assert min(found.values()) > 20, found
 
 
 def test_equal_index_points_hasse_twists():

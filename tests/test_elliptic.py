@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -39,6 +40,7 @@ from symcurves.elliptic import (
 from symcurves.exact import CheckFailed, factorize, is_prime
 from symcurves.quartic import SymQuartic, companion_curve
 from polyref import Poly
+from quarticref import cleared, discriminant
 
 # companion curve of the degree-4 Chebyshev quartic
 Y_CURVE = EllipticCurve(16, -16, 0)
@@ -361,6 +363,113 @@ def test_torsion_matches_lutz_nagell_on_the_family_box():
         assert tor == lutz_nagell_torsion(E), (a, b)
         larger += len(tor) > 1 + sum(P.y == 0 for P in tor[1:])
     assert larger > 0           # some torsion is not E[2](Q)
+
+
+def test_discriminant_and_cleared_equation_match_the_reference():
+    # 3,000 seeded curves with fractional coefficients and a6 != 0: the
+    # discriminant from the integral model over D^12, and D, D*a_i, against
+    # the b-invariant formula and Fraction products; the integral model's
+    # coefficients against a_i u^i.  Singular ones raise ValueError.
+    rng = random.Random(4812)
+    checked = singular = 0
+    while checked < 3000:
+        a2, a4, a6 = (Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+                      for _ in range(3))
+        if a6 == 0:
+            continue
+        if discriminant(a2, a4, a6) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                EllipticCurve(a2, a4, a6)
+            singular += 1
+            continue
+        E = EllipticCurve(a2, a4, a6)
+        assert E.discriminant() == discriminant(a2, a4, a6), (a2, a4, a6)
+        assert (E._D, E._Da) == cleared(a2, a4, a6), (a2, a4, a6)
+        Ei, u = E.integral_model()
+        assert u == E._D and Ei._D == 1
+        assert (Ei.a2, Ei.a4, Ei.a6) == (a2 * u**2, a4 * u**4, a6 * u**6)
+        assert Ei.discriminant() == E.discriminant() * u**12
+        checked += 1
+    for co in ((0, 0, 0), (1, 0, 0), (0, -3, 2), (Fraction(1, 3), 0, 0)):
+        assert discriminant(*co) == 0           # a double or triple root
+        with pytest.raises(ValueError, match="singular"):
+            EllipticCurve(*co)
+
+
+def torsion_corpus():
+    """3,508 curves: 3,000 nonsingular y^2 = x^3 + a2 x^2 + a4 x + a6 with
+    seeded |a_i| <= 50, then the companion curves of F_(a, b) for integral
+    |a| <= 6, |b| <= 20."""
+    rng = random.Random(48)
+    curves = []
+    while len(curves) < 3000:
+        try:
+            curves.append(EllipticCurve(*(rng.randint(-50, 50) for _ in range(3))))
+        except ValueError:
+            pass
+    for a in range(-6, 7):
+        for b in range(-20, 21):
+            if b * (a * a + 2 * b) * (a * a + 4 * b):
+                curves.append(companion_curve(SymQuartic(a, b, 1)))
+    return curves
+
+
+def test_torsion_lists_equal_the_ten_prime_search():
+    # The point lists over the corpus, hashed, are those that
+    # `torsion_subgroup` gave when its point-count gcd always ran ten primes
+    # (and listed the points in the same order).  The corpus holds torsion
+    # of every order the search can prove with Lutz-Nagell: 3, 4 (Z/4 and
+    # Z/2 x Z/2), 6 and 8, besides 1 and 2.
+    curves = torsion_corpus()
+    assert len(curves) == 3508
+    lists = [torsion_subgroup(E) for E in curves]
+    text = ";".join(",".join("O" if P is INF else f"{P.x}:{P.y}" for P in tor)
+                    for tor in lists)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9e2097399a09de251e903e03c3bd628ca45783a46220409d99c55218c04ae4f6")
+    orders = {len(tor) for tor in lists}
+    assert orders == {1, 2, 3, 4, 6, 8}
+    # Torsion Z/4 on y^2 = x^3 + 4x and Z/6 on F_(-6, -6)'s companion, both
+    # beyond E(Q)[2], so found by the Lutz-Nagell search.
+    z4 = torsion_subgroup(EllipticCurve(0, 4, 0))
+    assert [(P.x, P.y) for P in z4[1:]] == [(0, 0), (2, -4), (2, 4)]
+    assert len(torsion_subgroup(companion_curve(SymQuartic(-6, -6, 1)))) == 6
+
+
+def test_torsion_bound_stops_at_the_two_torsion_order(monkeypatch):
+    # The point-count gcd stops at the first prime where it equals
+    # |E(Q)[2]| = 1 + the number of integer roots: X_4's companion curve
+    # (one root; 5 is a bad prime) needs its first two good primes,
+    # gcd(#E(F_3), #E(F_7)) = gcd(6, 10) = 2; a curve whose torsion exceeds
+    # E(Q)[2] runs all ten.
+    primes = []
+    real = elliptic.count_points_mod_p
+
+    def counting(E, p):
+        primes.append(p)
+        return real(E, p)
+
+    monkeypatch.setattr(elliptic, "count_points_mod_p", counting)
+    assert len(torsion_subgroup(Y_CURVE)) == 2
+    assert primes == [3, 7]
+    primes.clear()
+    assert len(torsion_subgroup(companion_curve(SymQuartic(-6, -6, 1)))) == 6
+    assert len(primes) == 10
+
+
+@pytest.mark.parametrize("E", [Y_CURVE, EllipticCurve(0, 4, 0),
+                               EllipticCurve(0, -1, 0),
+                               companion_curve(SymQuartic(-6, -6, 1))],
+                         ids=["Z2", "Z4", "Z2xZ2", "Z6"])
+def test_an_odd_point_count_still_trips_the_torsion_check(E, monkeypatch):
+    # Every curve here has a rational 2-torsion point, so no odd gcd can be
+    # |E(Q)[2]|: the early stop never fires, the Lutz-Nagell search runs,
+    # and the torsion order it finds (even) does not divide the gcd.
+    monkeypatch.setattr(elliptic, "count_points_mod_p",
+                        lambda E, p: 2 * p + 1)
+    with pytest.raises(CheckFailed,
+                       match="torsion order does not divide the point-count gcd"):
+        torsion_subgroup(E)
 
 
 def test_torsion_shortcut_does_not_factor_the_discriminant(monkeypatch):

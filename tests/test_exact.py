@@ -6,6 +6,7 @@ import pytest
 
 from symcurves import exact
 from symcurves.exact import (
+    _isqrt_exact,
     _miller_rabin,
     _pollard_rho,
     _sqrt_mod_p,
@@ -16,10 +17,10 @@ from symcurves.exact import (
     is_squarefree,
     legendre_symbol,
     log_abs,
-    rational_sqrt,
     sqrt_mod_pk,
 )
 from polyref import Poly, derivative, roots_mod_p
+from quarticref import rational_sqrt
 
 
 def primes_below(n):
@@ -103,15 +104,31 @@ def test_legendre_multiplicative():
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
-    assert rational_sqrt(2) is None
-    assert rational_sqrt(0) == 0
-    assert rational_sqrt(Fraction(49, 64)) == Fraction(7, 8)
-    assert rational_sqrt(-4) is None
+    # exact._isqrt_exact, with which the quartic pull-back takes the square
+    # root of a ratio n/d of ints as sqrt(n*d)/|d|, against the Fraction
+    # reference, on reduced and unreduced ratios of either sign.
+    def root(n, d):
+        r = _isqrt_exact(n * d)
+        return None if r is None else Fraction(r, abs(d))
+
+    assert root(4, 9) == Fraction(2, 3)
+    assert root(2, 1) is None
+    assert root(0, 1) == 0
+    assert root(49, 64) == Fraction(7, 8)
+    assert root(-4, 1) is None
+    assert root(4, -1) is None
+    assert root(-4, -9) == Fraction(2, 3)
+    assert root(8, 18) == Fraction(2, 3)
     rng = random.Random(3)
     for _ in range(100):
         q = Fraction(rng.randrange(1, 500), rng.randrange(1, 500))
-        assert rational_sqrt(q * q) == abs(q)
+        assert root(q.numerator**2, q.denominator**2) == abs(q)
+    for _ in range(400):
+        n, d = rng.randrange(-60, 61), rng.choice((1, -1)) * rng.randrange(1, 60)
+        g = rng.choice((1, -1)) * rng.randrange(1, 12)
+        assert root(n * g, d * g) == rational_sqrt(Fraction(n, d)), (n, d, g)
+    assert [_isqrt_exact(n) for n in (-1, 0, 1, 2, 4, 10**40, 10**40 + 1)] == \
+        [None, 0, 1, None, 2, 10**20, None]
 
 
 def p_valuation(q, p: int):

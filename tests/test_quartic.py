@@ -1,9 +1,14 @@
+import importlib.util
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import quarticref
+from symcurves import demjanenko
+from symcurves.demjanenko import determine_points
 from symcurves.elliptic import INF, EllipticCurve, point
 from symcurves.exact import factorize
 from symcurves.quartic import (
@@ -12,10 +17,11 @@ from symcurves.quartic import (
     biquadratic_roots,
     companion_curve,
     kappa,
-    phi,
     phi_preimages,
 )
+from quarticref import phi
 from test_exact import p_valuation
+from test_quartic_golden import CORPUS as GOLDEN_CORPUS
 
 X4 = SymQuartic(-4, -3, 1)
 HASSE = SymQuartic(-4, -6, 1)
@@ -214,6 +220,121 @@ def test_phi_preimages_of_two_torsion():
     pre = phi_preimages(1, point(0, 0), X4)
     assert pre == {qpoint(0, 1), qpoint(0, -1)}
     assert phi_preimages(2, point(0, 0), X4) == {qpoint(1, 0), qpoint(-1, 0)}
+
+
+def _benchmark_workloads():
+    # The benchmark's corpus module, loaded from its file: it imports only
+    # the standard library.
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _same_preimages(i, Q, F):
+    # The integer pull-back against the Fraction reference: equal sets, or
+    # the same ValueError.
+    try:
+        want = quarticref.phi_preimages(i, Q, F)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            phi_preimages(i, Q, F)
+        return None
+    got = phi_preimages(i, Q, F)
+    assert got == want, (F, i, Q)
+    return got
+
+
+def test_phi_preimages_match_the_reference_on_every_certificate_call(monkeypatch):
+    # Every pull-back that the certificates of both benchmark corpora
+    # (quartic-certify, seeds 1 and 2: 720 curves) and of the 30 golden
+    # curves make, each through phi_2 as well.
+    calls = []
+    real = demjanenko.phi_preimages
+
+    def compared(i, Q, F):
+        got = real(i, Q, F)
+        assert got == quarticref.phi_preimages(i, Q, F), (F, i, Q)
+        if Q.x != 0:
+            assert {P.swap() for P in got} == _same_preimages(2, Q, F)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(demjanenko, "phi_preimages", compared)
+    workload = _benchmark_workloads().WORKLOADS["quartic-certify"]()
+    items = [(it["a"], it["b"], it["G"]) for seed in (1, 2)
+             for it in workload.corpus(seed)]
+    items += [(Fraction(a), Fraction(b), (Fraction(gx), Fraction(gy)))
+              for a, b, gx, gy in GOLDEN_CORPUS]
+    assert len(items) == 750
+    for a, b, gen in items:
+        determine_points(SymQuartic(a, b, 1), point(*gen))
+    assert len(calls) > 1500 and sum(calls) > 1500 and calls.count(0) > 50
+
+
+def test_phi_preimages_match_the_reference_on_twists_and_edge_targets():
+    # Twists by alpha in {-1, 2, 3, -6} through a seeded point P, b
+    # back-solved, and targets phi_1(P) and phi_2(P), their negatives,
+    # doubles and triples and their sums with the 2-torsion point (0, 0)
+    # (where Q = (0, 0) pulls back to the x = 0 slice), and points whose
+    # -X/4 is a square but whose y^2 = (Y/x - 4a')/8 is negative for both
+    # signs of x.  Both maps, and O and an off-curve point (ValueError).
+    rng = random.Random(48)
+    seen = {"zero": 0, "negative": 0, "found": 0, "empty": 0}
+    for alpha in (-1, 2, 3, -6):
+        checked = 0
+        while checked < 25:
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            y = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            a = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            a_eff = alpha * a
+            b = (x**4 + a_eff * x * x + a_eff * y * y + y**4) / alpha**2
+            try:
+                F = SymQuartic(a, b, alpha)
+            except ValueError:
+                continue
+            checked += 1
+            E = companion_curve(F)
+            T = point(0, 0)
+            targets = [T, point(1, 1)]
+            for R in (quarticref.phi(1, qpoint(x, y), F),
+                      quarticref.phi(2, qpoint(x, y), F)):
+                for n in (1, -1, 2, 3):
+                    S = E.scalar_mul(n, R)
+                    targets += [S, E.add(S, T)]
+            for Q in targets:
+                if Q is INF:
+                    continue
+                if Q.x == 0:
+                    seen["zero"] += 1
+                elif Q.x < 0 and quarticref.rational_sqrt(-Q.x / 4) is not None:
+                    t = quarticref.rational_sqrt(-Q.x / 4)
+                    if all((Q.y / s - 4 * F.a_eff) / 8 < 0 for s in (t, -t)):
+                        seen["negative"] += 1
+                for i in (1, 2):
+                    got = _same_preimages(i, Q, F)
+                    if got is not None:
+                        seen["found" if got else "empty"] += 1
+            for i in (1, 2):
+                _same_preimages(i, INF, F)
+    assert min(seen.values()) > 10, seen
+
+
+def test_biquadratic_roots_match_the_reference():
+    # Integer roots z of z^4 + A z^2 + C against the Fraction square roots,
+    # with denominators up to 10^6 and roots built in.
+    rng = random.Random(49)
+    for _ in range(600):
+        if rng.random() < 0.5:
+            u, v = (Fraction(rng.randint(-99, 99), rng.randint(1, 999)) ** 2
+                    * rng.choice((1, -1)) for _ in range(2))
+            a, c = -(u + v), u * v
+        else:
+            a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        assert biquadratic_roots(a, c) == quarticref.biquadratic_roots(a, c), (a, c)
+    assert biquadratic_roots(-5, 4) == [-2, -1, 1, 2]
 
 
 def test_biquadratic_roots_against_a_rational_scan():
