@@ -63,7 +63,7 @@ CACHE_ENV = "DEMJANENKO_CACHE"
 # Part of every hasse-scan cache key, with the toolkit version: bump it
 # whenever the computation of a verdict changes, so that no line written by
 # an older algorithm is served.
-HASSE_VERDICT_SCHEMA = 4
+HASSE_VERDICT_SCHEMA = 5
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -115,6 +115,12 @@ def _parse_pair(text: str, usage: str) -> tuple[Fraction, Fraction]:
     return tuple(_parse_number(part, Fraction, usage) for part in parts)
 
 
+def _parse_ab(args) -> tuple[Fraction, Fraction]:
+    # The rationals a and b of `quartic` and `heights`.
+    return (_parse_number(args.a, Fraction, "a must be a rational number"),
+            _parse_number(args.b, Fraction, "b must be a rational number"))
+
+
 def _parse_point(text: str):
     return point(*_parse_pair(text, "point must be given as X,Y"))
 
@@ -123,7 +129,7 @@ def _parse_point(text: str):
 
 
 def cmd_quartic(args) -> tuple[dict, int]:
-    F = SymQuartic(Fraction(args.a), Fraction(args.b), args.alpha)
+    F = SymQuartic(*_parse_ab(args), args.alpha)
     gen = _parse_point(args.generator) if args.generator else None
     cert = determine_points(F, gen, rank_claim=args.rank)
     payload = {
@@ -205,7 +211,7 @@ def cmd_hasse_scan(args) -> tuple[dict, int]:
 
 def cmd_heights(args) -> tuple[dict, int]:
     _require_tol(args.tol)
-    F = SymQuartic(Fraction(args.a), Fraction(args.b), args.alpha)
+    F = SymQuartic(*_parse_ab(args), args.alpha)
     E = companion_curve(F)
     up, low = height_gap_bounds(E)
     payload = {
@@ -316,6 +322,12 @@ def _unusable(exc: OSError) -> ValueError:
     return ValueError(f"cannot use cache location {exc.filename}: {exc.strerror}")
 
 
+def _blob_digest(blob: str) -> str:
+    # The hash of a cache entry whose blob json.dumps([key, record],
+    # sort_keys=True) is given: the first 16 hex digits of its SHA-256.
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 class ScanCache:
     """Append-only JSONL cache, one file per scan family, advisory-locked.
     Entries carry a hash of their key and payload; corrupted lines are
@@ -339,8 +351,7 @@ class ScanCache:
             self._load()
 
     def _digest(self, key: str, record) -> str:
-        blob = json.dumps([key, record], sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _blob_digest(json.dumps([key, record], sort_keys=True))
 
     def _load(self):
         global _last_verified
@@ -391,8 +402,12 @@ class ScanCache:
         self.entries[key] = record
         if not self.path:
             return
-        entry = {"key": key, "record": record,
-                 "hash": self._digest(key, record)}
+        # The blob of `_digest` and the line json.dumps({"hash": ..., "key":
+        # key, "record": record}, sort_keys=True), from one encoding each of
+        # the key and the record.
+        key_json, record_json = json.dumps(key), json.dumps(record, sort_keys=True)
+        digest = _blob_digest(f"[{key_json}, {record_json}]")
+        line = f'{{"hash": "{digest}", "key": {key_json}, "record": {record_json}}}\n'
         fh = self._fh
         if fh is None:
             try:
@@ -405,7 +420,7 @@ class ScanCache:
                 raise _unusable(exc) from None
             self._fh = fh
         fcntl.flock(fh, fcntl.LOCK_EX)
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.write(line)
         fh.flush()
         fcntl.flock(fh, fcntl.LOCK_UN)
 

@@ -280,33 +280,57 @@ def selmer_sets(a: int, b: int) -> tuple[list[int], list[int]]:
     c2' and c4 fixed.  Put d*u^2 for d and (u*z, u*w) for (z, w): the
     equation of d comes back, times u^4.  So whether the space of d is
     solvable over Q_v depends only on the class of d in Q_v*/Q_v*^2, and
-    each side asks the kernel once per place and `_local_class` key, in
-    the order spaces and places are listed, and reads every later d of
-    that class from the answer.  For squarefree d, equal classes at ell
-    also mean equal v_ell(d); the discriminant 16 d^12 c4 (c2'^2 - 4c4)^2
-    then has equal valuation too, so the kernel's recursion cap is the
-    same for every d of a class.  A space is built only when one of its
-    classes has no answer yet."""
+    each side reads every d of a class from one answer per place and
+    `_local_class` key.  For squarefree d, equal classes at ell also mean
+    equal v_ell(d); the discriminant 16 d^12 c4 (c2'^2 - 4c4)^2 then has
+    equal valuation too, so the kernel's recursion cap is the same for
+    every d of a class.
+
+    Two classes on each side need no kernel call: those of the images of
+    O and of T = (0, 0) under the descent map, 1 and the squarefree part
+    d0 of c4 (16b has the squarefree part of b).  The space of 1 has the
+    rational point (z, w) = (0, 1).  The space of d0 has rational points at
+    z = infinity: in t = 1/z, w = W/t^2 it reads d0*W^2 = d0^2 t^4 +
+    c2'*d0 t^2 + c4, and at t = 0 that is d0*W^2 = c4, solved by W^2 =
+    c4/d0, a rational square.  A rational point is a Q_v-point at every
+    place v, so both classes are answered True at every place before the
+    search.  The kernel is asked about every other class once per side and
+    place, in the order spaces and places are listed, and a space is built
+    only when one of its classes has no answer yet.  Each d's classes are
+    computed once per call; both sides share them."""
     disc = a * a - 4 * b
     if disc == 0 or b == 0:
         raise ValueError("curve must be nonsingular with full 2-isogeny data")
-    disc_primes, b_primes = set(factorize(disc)), set(factorize(b)) | {2}
+    disc_factors, b_factors = factorize(disc), factorize(b)
+    disc_primes, b_primes = set(disc_factors), set(b_factors) | {2}
     places = ["real"] + sorted(disc_primes | b_primes)
-    sets = []
-    for primes, c2, c4 in ((disc_primes, -2 * a, disc), (b_primes, 4 * a, 16 * b)):
+    sides = []
+    for primes, factors, c2, c4 in ((disc_primes, disc_factors, -2 * a, disc),
+                                    (b_primes, b_factors, 4 * a, 16 * b)):
         divisors = [1]
         for q in sorted(primes):
             divisors += [d * q for d in divisors]
-        verdicts, solvable = {}, []
-        for d in [e * n for n in sorted(divisors) for e in (1, -1)]:
+        d0 = -1 if c4 < 0 else 1
+        for q, e in factors.items():
+            if e & 1:
+                d0 *= q
+        sides.append(([e * n for n in sorted(divisors) for e in (1, -1)],
+                      d0, c2, c4))
+    # d -> [(place, _local_class(d, place)) for each place], for both sides.
+    classes = {d: [(v, _local_class(d, v)) for v in places]
+               for d in {*sides[0][0], *sides[1][0]}}
+    sets = []
+    for ds, d0, c2, c4 in sides:
+        verdicts = dict.fromkeys(classes[1] + classes[d0], True)
+        solvable = []
+        for d in ds:
             C = None
-            for v in places:
-                key = (v, _local_class(d, v))
+            for key in classes[d]:
                 ok = verdicts.get(key)
                 if ok is None:
                     if C is None:
                         C = HomSpace(d, d * c2, c4)
-                    ok = verdicts[key] = homspace_locally_solvable(C, v)
+                    ok = verdicts[key] = homspace_locally_solvable(C, key[0])
                 if not ok:
                     break
             else:

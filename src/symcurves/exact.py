@@ -160,7 +160,13 @@ _TRIAL_PRIMES = tuple(i for i, flag in enumerate(_SIEVE) if flag)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+
+    Trial division by the primes below _SIEVE_LIMIT stops once p^3 > n.
+    The cofactor left then has at most two prime factors, and a square
+    cofactor r^2 is split by `math.isqrt` before any primality test.  A
+    cofactor left after every trial prime is tested for primality, then
+    split by perfect powers and Pollard rho."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -185,16 +191,17 @@ def factorize(n: int) -> dict[int, int]:
             d = _pollard_rho(m)
             stack.extend([d, m // d])
         return out
-    # Every prime factor of n is at least p > n^(1/3): n is 1, a prime, r^2,
-    # or q*r with primes q < r.
+    # Every prime factor of n is at least p > n^(1/3): n is 1, r^2, a prime,
+    # or q*r with primes q < r.  The square is split first, since a prime is
+    # never one: the cofactor p^2 of 8p^2 and 2p^2 takes no primality test.
     if n == 1:
-        return out
-    if is_prime(n):
-        out[n] = 1
         return out
     r = math.isqrt(n)
     if r * r == n:
         out[r] = 2
+        return out
+    if is_prime(n):
+        out[n] = 1
         return out
     # In the order that trial division, or else Pollard rho, finds them.
     q = next((t for t in _TRIAL_PRIMES[i:] if n % t == 0), None)

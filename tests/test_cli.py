@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -177,8 +178,16 @@ def test_pair_without_two_parts_is_a_precondition(argv, message, capsys):
     (["orbit", "--beta", "1/0"], "beta must be a rational number"),
     (["orbit", "--shift", "1,x"], "shift must be given as U,V"),
     (["quartic", "-4", "-3", "1", "--generator", "4,y"], "point must be given as X,Y"),
+    (["quartic", "x", "-3", "1"], "a must be a rational number"),
+    (["quartic", "-4", "1/2/3", "1"], "b must be a rational number"),
+    (["quartic", "-3/0", "-3", "1"], "a must be a rational number"),
+    (["heights", "-4", "1/0", "1"], "b must be a rational number"),
+    (["heights", "1/2/3", "-3", "1"], "a must be a rational number"),
+    (["heights", "-4", "-3/0", "1"], "b must be a rational number"),
 ], ids=["f-letter", "f-empty", "f-fraction", "alpha", "beta-zero-den", "shift",
-        "generator"])
+        "generator", "quartic-a-letter", "quartic-b-two-slashes",
+        "quartic-a-zero-den", "heights-b-zero-den", "heights-a-two-slashes",
+        "heights-b-negative-zero-den"])
 def test_unreadable_number_names_its_option(argv, message, capsys):
     # A value that int() or Fraction() cannot read, or a zero denominator,
     # is an input error whose message names the option, not Python's text.
@@ -726,6 +735,32 @@ def test_first_put_makes_the_cache_directory(tmp_path, digests):
     assert sorted(digests) == ["k", "k2"]
 
 
+def test_put_line_is_json_dumps_of_its_entry(tmp_path):
+    # Each line that put writes is json.dumps(entry, sort_keys=True) plus a
+    # newline, and its hash is that of json.dumps([key, record],
+    # sort_keys=True), on keys and records with quotes, backslashes and
+    # non-ASCII text; a load verifies and serves every line.
+    pairs = [
+        ("k", {"p": 73}),
+        ('say "yes"', {"z": 'a "quoted" \\ value', "a": [1, 2.5, None, True]}),
+        ("clé ✓", {"conclusion": "Selmer–Tate rank ≤ 2", "b": {"y": "ü", "x": -1}}),
+        ("tab\tkey", {"p": 97, "nested": [{"é": "\u2028"}, []]}),
+    ]
+    cache = ScanCache(str(tmp_path), "lines")
+    for key, record in pairs:
+        cache.put(key, record)
+    cache.close()
+    lines = (tmp_path / "lines.jsonl").read_text().splitlines(True)
+    assert len(lines) == len(pairs)
+    for line, (key, record) in zip(lines, pairs):
+        blob = json.dumps([key, record], sort_keys=True)
+        entry = {"key": key, "record": record,
+                 "hash": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+        assert line == json.dumps(entry, sort_keys=True) + "\n", key
+    loaded = ScanCache(str(tmp_path), "lines")
+    assert {key: loaded.get(key) for key, _ in pairs} == dict(pairs)
+
+
 @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
 def test_unusable_cache_location_is_a_precondition(via_env, tmp_path,
                                                    monkeypatch, capsys):
@@ -828,12 +863,12 @@ def test_unversioned_cache_line_is_recomputed(tmp_path, monkeypatch, capsys):
 
 def test_cache_line_of_an_older_schema_is_recomputed(tmp_path, monkeypatch,
                                                      capsys):
-    # A correctly hashed line under the schema=3 key, written before the
-    # Selmer sets asked the local kernel once per square class, is not
-    # served: the verdict is computed again and stored under the current
-    # schema's key.
-    assert cli.HASSE_VERDICT_SCHEMA == 4
-    old_key = f"hasse:v={symcurves.__version__}:schema=3:p=73:parity=False"
+    # A correctly hashed line under the schema=4 key, written before the
+    # Selmer sets answered the classes of 1 and c4 without the local
+    # kernel, is not served: the verdict is computed again and stored under
+    # the current schema's key.
+    assert cli.HASSE_VERDICT_SCHEMA == 5
+    old_key = f"hasse:v={symcurves.__version__}:schema=4:p=73:parity=False"
     stale = dict(_hasse_payload(str(tmp_path / "fresh"), capsys)["verdicts"][0],
                  conclusion="stale")
     path = tmp_path / "cache" / "hasse-scan.jsonl"

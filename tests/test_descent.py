@@ -695,11 +695,24 @@ def same_local_class(d, e, place) -> bool:
     return d * e > 0 if place == "real" else _is_square_ql(d * e, place)
 
 
-def test_selmer_sets_ask_once_per_local_class(monkeypatch):
-    # On each side the kernel is asked in the reference's order (its
-    # spaces, and for each space its places), never twice at one place for
-    # two d of one class, and at every place for d = 1, the first space:
-    # it has the point (z, w) = (0, 1) everywhere.
+def test_torsion_image_classes_are_solvable_everywhere():
+    # The classes that `selmer_sets` answers without the kernel: on each
+    # side the space of 1 has the point (z, w) = (0, 1), and that of the
+    # squarefree part of c4 has points at z = infinity.  The kernel itself
+    # finds both solvable at every place.
+    for a, b in selmer_corpus():
+        for spaces in (isogeny_spaces(a, b), dual_isogeny_spaces(a, b)):
+            c2, c4 = spaces[0].c2, spaces[0].c4     # spaces[0] is d = 1
+            places = _relevant_places(spaces)
+            for d0 in (1, squarefree_part(c4)):
+                C = HomSpace(d0, d0 * c2, c4)
+                for v in places:
+                    assert homspace_locally_solvable(C, v) is True, (a, b, C, v)
+
+
+def recorded_kernel_visits(monkeypatch) -> list:
+    """The (space, place) pairs that `selmer_sets` asks the local kernel
+    about from here on, in order."""
     visits = []
     real = descent.homspace_locally_solvable
 
@@ -708,6 +721,15 @@ def test_selmer_sets_ask_once_per_local_class(monkeypatch):
         return real(C, place)
 
     monkeypatch.setattr(descent, "homspace_locally_solvable", recording)
+    return visits
+
+
+def test_selmer_sets_ask_once_per_local_class(monkeypatch):
+    # On each side the kernel is asked in the reference's order (its
+    # spaces, and for each space its places), never twice at one place for
+    # two d of one class, and never for the class of 1 or of c4, the images
+    # of O and of (0, 0), whose spaces have rational points.
+    visits = recorded_kernel_visits(monkeypatch)
     for a, b in selmer_corpus():
         visits.clear()
         selmer_sets(a, b)
@@ -715,7 +737,6 @@ def test_selmer_sets_ask_once_per_local_class(monkeypatch):
         order = {}
         for side, spaces in enumerate(sides):
             places = _relevant_places(spaces)
-            assert [v for C, v in visits if C == spaces[0]] == places, (a, b)
             for i, C in enumerate(spaces):
                 for j, v in enumerate(places):
                     order[C, v] = (side, i, j)
@@ -723,9 +744,23 @@ def test_selmer_sets_ask_once_per_local_class(monkeypatch):
         assert steps == sorted(set(steps)), (a, b)
         asked = {}
         for (C, v), (side, _, _) in zip(visits, steps):
-            for d in asked.setdefault((side, v), []):
+            for d in asked.setdefault((side, v), [1, C.c4]):
                 assert not same_local_class(d, C.d, v), (a, b, d, C.d, v)
             asked[side, v].append(C.d)
+
+
+def test_family_prime_asks_the_kernel_six_times(monkeypatch):
+    # Of the 14 (side, place, class) answers of a family prime, 8 are the
+    # classes of 1 and c4; the kernel is asked about the other 6, two at
+    # each place.
+    visits = recorded_kernel_visits(monkeypatch)
+    family = [p for p in primes(3, 6000) if p % 24 == 1]
+    assert len(family) == 89
+    for p in family:
+        visits.clear()
+        selmer_rank_bound(p)
+        by_place = collections.Counter("p" if v == p else v for _, v in visits)
+        assert by_place == {"real": 2, 2: 2, "p": 2}, (p, visits)
 
 
 def test_local_class_fixes_local_solvability():

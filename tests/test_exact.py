@@ -316,6 +316,49 @@ def _next_prime(n):
     return n
 
 
+def _prev_prime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_factorize_matches_sympy_past_the_cube_root():
+    # n = r^2, q*r and q with every prime factor above n^(1/3), the cofactors
+    # that trial division leaves: r just above the trial bound 10^4, and n
+    # near 2^64 on both sides of the deterministic Miller-Rabin range.
+    import sympy
+
+    lo, hi = _prev_prime(2**32), _next_prime(2**32)
+    rs = [10007, 10009, 65537, 1_000_003, 2**31 - 1, lo, hi]
+    pairs = [(10007, 10009), (10007, 65537), (65537, 1_000_003),
+             (2**31 - 1, lo), (lo, hi)]
+    assert all(q < r < q * q for q, r in pairs)     # q^3 > q*r
+    ns = [r * r for r in rs] + [q * r for q, r in pairs]
+    ns += [10007, _next_prime(2**63), _prev_prime(2**64), _next_prime(2**64)]
+    for n in ns:
+        want = {int(q): e for q, e in sympy.factorint(n).items()}
+        assert factorize(n) == want, n
+
+
+def test_factorize_splits_the_family_square_without_miller_rabin(monkeypatch):
+    # 8p^2 and 2p^2, the discriminant and b of a family curve, leave the
+    # cofactor p^2, which is split by its integer square root: a prime is
+    # never a square.
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return _miller_rabin(n)
+
+    monkeypatch.setattr(exact, "_miller_rabin", counting)
+    family = [p for p in range(101, 6000) if p % 24 == 1 and is_prime(p)]
+    assert len(family) == 87 and calls == []
+    for p in family:
+        assert factorize(8 * p * p) == {2: 3, p: 2}
+        assert factorize(2 * p * p) == {2: 1, p: 2}
+    assert calls == []
+
+
 def test_integer_root_is_the_floor_of_the_real_root():
     rng = random.Random(3)
     for _ in range(300):
