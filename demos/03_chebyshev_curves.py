@@ -15,8 +15,10 @@ for d in (9, 8, 5, 10, 20, 50):
     print(f"X_{d:<2}  #= {len(cert.points):>2}  {pts}")
 
 print("\nOutside the proven cases the count is conjectural; scan evidence:")
+small = {0, 1, -1, 2, -2}
 for d in (7, 11):
-    ev = conjecture_scan(d, 300)
-    inside = ", ".join(f"({x},{y})" for x, y in sorted(ev.inside_points))
-    print(f"  d = {d}: inside = {inside}; "
-          f"exceptional = {sorted(ev.exceptional) or 'none'}")
+    found = conjecture_scan(d, 300)
+    inside = ", ".join(f"({x},{y})" for x, y in sorted(found))
+    exceptional = sorted(P for P in found if not set(P) <= small)
+    print(f"  d = {d}: found = {inside}; "
+          f"outside {{0,+-1,+-2}}^2 = {exceptional or 'none'}")

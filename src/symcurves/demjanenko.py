@@ -24,20 +24,24 @@ two big square roots.
 
 Only the pairs still alive go on to the next prime, and each prime walks
 n*G mod l only up to the last live pair.  The pairs (T, 0) with T = O or
-x(T) = 0, which the test always keeps, are not tested at all.  The
-rationals the sieve reduces are split into numerator and denominator once
-per call; inverses and square roots mod l are read from the tables of
-`exact._field_tables`, built once per process and kept for a bounded
-number of primes (`exact.FIELD_TABLE_CACHE`), and the group law and the
-test above run on plain ints with no call per pair.
+x(T) = 0, which the test always keeps, are not tested at all.  T = (0, 0)
+lies on every companion curve (a6 = 0) and phi_1 maps the whole x = 0
+slice to it, so its pair is the one source of the points with x = 0, and
+by the swap of those with y = 0.  The rationals the sieve reduces are
+split into numerator and denominator once per call; inverses and square
+roots mod l are read from the tables of `exact._field_tables`, built once
+per process and kept for a bounded number of primes
+(`exact.FIELD_TABLE_CACHE`), and the group law and the test above run on
+plain ints with no call per pair.
 
 Values that are integral are plain ints: the sieve reads the curve's
 coefficients as integers over their common denominator, and the exact walk
 hands each surviving n*G + T to `quartic.phi_preimages`, which pulls it
 back on integer numerators and denominators and checks each preimage on F
-and against its target once.  `equal_index_points` solves its classes as
-integer biquadratics and integer square roots.  Every point of the
-certificate is checked on F once more before it is returned.
+and against its target once.  `equal_index_points` solves its two classes,
+x = +-y and phi_1 +- phi_2 = (0, 0) with xy != 0, as integer biquadratics
+and integer square roots.  Every point of the certificate is checked on
+F once more before it is returned.
 
 Rank data is an external certificate: the engine verifies the supplied
 generator is on the curve, and non-torsion for a rank-1 claim or torsion
@@ -61,7 +65,6 @@ from .elliptic import (
 )
 from .exact import _field_tables, _isqrt_exact, is_prime, require
 from .quartic import (
-    _ZERO,
     QuarticPoint,
     SymQuartic,
     biquadratic_roots,
@@ -168,13 +171,18 @@ def n_window(B: int) -> int:
 
 
 def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
-    """Rational points in the degenerate classes n1 = +-n2, solved exactly:
+    """Rational points in the two degenerate classes n1 = +-n2, which the
+    index window does not bound, solved exactly:
 
     * phi_1 = +-phi_2 forces x = +-y, a biquadratic in x;
-    * a covering map landing on the 2-torsion point (0,0) forces xy = 0;
     * phi_1 +- phi_2 = (0,0) with xy != 0 reduces, via translation by the
       2-torsion point, to (xy)^2 = B/16 with B the curve's a4 coefficient,
       then to a solvable symmetric system in x + y and xy.
+
+    A point with xy = 0 is in neither: phi_1 sends the x = 0 slice to the
+    2-torsion point (0, 0), which is n*G + T with n = 0, inside every
+    window, and which the walk always pulls back; the swap gives the y = 0
+    slice.
 
     The last class is solved in integers.  With k = lcm(den a', den b'),
     A = a' k^2 and B' = b' k^4, put m = -(4B' + A^2): then (xy)^2 =
@@ -189,10 +197,6 @@ def equal_index_points(F: SymQuartic) -> set[QuarticPoint]:
     # x = +-y branch: 2x^4 + 2a x^2 - b = 0.
     for x in biquadratic_roots(a, Fraction(-b.numerator, 2 * b.denominator)):
         out |= {QuarticPoint(x, x), QuarticPoint(x, -x)}
-
-    # xy = 0 branch: y^4 + a y^2 - b = 0 and its mirror.
-    for y in biquadratic_roots(a, -b):
-        out |= {QuarticPoint(_ZERO, y), QuarticPoint(y, _ZERO)}
 
     # phi_1 +- phi_2 = (0,0), xy != 0: (xy)^2 = -(b + a^2/4).
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -341,7 +345,7 @@ def enumerate_and_pull_back(inp: DemjanenkoInput, N: int) -> PointCertificate:
     def absorb(Q):
         if Q is INF:
             return
-        for P in phi_preimages(1, Q, F):
+        for P in phi_preimages(Q, F):
             points.add(P)
             points.add(P.swap())
 

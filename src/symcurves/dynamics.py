@@ -5,7 +5,7 @@ analysis for the rational points of X_d, and brute-force evidence scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +19,8 @@ from .elliptic import point
 # curve has Mordell-Weil rank one with the recorded generator; the X_5
 # point list comes from a certified genus-2 computation; X_3 is empty
 # because its Jacobian y^2 = x^3 - 27x + 189/4 has trivial Mordell-Weil
-# group.  Each import is re-verified on-curve and guarded by bounded scans.
+# group.  Each proven point set must equal the exact scan of X_d over a
+# window that holds {0, +-1, +-2}^2 (`chebyshev_curve_points`).
 X4_GENERATOR = point(4, -16)
 X5_POINTS = frozenset({(0, 1), (1, 0), (-1, 2), (2, -1)})
 
@@ -113,17 +114,19 @@ def _x4_certificate() -> PointCertificate:
 
 def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
     """The rational points of X_d: T_d(x) + T_d(y) = 1 in the proven cases,
-    with a bounded-scan consistency guard; a conjectural evidence record
+    checked against the exact scan of X_d; a conjectural evidence record
     otherwise.
 
     Cases: 3 | d is empty (covering to the trivial-Jacobian X_3); otherwise
     4 | d reduces through the two-cover enumeration on X_4, and 5 | d
     reduces to the certified X_5 list, both pulled back through the
-    integral-point argument (`_pullback_pairs`).  Every proven point is
-    checked on X_d, against T_d evaluated once on {0, +-1, +-2} (any other
-    coordinate is evaluated directly), and every proven point set against
-    the guard scan; a failure raises CheckFailed.  The points are pairs of
-    ints.
+    integral-point argument (`_pullback_pairs`).  A proven point set must
+    equal `conjecture_scan(d, max(scan_cap, 2))`: every proven point lies
+    in {0, +-1, +-2}^2, inside that window, and the scan finds exactly the
+    integral points of X_d there, so the equality shows each proven point
+    on X_d and no other point in the window; a failure raises CheckFailed.
+    Outside the proven cases the record holds every point the scan finds
+    to `scan_cap`.  The points are pairs of ints.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -142,20 +145,16 @@ def chebyshev_curve_points(d: int, scan_cap: int = 40) -> PointCertificate:
         conditions = ("imported certificate: degree-5 point list from "
                       "a certified genus-2 computation",)
     else:
-        evidence = conjecture_scan(d, scan_cap)
         return PointCertificate(
-            points=frozenset(evidence.inside_points),
+            points=conjecture_scan(d, scan_cap),
             index_bound=0, n_window=0,
             conditional_on=(f"bounded scan to cap {scan_cap} only",),
             status="conjectural-evidence",
         )
-    small_values = {x: cheb_eval(d, x) for x in SMALL_SET} if pts else {}
-    for P in pts:
-        require(sum(small_values[c] if c in small_values else cheb_eval(d, c)
-                    for c in P) == 1,
-                "pulled-back point is not on X_d")
-    _guard_scan(d, pts, scan_cap)
-    return PointCertificate(points=frozenset(pts), index_bound=bound,
+    found = conjecture_scan(d, max(scan_cap, 2))
+    require(found <= pts, "bounded scan found a point outside the certificate")
+    require(pts <= found, "pulled-back point is not on X_d")
+    return PointCertificate(points=found, index_bound=bound,
                             n_window=window, conditional_on=conditions)
 
 
@@ -164,44 +163,32 @@ def _pullback_pairs(d_prime: int, base_pairs) -> set:
     ints, for base coordinates in {0, +-1, +-2}: the growth floor
     |T_{d'}(x)| >= 7 for |x| >= 3 confines x and y to {0, +-1, +-2}, which
     T_{d'} maps into itself, so T_{d'} is evaluated there once and
-    inverted."""
+    inverted.  The base pairs are the package's own certificates, so a
+    coordinate outside {0, +-1, +-2} raises CheckFailed."""
     preimages = {t: [] for t in SMALL_SET}
     for x in SMALL_SET:
         preimages[cheb_eval(d_prime, x)].append(x)
     out = set()
     for u, v in base_pairs:
         xs, ys = preimages.get(u), preimages.get(v)
-        if xs is None or ys is None:
-            raise ValueError("base coordinate outside {0, +-1, +-2}: "
-                             "growth bound does not apply")
+        require(xs is not None and ys is not None,
+                "base coordinate outside {0, +-1, +-2}: "
+                "growth bound does not apply")
         out.update((x, y) for x in xs for y in ys)
     return out
 
 
-def _guard_scan(d: int, certified: set, cap: int):
-    evidence = conjecture_scan(d, cap)
-    require(evidence.inside_points <= certified
-            and evidence.exceptional <= certified,
-            "bounded scan found a point outside the certificate")
-
-
-@dataclass
-class ScanEvidence:
-    inside_points: set = field(default_factory=set)
-    exceptional: set = field(default_factory=set)
-
-
 def _require_cap(cap: int):
-    # A negative cap scans no x, so a guard built on it would check nothing.
+    # A negative cap scans no x, so its record would hold nothing.
     if cap < 0:
         raise ValueError(f"scan cap must be >= 0, got {cap}")
 
 
-def conjecture_scan(d: int, cap: int) -> ScanEvidence:
-    """Exhaustive scan for the rational points of X_d whose x is an integer
-    of absolute value at most the cap, solving for y exactly; the points are
-    int pairs, and those outside {0,+-1,+-2}^2 are recorded as exceptional.
-    Rational points with a non-integral x are not scanned.
+def conjecture_scan(d: int, cap: int) -> frozenset:
+    """The rational points of X_d whose x is an integer of absolute value at
+    most the cap, found exhaustively by solving for y exactly, as int
+    pairs.  Rational points with a non-integral x are not scanned; a caller
+    that wants the points outside {0, +-1, +-2}^2 filters the set.
 
     T_d is evaluated once per scan, at 0, 1, ..., cap + 1, into one table,
     which is inverted into one dict from each value to every y with
@@ -224,13 +211,11 @@ def conjecture_scan(d: int, cap: int) -> ScanEvidence:
     solutions = {}
     for y, v in values:
         solutions.setdefault(v, []).append(y)
-    ev = ScanEvidence()
+    found = set()
     for x, v in values:
         if -cap <= x <= cap:
             for y in solutions.get(1 - v, ()):
-                found = (ev.inside_points if -2 <= x <= 2 and -2 <= y <= 2
-                         else ev.exceptional)
                 found.add((x, y))
                 if d % 2 == 0:
                     found.update(((-x, y), (x, -y), (-x, -y)))
-    return ev
+    return frozenset(found)

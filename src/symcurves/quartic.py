@@ -4,15 +4,16 @@ covering maps, and the local height constant kappa.
 
 Points and the coefficients a', b' are `Fraction`s; everything computed
 from them here reads their numerators and denominators as ints and builds a
-`Fraction` only for a value it returns.  `SymQuartic` holds the equation
-with denominators cleared (D, D*a', D*b') for `contains`, and its
-discriminant from a, b over the common denominator; `companion_curve`
-writes the curve's coefficients from a' and b' the same way.  The covering
-map phi_1 is `_phi1`, whose image is a pair of integer ratios (phi_2 is
-phi_1 after the swap).  `phi_preimages` checks its target on the companion
-curve once, solves x and y by integer square roots of ratios, and checks
-each preimage once on F and once against the target (phi_1(P) = Q, by
-cross-multiplication); `biquadratic_roots` solves an integer biquadratic.
+`Fraction` only for a value it returns.  `SymQuartic` holds only the twisted
+equation: a', b', and the equation with denominators cleared (D, D*a',
+D*b') for `contains`; `companion_curve` writes the curve's coefficients
+from a' and b' the same way.  The covering map phi_1 is `_phi1`, whose
+image is a pair of integer ratios; phi_2 is phi_1 after the swap, so its
+preimages are the swaps of phi_1's.  `phi_preimages` checks its target on
+the companion curve once, solves x and y by integer square roots of
+ratios, and checks each preimage once on F and once against the target
+(phi_1(P) = Q, by cross-multiplication); `biquadratic_roots` solves an
+integer biquadratic.
 """
 
 from __future__ import annotations
@@ -49,32 +50,23 @@ class SymQuartic:
     """
 
     def __init__(self, a, b, alpha: int = 1):
-        self.a, self.b = _frac(a), _frac(b)
+        a, b = _frac(a), _frac(b)
         if alpha == 0 or not is_squarefree(alpha):
             raise ValueError("twist parameter must be a squarefree nonzero integer")
-        self.alpha = alpha
-        an, ad = self.a.numerator, self.a.denominator
-        bn, bd = self.b.numerator, self.b.denominator
-        # b*(a^2 + 2b)*(a^2 + 4b) over the common denominator ad^4 bd^3.
-        s, t = an * an * bd, bn * ad * ad
-        disc = bn * (s + 2 * t) * (s + 4 * t)
-        if disc == 0:
-            raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
-        self._disc = Fraction(disc, ad**4 * bd**3)
-        # a' and b', computed once: a, b and alpha are never reassigned.
-        self.a_eff = self.a if alpha == 1 else Fraction(alpha * an, ad)
-        self.b_eff = self.b if alpha == 1 else Fraction(alpha * alpha * bn, bd)
-        # The equation with denominators cleared, for `contains`: D and the
-        # integers D*a', D*b'.
+        # a' and b', computed once: the quartic is never reassigned.
+        self.a_eff, self.b_eff = alpha * a, alpha * alpha * b
         an, ad = self.a_eff.numerator, self.a_eff.denominator
         bn, bd = self.b_eff.numerator, self.b_eff.denominator
+        # b'(a'^2 + 2b')(a'^2 + 4b') = alpha^6 b(a^2 + 2b)(a^2 + 4b), over
+        # the common denominator ad^4 bd^3.
+        s, t = an * an * bd, bn * ad * ad
+        if bn * (s + 2 * t) * (s + 4 * t) == 0:
+            raise ValueError("degenerate family: b*(a^2+2b)*(a^2+4b) = 0")
+        # The equation with denominators cleared, for `contains`: D and the
+        # integers D*a', D*b'.
         D = self._D = math.lcm(ad, bd)
         self._Da, self._Db = an * (D // ad), bn * (D // bd)
         self._companion = None      # built on first use by companion_curve
-
-    def disc(self) -> Fraction:
-        """b*(a^2 + 2b)*(a^2 + 4b), computed once by __init__."""
-        return self._disc
 
     def contains(self, P: QuarticPoint) -> bool:
         """x^4 + a'x^2 + a'y^2 + y^4 = b' tested in integers: with x = p/q
@@ -85,10 +77,6 @@ class SymQuartic:
         r, s = P.y.numerator, P.y.denominator
         X, Y, W = (p * s) ** 2, (r * q) ** 2, (q * s) ** 2
         return self._D * (X * X + Y * Y) + self._Da * W * (X + Y) == self._Db * W * W
-
-    def _require(self, P: QuarticPoint):
-        if not self.contains(P):
-            raise ValueError(f"point {P} is not on the quartic")
 
     def __repr__(self):
         return (f"x^4 + ({self.a_eff})x^2 + ({self.a_eff})y^2 + y^4"
@@ -140,23 +128,22 @@ def biquadratic_roots(a, c) -> list[Fraction]:
     return [Fraction(z, k) for z in sorted(zs)]
 
 
-def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
-    """All rational points of F mapping to Q under phi_i.
+def phi_preimages(Q, F: SymQuartic) -> set[QuarticPoint]:
+    """All rational points of F mapping to Q under phi_1; their swaps are
+    the points mapping to Q under phi_2.
 
     Q = (X, Y) is checked on the companion curve once.  For X != 0,
     -X/4 = x^2 with X = n/d in lowest terms: as n and d are coprime, -n and
     d are squares u^2 and v^2, and x = +-u/(2v).  The second coordinate
     then forces y^2 = (Y/x - 4a')/8, a ratio of integers N/M, which is a
     square exactly when the integer N*M is.  Q = (0, 0) is the image of the
-    whole x = 0 slice (y = 0 under phi_2) and is solved as a biquadratic.
+    whole x = 0 slice and is solved as the biquadratic y^4 + a'y^2 = b'.
     Each candidate P is checked on F once (`F.contains`) and phi_1(P) = Q
     once, by integer cross-multiplication of `_phi1`'s ratios with Q's.
     Both hold by construction (for x != 0, phi_1(P) = Q on the companion
     curve divided by x^2 is the equation of F), so either failing raises
     CheckFailed.
     """
-    if i not in (1, 2):
-        raise ValueError("map index must be 1 or 2")
     if Q is INF:
         raise ValueError("no affine preimages of the point at infinity")
     if not companion_curve(F).contains(Q):
@@ -188,7 +175,7 @@ def phi_preimages(i: int, Q, F: SymQuartic) -> set[QuarticPoint]:
         Xn, Xd, Yn, Yd = _phi1(P, F)
         require(Xn * d == n * Xd and Yn * yd == yn * Yd,
                 "phi_1 does not map the pulled-back point to its target")
-        pts.add(P.swap() if i == 2 else P)
+        pts.add(P)
     return pts
 
 

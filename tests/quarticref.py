@@ -36,7 +36,8 @@ def phi(i: int, P: QuarticPoint, F) -> ECPoint:
     phi_1 composed with the coordinate swap."""
     if i not in (1, 2):
         raise ValueError("map index must be 1 or 2")
-    F._require(P)
+    if not F.contains(P):
+        raise ValueError(f"point {P} is not on the quartic")
     if i == 2:
         P = P.swap()
     a = F.a_eff
@@ -93,14 +94,13 @@ def phi_preimages(i: int, Q, F) -> set:
 
 
 def equal_index_points(F) -> set:
-    """The points of the classes n1 = +-n2: x = +-y, xy = 0, and
-    (xy)^2 = -(b + a^2/4) solved through w = x^2 + y^2."""
+    """The points of the classes n1 = +-n2 that the index window does not
+    bound: x = +-y, and (xy)^2 = -(b + a^2/4) with xy != 0 solved through
+    w = x^2 + y^2."""
     a, b = F.a_eff, F.b_eff
     out = set()
     for x in biquadratic_roots(a, -b / 2):
         out |= {QuarticPoint(x, x), QuarticPoint(x, -x)}
-    for y in biquadratic_roots(a, -b):
-        out |= {QuarticPoint(Fraction(0), y), QuarticPoint(y, Fraction(0))}
     s = rational_sqrt(-(b + a * a / 4))
     if s is not None and s != 0:
         for sigma in {s, -s}:

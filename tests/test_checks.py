@@ -5,6 +5,7 @@ exactly one check."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -26,7 +27,8 @@ HEIGHTS_POINT = ["heights", "--point=4,-16", "--", "-4", "-3", "1"]
 QUARTIC = ["quartic", "-4", "-3", "1", "--generator", "4,-16"]
 
 # Keyed by the failure message: (patch, library call, CLI argv).  The
-# point (7, 9) lies on neither X_20 nor X_4.
+# point (7, 9) lies on neither X_20 nor X_4, and 3 is outside the
+# {0, +-1, +-2} that X_5's pull-back inverts.
 FORCED = {
     "pulled-back point is not on X_d": (
         "from fractions import Fraction\n"
@@ -39,12 +41,13 @@ FORCED = {
         "from fractions import Fraction\n"
         "from symcurves import dynamics\n"
         "_scan = dynamics.conjecture_scan\n"
-        "def _forced_scan(d, cap):\n"
-        "    ev = _scan(d, cap)\n"
-        "    ev.exceptional.add((Fraction(7), Fraction(9)))\n"
-        "    return ev\n"
-        "dynamics.conjecture_scan = _forced_scan\n",
+        "dynamics.conjecture_scan = (lambda d, cap:\n"
+        "    _scan(d, cap) | {(Fraction(7), Fraction(9))})\n",
         lambda: chebyshev_curve_points(20), ["cheb", "20"]),
+    "base coordinate outside {0, +-1, +-2}: growth bound does not apply": (
+        "from symcurves import dynamics\n"
+        "dynamics.X5_POINTS = dynamics.X5_POINTS | {(3, 0)}\n",
+        lambda: chebyshev_curve_points(5), ["cheb", "5"]),
     "certificate point is not on the quartic": (
         "from fractions import Fraction\n"
         "from symcurves import demjanenko\n"
@@ -56,13 +59,13 @@ FORCED = {
         "from symcurves import quartic\n"
         "_point = quartic.QuarticPoint\n"
         "quartic.QuarticPoint = lambda x, y: _point(x, y + 1)\n",
-        lambda: phi_preimages(1, point(-4, -16), X4), QUARTIC),
+        lambda: phi_preimages(point(-4, -16), X4), QUARTIC),
     "phi_1 does not map the pulled-back point to its target": (
         "from symcurves import quartic\n"
         "_phi1 = quartic._phi1\n"
         "quartic._phi1 = (lambda P, F:\n"
         "    (lambda Xn, Xd, Yn, Yd: (Xn, Xd, Yn + Yd, Yd))(*_phi1(P, F)))\n",
-        lambda: phi_preimages(1, point(-4, -16), X4), QUARTIC),
+        lambda: phi_preimages(point(-4, -16), X4), QUARTIC),
     "torsion order does not divide the point-count gcd": (
         "from symcurves import elliptic\n"
         "elliptic._torsion_multiple_bound = lambda E, floor: 1\n",
@@ -74,6 +77,7 @@ FORCED = {
 }
 
 PATCHED = ((dynamics, "_pullback_pairs"), (dynamics, "conjecture_scan"),
+           (dynamics, "X5_POINTS"),
            (demjanenko, "equal_index_points"), (quartic, "QuarticPoint"),
            (quartic, "_phi1"), (elliptic, "_torsion_multiple_bound"),
            (elliptic, "_val_capped"))
@@ -90,7 +94,7 @@ def restore_patched(monkeypatch):
 def test_forced_check_failure_exits_4(check, capsys, restore_patched):
     patch, call, argv = FORCED[check]
     exec(patch, {})
-    with pytest.raises(CheckFailed, match=check):
+    with pytest.raises(CheckFailed, match=re.escape(check)):
         call()
     assert main(argv) == EXIT_CHECK_FAILED == 4
     out = capsys.readouterr()

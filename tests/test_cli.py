@@ -13,7 +13,7 @@ import time
 import pytest
 
 import symcurves
-from symcurves import cli
+from symcurves import cli, dynamics
 from symcurves.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -24,7 +24,7 @@ from symcurves.cli import (
     main,
     rat,
 )
-from symcurves.dynamics import TAIL_BIT_CAP
+from symcurves.dynamics import TAIL_BIT_CAP, chebyshev_curve_points
 from symcurves.elliptic import point
 from symcurves.exact import CheckFailed, is_prime
 from fractions import Fraction
@@ -115,6 +115,43 @@ def test_cheb_conjectural_exit(capsys):
     assert json.loads(out)["payload"]["status"] == "conjectural-evidence"
 
 
+def test_cheb_conjectural_record_lists_every_scan_point(monkeypatch, capsys):
+    # A scan point outside {0, +-1, +-2}^2 would be a counterexample to the
+    # conjecture the record supports: it is listed, and the record stays
+    # evidence.
+    real = dynamics.conjecture_scan
+    extra = (3, -40)
+    monkeypatch.setattr(dynamics, "conjecture_scan", lambda d, cap:
+                        real(d, cap) | {extra} if d == 7 else real(d, cap))
+    cert = chebyshev_curve_points(7)
+    assert cert.points == real(7, 40) | {extra}
+    assert cert.status == "conjectural-evidence"
+    code, out, _ = run(["cheb", "7", "--json"], capsys)
+    payload = json.loads(out)["payload"]
+    assert code == EXIT_UNDETERMINED == 3
+    assert [unrat(c) for c in payload["points"][-1]] == list(extra)
+    assert payload["count"] == 5
+    assert payload["status"] == "conjectural-evidence"
+
+
+def test_cheb_scan_cap_leaves_a_proven_envelope_unchanged(capsys):
+    # A proven set must equal its scan to max(cap, 2), so a proven case
+    # prints the cap-40 envelope at every cap.
+    def envelope(argv):
+        code, out, _ = run(argv, capsys)
+        env = json.loads(out)
+        env.pop("timestamp")
+        return code, env
+
+    for d in range(3, 221):
+        if d % 3 and d % 4 and d % 5:
+            continue
+        want = envelope(["cheb", str(d), "--json"])
+        for cap in (0, 1, 2):
+            assert envelope(["cheb", str(d), "--scan-cap", str(cap),
+                             "--json"]) == want, (d, cap)
+
+
 def test_cheb_precondition(capsys):
     code, _, err = run(["cheb", "2"], capsys)
     assert code == EXIT_PRECONDITION
@@ -122,8 +159,8 @@ def test_cheb_precondition(capsys):
 
 @pytest.mark.parametrize("d", [7, 8, 9])
 def test_cheb_negative_scan_cap_is_a_precondition(d, capsys):
-    # A negative cap scans no x: the guard of d = 8 and 9 and the evidence
-    # of d = 7 would rest on nothing.
+    # A negative cap scans no x: the evidence of d = 7 would rest on
+    # nothing, so the cap is refused for every d.
     code, out, err = run(["cheb", str(d), "--scan-cap", "-3"], capsys)
     assert code == EXIT_PRECONDITION
     assert out == "" and err == "error: scan cap must be >= 0, got -3\n"

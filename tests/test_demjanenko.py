@@ -40,7 +40,7 @@ from symcurves.exact import (
     _field_tables,
 )
 from symcurves.quartic import SymQuartic, kappa, phi_preimages
-from quarticref import phi, rational_sqrt
+from quarticref import biquadratic_roots, phi, rational_sqrt
 from test_quartic import qpoint
 from test_quartic_golden import CORPUS as GOLDEN_CORPUS
 
@@ -205,21 +205,22 @@ def test_monotonicity_in_window():
 
 
 def test_equal_index_points_x4():
-    # The xy = 0 class; the x = +-y and translated classes are empty here.
-    assert equal_index_points(X4) == {qpoint(0, 1), qpoint(0, -1),
-                                      qpoint(1, 0), qpoint(-1, 0)}
+    # The x = +-y and translated classes are empty here; the points with
+    # xy = 0 come from the walk's pull-back of (0, 0).
+    assert equal_index_points(X4) == set()
 
 
 def test_equal_index_points_match_the_reference():
-    # The integer solution of the three degenerate classes against the
+    # The integer solution of the two degenerate classes against the
     # Fraction reference: on quartics through a seeded point (x, y) with
     # xy != 0 that lies in the translated class, a' = -2(x^2 + y^2 -+ xy)
     # and b' = -a'^2/4 - (xy)^2, on diagonal ones b' = 2x^4 + 2a'x^2, on
-    # random ones, each twisted by alpha.
+    # ones with the axis points (0, +-y) and on random ones, each twisted
+    # by alpha.
     import quarticref
 
     rng = random.Random(4848)
-    found = {"translated": 0, "diagonal": 0, "axis": 0}
+    found = {"translated": 0, "diagonal": 0}
     checked = 0
     while checked < 600:
         x, y = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
@@ -245,7 +246,6 @@ def test_equal_index_points_match_the_reference():
         found["translated"] += any(P.x * P.y != 0 and abs(P.x) != abs(P.y)
                                    for P in got)
         found["diagonal"] += any(P.x * P.y != 0 and abs(P.x) == abs(P.y) for P in got)
-        found["axis"] += any(P.x * P.y == 0 for P in got)
         checked += 1
     assert min(found.values()) > 20, found
 
@@ -264,8 +264,8 @@ def test_equal_index_points_hasse_twists():
 def test_equal_index_points_translated_class():
     # phi_1 +- phi_2 = (0, 0) with xy != 0: any x, y with
     # a = -2(x^2 + xy + y^2) gives one, since then (xy)^2 = -(b + a^2/4).
-    # Against the brute-force search, the three classes together are all
-    # the points with x = +-y, with xy = 0, or with (xy)^2 = -(b + a^2/4).
+    # Against the brute-force search, the two classes together are all
+    # the points with x = +-y or with (xy)^2 = -(b + a^2/4), xy != 0.
     # (1, 2) lies on (a, b) = (-14, -53).
     for x, y in [(1, 2), (1, -2), (1, 3), (2, 3), (Fraction(1, 2), 1), (2, -5)]:
         x, y = Fraction(x), Fraction(y)
@@ -277,8 +277,28 @@ def test_equal_index_points_translated_class():
         found = brute_force_points(F, 30, 4)
         assert qpoint(x, y) in found
         degenerate = {P for P in found if P.x in (P.y, -P.y)
-                      or P.x * P.y == 0 or (P.x * P.y) ** 2 == target}
+                      or P.x * P.y != 0 and (P.x * P.y) ** 2 == target}
         assert equal_index_points(F) == degenerate, (x, y)
+
+
+def test_axis_points_come_from_the_walk():
+    # phi_1 maps the x = 0 slice to the 2-torsion point (0, 0), whose pair
+    # the sieve always keeps, and the walk's swaps give the y = 0 slice:
+    # every (0, y) and (y, 0) with y^4 + a'y^2 = b' is certified, and the
+    # degenerate classes hold no point with a zero coordinate.
+    inputs = [build_input(SymQuartic(Fraction(a), Fraction(b), 1),
+                          point(int(gx), int(gy)), 1)
+              for a, b, gx, gy in GOLDEN_CORPUS]
+    inputs += _random_back_solved_inputs(11, 40)
+    axis = 0
+    for inp in inputs:
+        F = inp.F
+        points = determine_points(F, inp.generator, 1).points
+        for y in biquadratic_roots(F.a_eff, -F.b_eff):
+            assert qpoint(0, y) in points and qpoint(y, 0) in points, (F, y)
+            axis += 1
+        assert all(P.x and P.y for P in equal_index_points(F)), F
+    assert axis >= 10, axis
 
 
 def test_hasse_twist_rank0_empty():
@@ -344,7 +364,7 @@ def unsieved_walk(case):
                 R = E.add(R, inp.generator)
             found = set()
             for Q in {R, E.neg(R)} - {INF}:
-                found |= phi_preimages(1, Q, F)
+                found |= phi_preimages(Q, F)
             preimages[i, n] = found
     points = set(equal_index_points(F))
     for found in preimages.values():
@@ -739,7 +759,7 @@ def test_sieve_leaves_no_false_multiple():
                     R = E.add(nG, T)
                     found = set()
                     for Q in {R, E.neg(R)} - {INF}:
-                        found |= phi_preimages(1, Q, F)
+                        found |= phi_preimages(Q, F)
                     assert found, (F, n, T)
                     checked += 1
     assert checked  # the corpus has genuine points beyond n = 1

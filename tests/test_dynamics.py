@@ -6,6 +6,7 @@ import pytest
 
 from symcurves import chebyshev, dynamics
 from symcurves.chebyshev import cheb_eval
+from symcurves.exact import CheckFailed
 from symcurves.dynamics import (
     OrbitTail,
     SMALL_SET,
@@ -202,8 +203,10 @@ def test_pullback_pairs():
     assert all(type(c) is int
                for P in _pullback_pairs(4, {(Fraction(2), Fraction(-2))})
                for c in P)
+    # The base pairs are the package's own certificates: a coordinate
+    # outside {0, +-1, +-2} is a failed check, not an input error.
     for bad in ({(3, 0)}, {(0, Fraction(1, 2))}, {(1, 0), (-1, 7)}):
-        with pytest.raises(ValueError, match="growth bound"):
+        with pytest.raises(CheckFailed, match="growth bound"):
             _pullback_pairs(2, bad)
 
 
@@ -347,18 +350,13 @@ def test_nonsingular_vs_resultants():
 
 
 def test_conjecture_scan():
-    ev = conjecture_scan(7, 100)
-    assert ev.exceptional == set()
-    assert ev.inside_points == FOUR
-    ev4 = conjecture_scan(4, 200)
-    assert ev4.exceptional == set()
-    assert ev4.inside_points == TWELVE
-    ev3 = conjecture_scan(3, 200)
-    assert ev3.exceptional == set() and ev3.inside_points == set()
-    ev11 = conjecture_scan(11, 60)
-    assert ev11.exceptional == set()
-    assert ev11.inside_points == FOUR
-    assert conjecture_scan(7, 0).inside_points == {(0, 1)}
+    found = conjecture_scan(7, 100)
+    assert type(found) is frozenset and found == FOUR
+    assert all(type(c) is int for P in found for c in P)
+    assert conjecture_scan(4, 200) == TWELVE
+    assert conjecture_scan(3, 200) == set()
+    assert conjecture_scan(11, 60) == FOUR
+    assert conjecture_scan(7, 0) == {(0, 1)}
     with pytest.raises(ValueError, match="scan cap must be >= 0"):
         conjecture_scan(7, -1)
 
@@ -401,16 +399,13 @@ def test_integer_root():
 
 def test_conjecture_scan_matches_bruteforce():
     # (|y| - 1)^d < |T_d(y)| <= |T_d(x)| + 1 < cap^d + 2 bounds |y| <= cap + 1.
-    small = set(SMALL_SET)
     for d in range(3, 13):
         for cap in (5, 40):
             table = _cheb_table(d, cap + 1)
             found = {(Fraction(x), Fraction(y))
                      for x in range(-cap, cap + 1) for y in table
                      if table[x] + table[y] == 1}
-            ev = conjecture_scan(d, cap)
-            assert ev.inside_points == {p for p in found if set(p) <= small}
-            assert ev.exceptional == {p for p in found if not set(p) <= small}
+            assert conjecture_scan(d, cap) == found
 
 
 def _reference_solve(d, t, small_values):
@@ -429,13 +424,10 @@ def _reference_solve(d, t, small_values):
 @functools.cache
 def _reference_scan(d, cap):
     # The scan that evaluated T_d at x and at -x separately.
-    small = set(SMALL_SET)
     small_values = [(y, cheb_eval(d, y)) for y in SMALL_SET]
-    inside, exceptional = set(), set()
-    for x in range(-cap, cap + 1):
-        for y in _reference_solve(d, 1 - cheb_eval(d, x), small_values):
-            (inside if x in small and y in small else exceptional).add((x, y))
-    return frozenset(inside), frozenset(exceptional)
+    return frozenset((x, y) for x in range(-cap, cap + 1)
+                     for y in _reference_solve(d, 1 - cheb_eval(d, x),
+                                               small_values))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 40])
@@ -443,25 +435,35 @@ def test_conjecture_scan_table_matches_reference(cap):
     # Caps 0 to 3 put the table's edge inside SMALL_SET and the candidates
     # r, r + 1 past it; cap 40 covers the benchmark's degrees.
     for d in range(3, 221 if cap == 40 else 81):
-        ev = conjecture_scan(d, cap)
-        assert (ev.inside_points, ev.exceptional) == _reference_scan(d, cap), d
+        assert conjecture_scan(d, cap) == _reference_scan(d, cap), d
 
 
 def test_certificates_match_the_reference_scan():
-    # Brute-force completeness over d = 3..220: a proven certificate holds
-    # exactly the points the per-x solver finds, exceptional ones included;
-    # an open case holds exactly its inside points.
+    # Brute-force completeness over d = 3..220: a certificate, proven or
+    # open, holds exactly the points the per-x solver finds, those outside
+    # {0, +-1, +-2}^2 included.
     for d in range(3, 221):
         cert = chebyshev_curve_points(d)
-        inside, exceptional = _reference_scan(d, 40)
+        assert cert.points == _reference_scan(d, 40), d
         proven = d % 3 == 0 or d % 4 == 0 or d % 5 == 0
-        assert cert.points == (inside | exceptional if proven else inside), d
         assert (cert.status == "certified") == proven, d
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2, 40])
+def test_proven_sets_equal_their_exact_scan(cap):
+    # A proven set is checked against the scan to max(cap, 2), whose window
+    # holds {0, +-1, +-2}^2 at every cap; the two must be equal.
+    for d in range(3, 221):
+        if d % 3 and d % 4 and d % 5:
+            continue
+        cert = chebyshev_curve_points(d, cap)
+        assert cert.points == conjecture_scan(d, max(cap, 2)), (d, cap)
+        assert cert.status == "certified"
+
+
 def test_conjecture_scan_evaluates_one_table(monkeypatch):
-    # A scan evaluates T_d at 0, 1, ..., cap + 1.  A proven case with points
-    # adds T_d and T_{d'} on {0, +-1, +-2}, five values each.
+    # A scan evaluates T_d at 0, 1, ..., cap + 1.  A proven case scans to
+    # max(cap, 2), and a pulled-back one adds T_{d'} on {0, +-1, +-2}.
     calls = []
 
     def counted(d, x):
@@ -477,5 +479,10 @@ def test_conjecture_scan_evaluates_one_table(monkeypatch):
         for d in (3, 4, 5, 7, 8, 10, 20, 25, 64, 100, 199, 200):
             calls.clear()
             chebyshev_curve_points(d, cap)
-            pulled_back = d % 3 != 0 and (d % 4 == 0 or d % 5 == 0)
-            assert len(calls) == cap + (12 if pulled_back else 2), (d, cap)
+            if d % 3 == 0:
+                want = max(cap, 2) + 2
+            elif d % 4 == 0 or d % 5 == 0:
+                want = max(cap, 2) + 7
+            else:
+                want = cap + 2
+            assert len(calls) == want, (d, cap)

@@ -187,16 +187,17 @@ LARGE_FAMILY_PRIME = 10**30 + 57
 
 def test_bad_places_are_those_of_the_family_discriminant():
     # The local check takes its bad places as {2, 3, p}.  They are 2 and the
-    # primes of disc * p for the (-4, -6) quartic twisted by p; the code no
-    # longer computes that, so it is checked here.
+    # primes of disc * p for the (-4, -6) quartic twisted by p, with disc =
+    # b(a^2 + 2b)(a^2 + 4b); the code no longer computes that, so it is
+    # checked here.
     assert LARGE_FAMILY_PRIME > PROBABLE_PRIME_BOUND
     assert is_prime(LARGE_FAMILY_PRIME) and LARGE_FAMILY_PRIME % 24 == 1
     primes = ([3] + [p for p in range(73, 3000, 24) if is_prime(p)]
               + [LARGE_FAMILY_PRIME])
+    a, b = -4, -6
     for p in primes:
-        disc = SymQuartic(-4, -6, p).disc() * p
-        assert disc.denominator == 1
-        assert {2, 3, p} == {2} | set(factorize(disc.numerator)), p
+        disc = b * (a * a + 2 * b) * (a * a + 4 * b) * p
+        assert {2, 3, p} == {2} | set(factorize(disc)), p
         ok, reports = everywhere_locally_solvable(p)
         assert sorted(_uncounted_places(reports)) == sorted({2, 3, p}), p
         assert ok is (p != 3)

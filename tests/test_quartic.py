@@ -191,15 +191,15 @@ def test_phi_equivariance():
 
 
 def test_phi_preimages_examples():
-    assert phi_preimages(1, point(-4, -16), X4) == {qpoint(1, 0),
-                                                    qpoint(-1, 2),
-                                                    qpoint(-1, -2)}
-    assert phi_preimages(1, point(-16, 16), X4) == {qpoint(-2, 1),
-                                                    qpoint(-2, -1)}
+    assert phi_preimages(point(-4, -16), X4) == {qpoint(1, 0),
+                                                 qpoint(-1, 2),
+                                                 qpoint(-1, -2)}
+    assert phi_preimages(point(-16, 16), X4) == {qpoint(-2, 1),
+                                                 qpoint(-2, -1)}
     # positive x-coordinate has no preimage: -X/4 < 0 is not a square
-    assert phi_preimages(1, point(4, -16), X4) == set()
+    assert phi_preimages(point(4, -16), X4) == set()
     with pytest.raises(ValueError):
-        phi_preimages(1, INF, X4)
+        phi_preimages(INF, X4)
 
 
 def test_phi_preimages_roundtrip():
@@ -207,19 +207,22 @@ def test_phi_preimages_roundtrip():
     for _ in range(40):
         F, P = random_on_curve(rng)
         Q = phi(1, P, F)
-        pre = phi_preimages(1, Q, F)
+        pre = phi_preimages(Q, F)
         assert P in pre
         for R in pre:
             assert phi(1, R, F) == Q
         Q2 = phi(2, P, F)
-        assert P in phi_preimages(2, Q2, F)
+        # phi_2 = phi_1 after the swap: its preimages are the swaps.
+        assert P.swap() in phi_preimages(Q2, F)
 
 
 def test_phi_preimages_of_two_torsion():
     # (0,0) pulls back to the x = 0 slice.
-    pre = phi_preimages(1, point(0, 0), X4)
+    pre = phi_preimages(point(0, 0), X4)
     assert pre == {qpoint(0, 1), qpoint(0, -1)}
-    assert phi_preimages(2, point(0, 0), X4) == {qpoint(1, 0), qpoint(-1, 0)}
+    # phi_2 pulls it back to the y = 0 slice: the swaps.
+    assert quarticref.phi_preimages(2, point(0, 0), X4) == \
+        {P.swap() for P in pre} == {qpoint(1, 0), qpoint(-1, 0)}
 
 
 def _benchmark_workloads():
@@ -233,15 +236,17 @@ def _benchmark_workloads():
 
 
 def _same_preimages(i, Q, F):
-    # The integer pull-back against the Fraction reference: equal sets, or
-    # the same ValueError.
+    # The integer pull-back against the Fraction reference under phi_i:
+    # equal sets (the swaps of phi_1's for i = 2), or the same ValueError.
     try:
         want = quarticref.phi_preimages(i, Q, F)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            phi_preimages(i, Q, F)
+            phi_preimages(Q, F)
         return None
-    got = phi_preimages(i, Q, F)
+    got = phi_preimages(Q, F)
+    if i == 2:
+        got = {P.swap() for P in got}
     assert got == want, (F, i, Q)
     return got
 
@@ -253,9 +258,9 @@ def test_phi_preimages_match_the_reference_on_every_certificate_call(monkeypatch
     calls = []
     real = demjanenko.phi_preimages
 
-    def compared(i, Q, F):
-        got = real(i, Q, F)
-        assert got == quarticref.phi_preimages(i, Q, F), (F, i, Q)
+    def compared(Q, F):
+        got = real(Q, F)
+        assert got == quarticref.phi_preimages(1, Q, F), (F, Q)
         if Q.x != 0:
             assert {P.swap() for P in got} == _same_preimages(2, Q, F)
         calls.append(len(got))
